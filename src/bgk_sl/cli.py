@@ -47,7 +47,6 @@ _CONFIG_KEYS = (
     "tfinal",
     "levels",
     "out",
-    "threads",
     "seed_meta",
 )
 
@@ -84,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
             ", comma-separated sweep values" if name == "cfl-sweep" else ""))
         p.add_argument("--tfinal", help="final time")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--threads", help="worker threads for interpolation")
         p.add_argument(
             "--seed-meta",
             action="store_true",
@@ -171,8 +169,6 @@ def _common_kwargs(opts: dict) -> dict:
         kwargs["nv"] = _as_int(opts["nv"], "nv")
     if opts.get("vmax") is not None:
         kwargs["vmax"] = _as_float(opts["vmax"], "vmax")
-    if opts.get("threads") is not None:
-        kwargs["threads"] = _as_int(opts["threads"], "threads")
     return kwargs
 
 

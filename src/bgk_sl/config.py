@@ -122,7 +122,6 @@ class SchemeConfig:
     eps: float  # relaxation time (Knudsen number); math.inf disables collisions
     cfl: float = 4.0
     weno_eps: float = 1e-6
-    threads: int = 1
 
     def __post_init__(self):
         if not (self.eps > 0.0):  # also rejects NaN
@@ -131,8 +130,6 @@ class SchemeConfig:
             raise ConfigError(f"cfl must be positive, got {self.cfl}")
         if not (self.weno_eps > 0.0):
             raise ConfigError(f"weno_eps must be positive, got {self.weno_eps}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.integrator.is_lattice:
             if self.interp is not Interp.NONE:
                 raise ConfigError(

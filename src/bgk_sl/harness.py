@@ -66,7 +66,6 @@ def run_case(
     vmax: float | None = None,
     cfl: float | None = None,
     t_final: float | None = None,
-    threads: int = 1,
     weno_eps: float = 1e-6,
     keep_field: bool = False,
 ) -> RunResult:
@@ -89,7 +88,6 @@ def run_case(
         eps=eps,
         cfl=cfl_requested,
         weno_eps=weno_eps,
-        threads=threads,
     )
     if integrator.is_lattice:
         dt = lattice_dt(grid, integrator.lattice_stride)
@@ -122,7 +120,6 @@ def run_case(
         "t_final": t_final,
         "n_steps": control.n_steps,
         "shortened_final_step": control.has_short_step,
-        "threads": threads,
         "weno_eps": weno_eps,
     }
     start = time.perf_counter()

@@ -252,9 +252,7 @@ class TimeStepper:
             self.dt_lattice = lattice_dt(grid, integrator.lattice_stride)
         else:
             interpolator = Interpolator(scheme.interp, scheme.weno_eps)
-            transport = InterpolatedTransport(
-                grid, interpolator, scheme.boundary, scheme.threads
-            )
+            transport = InterpolatedTransport(grid, interpolator, scheme.boundary)
             self.dt_lattice = None
         self.ctx = StepContext(grid=grid, system=system, transport=transport, eps=scheme.eps)
 
@@ -333,7 +331,6 @@ class TimeStepper:
                 self.grid,
                 Interpolator(kind, self.scheme.weno_eps),
                 self.scheme.boundary,
-                self.scheme.threads,
             )
             self._fallback_ctx = StepContext(
                 grid=self.grid, system=self.system, transport=transport, eps=self.scheme.eps

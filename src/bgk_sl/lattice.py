@@ -35,13 +35,17 @@ def lattice_cfl(grid: PhaseGrid, stride: int = 1) -> float:
     return float(stride * grid.nv)
 
 
+def snap_to_integers(r):
+    """r with every entry within the lattice tolerance of an integer set to it."""
+    r = np.asarray(r, dtype=float)
+    nearest = np.round(r)
+    return np.where(np.abs(r - nearest) <= _INT_TOL * np.maximum(1.0, np.abs(r)), nearest, r)
+
+
 def node_shift(grid: PhaseGrid, tau: float) -> int | None:
     """Nodes per unit velocity index swept in time tau, or None if off-lattice."""
-    r = tau * grid.dv / grid.dx
-    r_int = round(r)
-    if abs(r - r_int) <= _INT_TOL * max(1.0, abs(r)):
-        return int(r_int)
-    return None
+    r = float(snap_to_integers(tau * grid.dv / grid.dx))
+    return int(r) if r.is_integer() else None
 
 
 def conforming_dt(grid: PhaseGrid, dt: float, stride: int = 1) -> bool:

@@ -6,53 +6,48 @@ ghost nodes to cover both the interpolation stencil and the largest
 characteristic overhang (large CFL steps may sweep past several domain
 widths; the boundary maps fold arbitrarily deep extensions back).
 
-The departure pattern depends only on the shift time tau, so the gather
-indices and interpolation weights are planned once per distinct tau and
-reused every step; only the node values are re-read.
+On the uniform grid the feet of velocity column j are the nodes shifted
+rigidly upstream by r_j = j * (dv*tau/dx) nodes: an integer part floor(-r_j)
+and a fraction t_j common to the whole column.  A shift within the lattice
+tolerance of an integer is snapped to it, so node-aligned feet return node
+values exactly.  The plan (per-column shift, fraction and one window index
+into the extended field) is built once per distinct tau and reused; every
+component is then gathered and blended in one call, with the scratch arrays
+of a single workspace that the transport keeps for all its plans.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .boundaries import extend_field
 from .config import Boundary
-from .grid import PhaseGrid, characteristic_foot
-from .weno import Interpolator, InterpPlan
+from .grid import PhaseGrid
+from .lattice import snap_to_integers
+from .weno import Interpolator, InterpPlan, Workspace
 
 
 class InterpolatedTransport:
-    """Shift fields along characteristics using pointwise interpolation."""
+    """Shift fields along characteristics using WENO or linear interpolation."""
 
     _PLAN_CACHE_MAX = 16
 
-    def __init__(
-        self,
-        grid: PhaseGrid,
-        interpolator: Interpolator,
-        bc: Boundary,
-        threads: int = 1,
-    ):
+    def __init__(self, grid: PhaseGrid, interpolator: Interpolator, bc: Boundary):
         self.grid = grid
         self.interpolator = interpolator
         self.bc = bc
-        self.threads = max(1, int(threads))
-        self._pool: ThreadPoolExecutor | None = None
         self._plans: dict[float, tuple[int, InterpPlan]] = {}
+        self._workspace = Workspace()
 
     def shifted(self, field: np.ndarray, tau: float) -> np.ndarray:
-        """Field values at the feet x_i - v_j*tau, shape preserved."""
+        """Field values at the feet x_i - v_j*tau, shape preserved; a new array."""
         field = np.asarray(field)
         if tau == 0.0:
             return field.copy()
         nghost, plan = self._plan_for(float(tau))
         ext = extend_field(field, self.bc, nghost)
-        out = np.empty_like(field, dtype=float)
-        for comp in range(field.shape[0]):
-            self._evaluate(plan, ext[comp], out[comp])
-        return out
+        return plan.apply(ext, self._workspace)
 
     # -- internals ---------------------------------------------------------
     def _plan_for(self, tau: float) -> tuple[int, InterpPlan]:
@@ -61,33 +56,16 @@ class InterpolatedTransport:
             grid = self.grid
             overhang = int(math.ceil(abs(tau) * grid.vmax / grid.dx))
             nghost = self.interpolator.ghost + overhang + 1
-            x0_ext = grid.x[0] - nghost * grid.dx
-            n_ext = grid.nx + 1 + 2 * nghost
-            feet = characteristic_foot(grid.x[:, None], grid.v[None, :], tau)
-            plan = self.interpolator.plan(n_ext, x0_ext, grid.dx, feet)
+            r = snap_to_integers(grid.jv * (grid.dv * tau / grid.dx))
+            shift = np.floor(-r)
+            plan = self.interpolator.plan(
+                (grid.nx + 1 + 2 * nghost, grid.n_vel),
+                nghost + shift.astype(np.int64),
+                -r - shift,
+                rows=grid.nx + 1,
+            )
             if len(self._plans) >= self._PLAN_CACHE_MAX:
                 self._plans.pop(next(iter(self._plans)))
             entry = (nghost, plan)
             self._plans[tau] = entry
         return entry
-
-    def _evaluate(self, plan: InterpPlan, data, out):
-        n_cols = data.shape[1]
-        if self.threads == 1 or n_cols < 2 * self.threads:
-            plan.apply(data, out=out)
-            return
-        # Velocity columns are independent; disjoint output slices keep the
-        # parallel result identical to the serial one.
-        bounds = np.linspace(0, n_cols, self.threads + 1, dtype=int)
-        slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-        def work(sl):
-            plan.apply(data, cols=sl, out=out[:, sl])
-
-        pool = self._ensure_pool()
-        list(pool.map(work, slices))
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.threads)
-        return self._pool

@@ -1,4 +1,4 @@
-"""Pointwise interpolation on uniform grids: linear, WENO23 and WENO35.
+"""Interpolation on uniform grids: linear, WENO23 and WENO35.
 
 Evaluation points are anchored to the cell [x_j, x_j+dx] that contains them,
 with local coordinate t = (x - x_j)/dx in [0, 1].
@@ -9,17 +9,41 @@ through all four nodes.  WENO35 blends the three cubics on (j-2..j+1),
 (j-1..j+2) and (j..j+3); the smooth-data blend reproduces the degree-5
 interpolant through all six nodes.
 
-Smoothness indicators are the standard squared-Sobolev-seminorm integrals of
-each stencil polynomial over the evaluation cell, expressed in the local
-coordinate:  beta = sum_l  integral_0^1 (d^l p/dt^l)^2 dt.  The quadratic
-forms below were generated symbolically from that definition.
+Difference form.  With node values v_o (o counted from the anchor node j),
+first differences D_o = v_{o+1} - v_o, d0 = D_0, and second differences
+S_o = D_o - D_{o-1}, every candidate polynomial is written in Newton form
+from the cell's two nodes outwards, q = t(t-1)/2:
 
-Data may be a single column, shape (n,), or a batch of columns, shape (n, c)
-with one evaluation array of shape (p, c) giving per-column points.  Repeated
-evaluation at the same points (the common case along characteristics, where
-the shift pattern is fixed while the field changes every step) goes through an
-InterpPlan that precomputes the gather indices and all point-dependent
-weights once.
+    linear          v0 + t d0
+    quadratics      v0 + t d0 + q S_0          (left)
+                    v0 + t d0 + q S_1          (right)
+    cubics          v0 + t d0 + q S_0 + q(t+1)/3 (S_0 - S_-1)   (left)
+                    v0 + t d0 + q S_0 + q(t+1)/3 (S_1 - S_0)    (centre)
+                    v0 + t d0 + q S_1 + q(t-2)/3 (S_2 - S_1)    (right)
+
+so a result is v0 + t d0 plus weighted corrections that all carry the factor
+q: at t = 0 it is the node value, bit for bit.  The smoothness indicators,
+beta = sum_l integral_0^1 (d^l p/dt^l)^2 dt over the evaluation cell, become
+sums of squares of the same differences (checked symbolically against the
+quadratic forms in the node values):
+
+    quadratics      d0^2 + 13/12 S_0^2,  d0^2 + 13/12 S_1^2
+    cubic, right    d0^2 + 13/48 (3 S_1 - S_2)^2  + 781/720 (S_2 - S_1)^2
+    cubic, centre   d0^2 + 13/48 (S_0 + S_1)^2    + 781/720 (S_1 - S_0)^2
+    cubic, left     d0^2 + 13/48 (3 S_0 - S_-1)^2 + 781/720 (S_0 - S_-1)^2
+
+Rigid shift.  An InterpPlan evaluates, in every column q, the points
+cell_q + t_q + i (node units), i = 0..rows-1: a whole column of nodes shifted
+by one common amount, which is what the characteristic feet x_i - v_j*tau of
+one velocity column are.  The fraction t_q, and with it every Newton
+coefficient and linear weight, is then a per-column constant, stored as a
+(ncols,) row, and the stencils of all rows are slices of one window of
+rows + width consecutive nodes per column, gathered with a single take.
+Pointwise evaluation is the same plan with rows = 1 and one column per point.
+
+Workspace.  The differences, indicators and weights live in scratch arrays
+drawn from a Workspace, which keeps them between calls, keyed by shape; only
+the returned result is allocated afresh, so it never aliases the workspace.
 """
 from __future__ import annotations
 
@@ -32,11 +56,10 @@ from .errors import ConfigError
 
 WENO_EPS_DEFAULT = 1e-6
 
-#: nodes needed on each side of the anchor cell, per interpolation kind
+#: nodes needed on each side of the anchor cell, per interpolation kind.  A
+#: kind of width g reads the window of nodes j-g+1 .. j+g around the cell
+#: [x_j, x_j+dx] and uses the window's differences up to order g.
 GHOST_WIDTH = {Interp.LINEAR: 1, Interp.WENO23: 2, Interp.WENO35: 3}
-
-#: anchor-cell clipping range (lo, hi_from_end): cell in [lo, n_nodes - hi]
-_CELL_RANGE = {Interp.LINEAR: (0, 2), Interp.WENO23: (1, 3), Interp.WENO35: (2, 4)}
 
 _ANCHOR_TOL = 1e-9
 
@@ -56,12 +79,11 @@ def _as_columns(data, x):
     raise ValueError(f"data must be 1D or 2D, got shape {data.shape}")
 
 
-def _anchor(x2, x0, dx, n_nodes, lo_cell, hi_cell):
-    """Anchor cell index and local coordinate for every evaluation point."""
-    if hi_cell < lo_cell:
+def _anchor(s, n_nodes, lo, hi):
+    """Anchor cell index and local coordinate of points s given in node units."""
+    if n_nodes - 1 - hi < lo:
         raise ValueError(f"{n_nodes} nodes are too few for this stencil")
-    s = (x2 - x0) / dx
-    cell = np.clip(np.floor(s).astype(np.int64), lo_cell, hi_cell)
+    cell = np.clip(np.floor(s).astype(np.int64), lo, n_nodes - 1 - hi)
     t = s - cell
     if t.size and not ((t.min() >= -_ANCHOR_TOL) and (t.max() <= 1.0 + _ANCHOR_TOL)):
         raise ValueError(
@@ -71,82 +93,156 @@ def _anchor(x2, x0, dx, n_nodes, lo_cell, hi_cell):
     return cell, t
 
 
-def _cardinals(offsets, t):
-    """Lagrange cardinal functions of the integer-offset stencil at t."""
-    cards = []
-    for o in offsets:
-        card = np.ones_like(t)
-        for o2 in offsets:
-            if o2 != o:
-                card = card * (t - o2) / (o - o2)
-        cards.append(card)
-    return cards
+class Workspace:
+    """Scratch arrays kept between calls, keyed by shape.
+
+    After reset(), successive get() calls with one shape return distinct
+    arrays, allocated only the first time that many are asked for.
+    """
+
+    def __init__(self):
+        self._arrays: dict[tuple, list[np.ndarray]] = {}
+        self._used: dict[tuple, int] = {}
+
+    def reset(self) -> None:
+        """Make every array available again."""
+        self._used.clear()
+
+    def get(self, shape) -> np.ndarray:
+        shape = tuple(shape)
+        arrays = self._arrays.setdefault(shape, [])
+        k = self._used.get(shape, 0)
+        if k == len(arrays):
+            arrays.append(np.empty(shape))
+        self._used[shape] = k + 1
+        return arrays[k]
 
 
-# Smoothness indicators (symbolically derived; see module docstring).
-def _beta_quadratic(a, b, c):
-    """For quadratic stencil values (a, b, c) listed from the evaluation cell's
-    left neighbor outwards; the mirrored stencil passes reversed arguments."""
-    curv = a - 2.0 * b + c
-    slope = b - c
-    return (13.0 / 12.0) * curv * curv + slope * slope
+def _differences(win, order, ws):
+    """The first `order` differences [D, S, ...] of a window along its node axis."""
+    diffs = []
+    a = win
+    for _ in range(order):
+        a = np.subtract(a[:, 1:], a[:, :-1], out=ws.get(a[:, 1:].shape))
+        diffs.append(a)
+    return diffs
 
 
-def _beta_cubic_edge(w0, w1, w2, w3):
-    """Right-biased cubic stencil (cell nodes w0, w1 then two to the right);
-    the left-biased stencil passes its values in reversed order."""
-    return (
-        (407.0 / 90.0) * w0 * w0
-        + (721.0 / 30.0) * w1 * w1
-        + (248.0 / 15.0) * w2 * w2
-        + (61.0 / 45.0) * w3 * w3
-        - (1193.0 / 60.0) * w0 * w1
-        + (439.0 / 30.0) * w0 * w2
-        - (683.0 / 180.0) * w0 * w3
-        - (2309.0 / 60.0) * w1 * w2
-        + (103.0 / 10.0) * w1 * w3
-        - (553.0 / 60.0) * w2 * w3
-    )
+def _indicators(kind, diffs, rows, ws):
+    """Smoothness indicators of the candidate stencils, left to right.
+
+    `diffs` are the window's differences from _differences(win, 2 or 3, ws);
+    d0^2 and the squared highest differences are formed once and shared.
+    """
+    lo = GHOST_WIDTH[kind] - 1
+    d = diffs[0]
+    d0 = d[:, lo : lo + rows]
+    d0sq = np.multiply(d0, d0, out=ws.get(d0.shape))
+    if kind is Interp.WENO23:
+        s = diffs[1]  # s[:, k] = S_k
+        ssq = np.multiply(s, s, out=ws.get(s.shape))
+        ssq *= 13.0 / 12.0
+        return [np.add(d0sq, ssq[:, k : k + rows], out=ws.get(d0.shape)) for k in (0, 1)]
+    s, t3 = diffs[1], diffs[2]  # s[:, k] = S_{k-1}; t3[:, k] = S_k - S_{k-1}
+    t3sq = np.multiply(t3, t3, out=ws.get(t3.shape))
+    t3sq *= 781.0 / 720.0
+    s_m1, s_0, s_1, s_2 = (s[:, k : k + rows] for k in range(4))
+    left = np.multiply(s_0, 3.0, out=ws.get(d0.shape))
+    left -= s_m1
+    centre = np.add(s_0, s_1, out=ws.get(d0.shape))
+    right = np.multiply(s_1, 3.0, out=ws.get(d0.shape))
+    right -= s_2
+    betas = [left, centre, right]
+    for k, beta in enumerate(betas):
+        beta *= beta
+        beta *= 13.0 / 48.0
+        beta += d0sq
+        beta += t3sq[:, k : k + rows]
+    return betas
 
 
-def _beta_cubic_center(w0, w1, w2, w3):
-    """Centered cubic stencil (one node left of the cell, two right)."""
-    return (
-        (61.0 / 45.0) * (w0 * w0 + w3 * w3)
-        + (331.0 / 30.0) * (w1 * w1 + w2 * w2)
-        - (141.0 / 20.0) * (w0 * w1 + w2 * w3)
-        + (179.0 / 30.0) * (w0 * w2 + w1 * w3)
-        - (293.0 / 180.0) * w0 * w3
-        - (1259.0 / 60.0) * w1 * w2
-    )
+def _weno23_correction(alphas, diffs, coef, rows, ws):
+    """q * (a_l S_0 + a_r S_1) / (a_l + a_r); consumes the alphas."""
+    a_l, a_r = alphas
+    s = diffs[1]
+    (q,) = coef
+    num = np.multiply(a_l, s[:, :rows], out=ws.get(a_l.shape))
+    a_l += a_r
+    a_r *= s[:, 1 : rows + 1]
+    num += a_r
+    num /= a_l
+    num *= q
+    return num
+
+
+def _weno35_correction(alphas, diffs, coef, rows, ws):
+    """Weighted cubic corrections over the weight sum; consumes the alphas."""
+    a_l, a_c, a_r = alphas
+    s, t3 = diffs[1], diffs[2]
+    q, c_lc, c_r = coef
+    den = np.add(a_l, a_c, out=ws.get(a_l.shape))
+    # quadratic terms: left and centre share S_0, right has S_1
+    num = np.multiply(den, s[:, 1 : rows + 1], out=ws.get(a_l.shape))
+    tmp = np.multiply(a_r, s[:, 2 : rows + 2], out=ws.get(a_l.shape))
+    num += tmp
+    num *= q
+    # cubic terms
+    a_l *= t3[:, :rows]
+    np.multiply(a_c, t3[:, 1 : rows + 1], out=tmp)
+    a_l += tmp
+    a_l *= c_lc
+    num += a_l
+    den += a_r
+    a_r *= t3[:, 2 : rows + 2]
+    a_r *= c_r
+    num += a_r
+    num /= den
+    return num
+
+
+_CORRECTION = {Interp.WENO23: _weno23_correction, Interp.WENO35: _weno35_correction}
 
 
 class InterpPlan:
-    """Gather indices and blend weights frozen for one set of evaluation points.
+    """The evaluation of node data at one rigid shift of rows, frozen for reuse.
 
-    Built once per distinct shift pattern; apply() then only gathers the
-    current node values and mixes them, which is what makes long runs cheap.
+    Column q of the result holds the `rows` points cell[q] + t[q] + i
+    (i = 0..rows-1, node units) of data column col[q].  Built once per shift
+    pattern; apply() then gathers one window of node values and blends it.
     """
 
-    def __init__(self, kind: Interp, eps: float, n_nodes: int, cell, t):
+    def __init__(self, kind: Interp, eps: float, data_shape, cell, t, rows: int, col=None):
+        hi = GHOST_WIDTH[kind]
+        lo = hi - 1
         self.kind = kind
         self.eps = float(eps)
-        self.n_nodes = int(n_nodes)
-        self.ncols = int(cell.shape[1])
-        self._base = cell * self.ncols + np.arange(self.ncols, dtype=np.int64)[None, :]
-        if kind is Interp.LINEAR:
-            self._cards = (_cardinals((0, 1), t),)
-            self._cw = None
-        elif kind is Interp.WENO23:
-            self._cards = (_cardinals((-1, 0, 1), t), _cardinals((0, 1, 2), t))
-            self._cw = ((2.0 - t) / 3.0, (1.0 + t) / 3.0)
-        elif kind is Interp.WENO35:
-            self._cards = (
-                _cardinals((-2, -1, 0, 1), t),
-                _cardinals((-1, 0, 1, 2), t),
-                _cardinals((0, 1, 2, 3), t),
+        self.data_shape = (int(data_shape[0]), int(data_shape[1]))
+        self.rows = int(rows)
+        n_nodes, ncols = self.data_shape
+        cell = np.asarray(cell, dtype=np.int64)
+        t = np.asarray(t, dtype=float)
+        col = np.arange(cell.size) if col is None else np.asarray(col, dtype=np.int64)
+        if cell.ndim != 1 or t.shape != cell.shape or col.shape != cell.shape:
+            raise ValueError(
+                f"cell, t and col must be matching 1D rows, got shapes "
+                f"{cell.shape}, {t.shape}, {col.shape}"
             )
-            self._cw = (
+        if cell.size and (cell.min() < lo or cell.max() + self.rows - 1 + hi >= n_nodes):
+            raise ValueError(f"stencil windows reach outside the {n_nodes} data nodes")
+        if col.size and (col.min() < 0 or col.max() >= ncols):
+            raise ValueError(f"column index outside the {ncols} data columns")
+        window = np.arange(self.rows + lo + hi)[:, None] + (cell - lo)[None, :]
+        self._index = window * ncols + col[None, :]
+        self.t = t
+        q = 0.5 * t * (t - 1.0)
+        if kind is Interp.LINEAR:
+            self._coef, self._linear = (), ()
+        elif kind is Interp.WENO23:
+            self._coef = (q,)
+            self._linear = ((2.0 - t) / 3.0, (1.0 + t) / 3.0)
+        elif kind is Interp.WENO35:
+            self._coef = (q, q * (t + 1.0) / 3.0, q * (t - 2.0) / 3.0)
+            self._linear = (
                 (t - 2.0) * (t - 3.0) / 20.0,
                 -(t + 2.0) * (t - 3.0) / 10.0,
                 (t + 2.0) * (t + 1.0) / 20.0,
@@ -154,69 +250,44 @@ class InterpPlan:
         else:  # pragma: no cover - guarded by Interpolator
             raise ConfigError(f"no interpolation plan for kind {kind!r}")
 
-    def apply(self, data2: np.ndarray, cols=slice(None), out=None) -> np.ndarray:
-        """Interpolate node values data2 (shape (n_nodes, ncols), C-contiguous)
-        at the planned points, optionally restricted to a column slice."""
-        if data2.shape != (self.n_nodes, self.ncols):
+    def apply(self, data, ws: Workspace | None = None) -> np.ndarray:
+        """Interpolate node data of shape (..., n_nodes, ncols) at the planned
+        points; the result, of shape (..., rows, len(cell)), is a new array."""
+        data = np.asarray(data, dtype=float)
+        if data.shape[-2:] != self.data_shape:
             raise ValueError(
-                f"data shape {data2.shape} does not match plan "
-                f"({self.n_nodes}, {self.ncols})"
+                f"data shape {data.shape} does not match plan (..., "
+                f"{self.data_shape[0]}, {self.data_shape[1]})"
             )
-        flat = np.ascontiguousarray(data2).reshape(-1)
-        base = self._base[:, cols]
-        step = self.ncols
-        if self.kind is Interp.LINEAR:
-            w0, w1 = (c[:, cols] for c in self._cards[0])
-            res = w0 * flat.take(base) + w1 * flat.take(base + step)
-        elif self.kind is Interp.WENO23:
-            res = self._apply_weno23(flat, base, step, cols)
-        else:
-            res = self._apply_weno35(flat, base, step, cols)
-        if out is not None:
-            out[...] = res
+        lead = data.shape[:-2]
+        flat = data.reshape(-1, self.data_shape[0] * self.data_shape[1])
+        ws = Workspace() if ws is None else ws
+        ws.reset()
+        win = ws.get((flat.shape[0],) + self._index.shape)
+        np.take(flat, self._index, axis=1, out=win, mode="clip")
+        out = self._blend(win, ws)
+        return out.reshape(lead + out.shape[1:])
+
+    def _blend(self, win, ws):
+        kind, rows = self.kind, self.rows
+        lo = GHOST_WIDTH[kind] - 1
+        diffs = _differences(win, GHOST_WIDTH[kind], ws)
+        out = np.multiply(diffs[0][:, lo : lo + rows], self.t)
+        out += win[:, lo : lo + rows]
+        if kind is Interp.LINEAR:
             return out
-        return res
-
-    def _apply_weno23(self, flat, base, step, cols):
-        vm = flat.take(base - step)
-        v0 = flat.take(base)
-        v1 = flat.take(base + step)
-        v2 = flat.take(base + 2 * step)
-        b_left = _beta_quadratic(vm, v0, v1)
-        b_right = _beta_quadratic(v2, v1, v0)
-        cw_l, cw_r = (c[:, cols] for c in self._cw)
-        a_left = cw_l / (b_left + self.eps) ** 2
-        a_right = cw_r / (b_right + self.eps) ** 2
-        (lm, l0, l1), (r0, r1, r2) = (
-            [c[:, cols] for c in cards] for cards in self._cards
-        )
-        p_left = lm * vm + l0 * v0 + l1 * v1
-        p_right = r0 * v0 + r1 * v1 + r2 * v2
-        return (a_left * p_left + a_right * p_right) / (a_left + a_right)
-
-    def _apply_weno35(self, flat, base, step, cols):
-        w = [flat.take(base + o * step) for o in (-2, -1, 0, 1, 2, 3)]
-        vm2, vm1, v0, v1, v2, v3 = w
-        b_left = _beta_cubic_edge(v1, v0, vm1, vm2)
-        b_center = _beta_cubic_center(vm1, v0, v1, v2)
-        b_right = _beta_cubic_edge(v0, v1, v2, v3)
-        cw_l, cw_c, cw_r = (c[:, cols] for c in self._cw)
-        a_left = cw_l / (b_left + self.eps) ** 2
-        a_center = cw_c / (b_center + self.eps) ** 2
-        a_right = cw_r / (b_right + self.eps) ** 2
-        cards_l, cards_c, cards_r = (
-            [c[:, cols] for c in cards] for cards in self._cards
-        )
-        p_left = cards_l[0] * vm2 + cards_l[1] * vm1 + cards_l[2] * v0 + cards_l[3] * v1
-        p_center = cards_c[0] * vm1 + cards_c[1] * v0 + cards_c[2] * v1 + cards_c[3] * v2
-        p_right = cards_r[0] * v0 + cards_r[1] * v1 + cards_r[2] * v2 + cards_r[3] * v3
-        num = a_left * p_left + a_center * p_center + a_right * p_right
-        return num / (a_left + a_center + a_right)
+        alphas = _indicators(kind, diffs, rows, ws)
+        for alpha, linear in zip(alphas, self._linear):
+            alpha += self.eps
+            alpha *= alpha
+            np.divide(linear, alpha, out=alpha)
+        out += _CORRECTION[kind](alphas, diffs, self._coef, rows, ws)
+        return out
 
 
 @dataclass(frozen=True)
 class Interpolator:
-    """Configured pointwise interpolation with its ghost-width requirement."""
+    """Configured interpolation with its ghost-width requirement."""
 
     kind: Interp
     eps: float = WENO_EPS_DEFAULT
@@ -229,20 +300,18 @@ class Interpolator:
     def ghost(self) -> int:
         return GHOST_WIDTH[self.kind]
 
-    def plan(self, n_nodes: int, x0: float, dx: float, points: np.ndarray) -> InterpPlan:
-        """Freeze gather indices/weights for evaluating (n_nodes, c) data at
-        the 2D point batch `points` (one point column per data column)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError(f"plan needs a 2D point batch, got shape {pts.shape}")
-        lo, hi_from_end = _CELL_RANGE[self.kind]
-        cell, t = _anchor(pts, x0, dx, n_nodes, lo, n_nodes - hi_from_end)
-        return InterpPlan(self.kind, self.eps, n_nodes, cell, t)
+    def plan(self, data_shape, cell, t, rows: int = 1, col=None) -> InterpPlan:
+        """Freeze the evaluation of (..., n_nodes, ncols) data, data_shape =
+        (n_nodes, ncols), at the points cell[q] + t[q] + i, i = 0..rows-1, of
+        data column col[q] (default q); cell, t and col are 1D rows."""
+        return InterpPlan(self.kind, self.eps, data_shape, cell, t, rows, col)
 
     def __call__(self, data, x, x0: float = 0.0, dx: float = 1.0):
         data2, x2, out_shape = _as_columns(data, x)
-        plan = self.plan(data2.shape[0], x0, dx, x2)
-        return plan.apply(np.ascontiguousarray(data2)).reshape(out_shape)
+        cell, t = _anchor((x2 - x0) / dx, data2.shape[0], self.ghost - 1, self.ghost)
+        col = np.broadcast_to(np.arange(data2.shape[1]), x2.shape)
+        plan = self.plan(data2.shape, cell.ravel(), t.ravel(), col=col.ravel())
+        return plan.apply(data2).reshape(out_shape)
 
 
 def linear_interp(data, x, x0: float = 0.0, dx: float = 1.0):

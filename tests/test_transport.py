@@ -1,12 +1,18 @@
-"""Characteristic transport: shifts, plan caching, threading, boundaries."""
+"""Characteristic transport: shifts, plan caching, workspace, boundaries."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bgk_sl import Boundary, Interp, PhaseGrid, make_interpolator
 from bgk_sl.boundaries import extend_field
+from bgk_sl.lattice import LatticeTransport
 from bgk_sl.transport import InterpolatedTransport
+
+KINDS = (Interp.LINEAR, Interp.WENO23, Interp.WENO35)
+BOUNDARIES = (Boundary.PERIODIC, Boundary.REFLECTIVE, Boundary.FREEFLOW)
 
 
 def _field(grid, ncomp=1, seed=0):
@@ -14,8 +20,19 @@ def _field(grid, ncomp=1, seed=0):
     return rng.normal(size=(ncomp, grid.nx + 1, grid.v.size))
 
 
-def _transport(grid, kind=Interp.WENO23, bc=Boundary.PERIODIC, threads=1):
-    return InterpolatedTransport(grid, make_interpolator(kind), bc, threads=threads)
+def _transport(grid, kind=Interp.WENO23, bc=Boundary.PERIODIC):
+    return InterpolatedTransport(grid, make_interpolator(kind), bc)
+
+
+def _pointwise_shift(grid, kind, bc, f, tau):
+    """Reference: pointwise interpolation of the ghost-extended field at the
+    departure points x - v*tau, one component at a time."""
+    interp = make_interpolator(kind)
+    nghost = interp.ghost + int(math.ceil(abs(tau) * grid.vmax / grid.dx)) + 1
+    ext = extend_field(f, bc, nghost)
+    feet = grid.x[:, None] - grid.v[None, :] * tau
+    x0_ext = grid.x[0] - nghost * grid.dx
+    return np.stack([interp(ext[c], feet, x0=x0_ext, dx=grid.dx) for c in range(f.shape[0])])
 
 
 def test_zero_shift_returns_copy_not_alias():
@@ -28,22 +45,56 @@ def test_zero_shift_returns_copy_not_alias():
 
 
 def test_shift_matches_direct_interpolation_on_extended_field():
-    """shifted() is exactly interpolation of the ghost-extended field at the
-    departure points x - v*tau, for each interpolation kind."""
+    """shifted() is interpolation of the ghost-extended field at the departure
+    points x - v*tau, for each interpolation kind, up to round-off: the
+    transport takes each column's fraction from j*(dv*tau/dx), the pointwise
+    path from each foot, and the two round differently."""
     grid = PhaseGrid(-1.0, 1.0, 24, 8, 5.0)
     tau = 0.023
     f = _field(grid, ncomp=2, seed=1)
-    for kind in (Interp.LINEAR, Interp.WENO23, Interp.WENO35):
-        interp = make_interpolator(kind)
-        tr = InterpolatedTransport(grid, interp, Boundary.PERIODIC)
-        got = tr.shifted(f, tau)
-        nghost = interp.ghost + int(math.ceil(tau * grid.vmax / grid.dx)) + 1
-        ext = extend_field(f, Boundary.PERIODIC, nghost)
-        feet = grid.x[:, None] - grid.v[None, :] * tau
-        x0_ext = grid.x[0] - nghost * grid.dx
-        for comp in range(f.shape[0]):
-            expect = interp(ext[comp], feet, x0=x0_ext, dx=grid.dx)
-            assert np.array_equal(got[comp], expect)
+    for kind in KINDS:
+        got = _transport(grid, kind).shifted(f, tau)
+        expect = _pointwise_shift(grid, kind, Boundary.PERIODIC, f, tau)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    bc=st.sampled_from(BOUNDARIES),
+    nodes=st.one_of(
+        st.floats(-200.0, 200.0, allow_nan=False),  # up to ~6 domain widths
+        st.integers(-200, 200).map(float),  # node-aligned shifts
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_shift_matches_pointwise_interpolation_property(kind, bc, nodes, seed):
+    """For any kind, boundary and tau (negative, node-aligned, or several
+    domain widths long) transport agrees with pointwise interpolation."""
+    grid = PhaseGrid(0.0, 1.0, 32, 3, 1.5)
+    tau = nodes * grid.dx / grid.dv  # column j moves j*nodes nodes
+    # shifts within the lattice tolerance of an integer are snapped to it by
+    # design, which pointwise interpolation does not do
+    off = [abs(j * nodes - round(j * nodes)) for j in (1, 2, 3)]
+    assume(tau != 0.0 and all(d == 0.0 or d > 1e-7 for d in off))
+    f = _field(grid, ncomp=2, seed=seed)
+    got = _transport(grid, kind, bc).shifted(f, tau)
+    expect = _pointwise_shift(grid, kind, bc, f, tau)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("bc", BOUNDARIES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_node_aligned_shift_reproduces_node_values_bitwise(kind, bc):
+    """With dv*tau/dx an integer every foot is a node, and every kind returns
+    the node values exactly: the lattice gather's values, bit for bit."""
+    grid = PhaseGrid(-1.0, 1.0, 40, 10, 5.0)
+    f = _field(grid, ncomp=2, seed=7)
+    tr = _transport(grid, kind, bc)
+    lattice = LatticeTransport(grid, bc)
+    for m in (1, -1, 2, 7, -13):
+        tau = m * grid.dx / grid.dv
+        assert np.array_equal(tr.shifted(f, tau), lattice.shifted(f, tau)), m
 
 
 def test_periodic_shift_by_whole_domain_is_identity():
@@ -78,22 +129,31 @@ def test_negative_tau_shifts_opposite_direction():
         assert np.allclose(out_neg[0][:, j], expect_neg, atol=1e-13)
 
 
-def test_threaded_result_identical_to_serial():
-    grid = PhaseGrid(-1.0, 1.0, 40, 16, 8.0)
-    f = _field(grid, ncomp=2, seed=3)
-    for kind in (Interp.LINEAR, Interp.WENO23, Interp.WENO35):
-        serial = _transport(grid, kind, threads=1)
-        threaded = _transport(grid, kind, threads=4)
-        for tau in (0.003, -0.011, 0.25):
-            assert np.array_equal(serial.shifted(f, tau), threaded.shifted(f, tau))
+def test_successive_shifts_share_no_memory():
+    """The transport reuses one workspace, but every result is a new array:
+    a later shift neither overwrites nor aliases an earlier result."""
+    grid = PhaseGrid(0.0, 1.0, 24, 5, 3.0)
+    f = _field(grid, ncomp=2, seed=4)
+    for kind in KINDS:
+        tr = _transport(grid, kind)
+        first = tr.shifted(f, 0.013)
+        kept = first.copy()
+        second = tr.shifted(f, -0.029)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert not np.array_equal(first, second)
 
 
-def test_thread_count_larger_than_columns_falls_back():
-    grid = PhaseGrid(0.0, 1.0, 16, 1, 1.0)  # only 3 velocity columns
-    f = _field(grid)
-    serial = _transport(grid, threads=1)
-    wide = _transport(grid, threads=32)
-    assert np.array_equal(serial.shifted(f, 0.01), wide.shifted(f, 0.01))
+def test_one_transport_serves_fields_of_every_component_count():
+    """A 1v field (one component) and a Chu field (two) through one transport
+    give the results of fresh transports, in either order."""
+    grid = PhaseGrid(0.0, 1.0, 24, 5, 3.0)
+    one, two = _field(grid, ncomp=1, seed=5), _field(grid, ncomp=2, seed=6)
+    for kind in KINDS:
+        shared = _transport(grid, kind, Boundary.REFLECTIVE)
+        for f, tau in ((one, 0.02), (two, 0.02), (one, -0.05), (two, 0.02), (one, 0.02)):
+            fresh = _transport(grid, kind, Boundary.REFLECTIVE).shifted(f, tau)
+            assert np.array_equal(shared.shifted(f, tau), fresh)
 
 
 def test_plan_cache_reuse_and_eviction():

@@ -6,15 +6,13 @@ from bgk_sl import ConfigError, Interp, make_interpolator
 from bgk_sl.weno import (
     GHOST_WIDTH,
     Interpolator,
-    _beta_cubic_center,
-    _beta_cubic_edge,
-    _beta_quadratic,
+    Workspace,
     linear_interp,
     weno23_interp,
     weno35_interp,
 )
 
-from conftest import fitted_slope
+from conftest import fitted_slope, smoothness_indicators as _betas
 
 
 # ---------------------------------------------------------------------------
@@ -24,32 +22,48 @@ from conftest import fitted_slope
 # ---------------------------------------------------------------------------
 def test_beta_quadratic_oracle_values():
     # left stencil nodes (-1, 0, 1) with values (1, 3, 2)
-    assert _beta_quadratic(1.0, 3.0, 2.0) == pytest.approx(43.0 / 4.0, rel=1e-15)
-    # right stencil nodes (0, 1, 2) with values (1, 3, 2): reversed arguments
-    assert _beta_quadratic(2.0, 3.0, 1.0) == pytest.approx(55.0 / 4.0, rel=1e-15)
+    assert _betas(Interp.WENO23, [1.0, 3.0, 2.0, 9.0])[0] == pytest.approx(43.0 / 4.0, rel=1e-15)
+    # right stencil nodes (0, 1, 2) with values (1, 3, 2)
+    assert _betas(Interp.WENO23, [9.0, 1.0, 3.0, 2.0])[1] == pytest.approx(55.0 / 4.0, rel=1e-15)
 
 
 def test_beta_cubic_oracle_values():
+    left, centre, right = range(3)
     # right-biased stencil nodes (0, 1, 2, 3) with values (1, 2, 5, 3)
-    assert _beta_cubic_edge(1.0, 2.0, 5.0, 3.0) == pytest.approx(7823.0 / 90.0, rel=1e-14)
-    # left-biased stencil nodes (-2, -1, 0, 1) with values (1, 2, 5, 3):
-    # mirrored through the edge form with reversed arguments
-    assert _beta_cubic_edge(3.0, 5.0, 2.0, 1.0) == pytest.approx(6094.0 / 45.0, rel=1e-14)
+    assert _betas(Interp.WENO35, [7.0, -4.0, 1.0, 2.0, 5.0, 3.0])[right] == pytest.approx(
+        7823.0 / 90.0, rel=1e-14
+    )
+    # left-biased stencil nodes (-2, -1, 0, 1) with values (1, 2, 5, 3)
+    assert _betas(Interp.WENO35, [1.0, 2.0, 5.0, 3.0, 7.0, -4.0])[left] == pytest.approx(
+        6094.0 / 45.0, rel=1e-14
+    )
     # centered stencil nodes (-1, 0, 1, 2) with values (1, 2, 5, 3)
-    assert _beta_cubic_center(1.0, 2.0, 5.0, 3.0) == pytest.approx(5813.0 / 90.0, rel=1e-14)
-    # second data set
-    assert _beta_cubic_edge(-2.0, 0.0, 1.0, 7.0) == pytest.approx(3623.0 / 60.0, rel=1e-14)
-    assert _beta_cubic_edge(7.0, 1.0, 0.0, -2.0) == pytest.approx(8663.0 / 60.0, rel=1e-14)
-    assert _beta_cubic_center(-2.0, 0.0, 1.0, 7.0) == pytest.approx(2663.0 / 60.0, rel=1e-14)
+    assert _betas(Interp.WENO35, [7.0, 1.0, 2.0, 5.0, 3.0, -4.0])[centre] == pytest.approx(
+        5813.0 / 90.0, rel=1e-14
+    )
+    # second data set, (-2, 0, 1, 7) on each stencil's nodes
+    assert _betas(Interp.WENO35, [0.0, 0.0, -2.0, 0.0, 1.0, 7.0])[right] == pytest.approx(
+        3623.0 / 60.0, rel=1e-14
+    )
+    assert _betas(Interp.WENO35, [-2.0, 0.0, 1.0, 7.0, 0.0, 0.0])[left] == pytest.approx(
+        8663.0 / 60.0, rel=1e-14
+    )
+    assert _betas(Interp.WENO35, [0.0, -2.0, 0.0, 1.0, 7.0, 0.0])[centre] == pytest.approx(
+        2663.0 / 60.0, rel=1e-14
+    )
 
 
 def test_beta_center_is_palindromic():
     """Mirroring the data across the evaluation cell leaves the centered
-    indicator unchanged (the stencil is symmetric about the cell)."""
+    indicator unchanged (the stencil is symmetric about the cell) and swaps
+    the left and right ones."""
     rng = np.random.default_rng(3)
     for _ in range(10):
-        a, b, c, d = rng.normal(size=4)
-        assert _beta_cubic_center(a, b, c, d) == _beta_cubic_center(d, c, b, a)
+        a, b, c, d, e, f = rng.normal(size=6)
+        left, centre, right = _betas(Interp.WENO35, [a, b, c, d, e, f])
+        m_left, m_centre, m_right = _betas(Interp.WENO35, [f, e, d, c, b, a])
+        assert centre == m_centre
+        assert (left, right) == (m_right, m_left)
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +166,25 @@ def test_single_application_refinement_slopes(fn, design):
 # plans, batching and input validation
 # ---------------------------------------------------------------------------
 def test_plan_matches_one_shot_evaluation():
+    """A plan for rigidly shifted rows of points gives, bit for bit, the
+    one-shot pointwise values at those points (one kernel serves both), for
+    every component of a stacked field and on repeated application."""
     rng = np.random.default_rng(10)
-    n_nodes, ncols = 30, 7
-    data = rng.normal(size=(n_nodes, ncols))
-    pts = rng.uniform(3.0, 26.0, size=(11, ncols))
+    n_nodes, ncols, rows = 30, 7, 11
+    data = rng.normal(size=(2, n_nodes, ncols))
+    cell = rng.integers(3, 15, ncols)
+    t = rng.integers(0, 64, ncols) / 64.0  # dyadic: cell + t + i is exact
+    pts = cell[None, :] + t[None, :] + np.arange(rows)[:, None]
     for kind in (Interp.LINEAR, Interp.WENO23, Interp.WENO35):
         interp = make_interpolator(kind)
-        one_shot = interp(data, pts, x0=0.0, dx=1.0)
-        plan = interp.plan(n_nodes, 0.0, 1.0, pts)
-        assert np.array_equal(plan.apply(data), one_shot)
-        # column-sliced application fills the same values
-        out = np.empty_like(one_shot)
-        for sl in (slice(0, 3), slice(3, ncols)):
-            plan.apply(data, cols=sl, out=out[:, sl])
-        assert np.array_equal(out, one_shot)
+        plan = interp.plan((n_nodes, ncols), cell, t, rows=rows)
+        ws = Workspace()
+        got = plan.apply(data, ws)
+        assert got.shape == (2, rows, ncols)
+        for comp in range(2):
+            assert np.array_equal(got[comp], interp(data[comp], pts, x0=0.0, dx=1.0))
+        assert np.array_equal(plan.apply(data, ws), got)
+        assert np.array_equal(plan.apply(data[1]), got[1])
 
 
 def test_batch_columns_match_single_columns():
@@ -180,11 +199,15 @@ def test_batch_columns_match_single_columns():
 
 def test_plan_shape_validation():
     interp = make_interpolator(Interp.WENO23)
-    plan = interp.plan(20, 0.0, 1.0, np.full((3, 2), 10.0))
+    plan = interp.plan((20, 2), np.array([10, 10]), np.array([0.5, 0.5]), rows=3)
     with pytest.raises(ValueError):
         plan.apply(np.zeros((20, 3)))  # wrong column count
     with pytest.raises(ValueError):
-        interp.plan(20, 0.0, 1.0, np.zeros(5))  # points must be 2D
+        interp.plan((20, 2), np.array([10, 16]), np.array([0.5, 0.5]), rows=3)  # past the end
+    with pytest.raises(ValueError):
+        interp.plan((20, 2), np.array([0, 10]), np.array([0.5, 0.5]))  # before the start
+    with pytest.raises(ValueError):
+        interp.plan((20, 2), np.array([10, 10]), np.array([0.5]))  # rows of unequal length
 
 
 def test_out_of_range_points_rejected():
