@@ -52,7 +52,7 @@ def extend_field(field: np.ndarray, bc: Boundary, nghost: int) -> np.ndarray:
     nx = field.shape[1] - 1
     p = np.arange(-nghost, nx + nghost + 1)
     src, flip = map_nodes(p, nx, bc)
-    out = field[:, src, :]
+    out = np.take(field, src, axis=1)  # C-contiguous, unlike field[:, src, :]
     if flip.any():
         out[:, flip, :] = out[:, flip, ::-1]
     return out

@@ -39,20 +39,24 @@ class ChuReduced3V(KineticSystem):
         g1, g2 = field[0], field[1]
         dv, v = grid.dv, grid.v
         rho = dv * g1.sum(axis=-1)
-        mom = dv * (g1 * v).sum(axis=-1)
+        buf = g1 * v
+        mom = dv * buf.sum(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = mom / rho
             # Peculiar velocity is measured against the local u of each node.
-            pec2 = (v[None, :] - u[:, None]) ** 2
-            trT = dv * (pec2 * g1).sum(axis=-1) + dv * g2.sum(axis=-1)
+            pec2 = np.subtract(v[None, :], u[:, None], out=buf)
+            np.square(pec2, out=pec2)
+            pec2 *= g1
+            trT = dv * pec2.sum(axis=-1) + dv * g2.sum(axis=-1)
             T = trT / (3.0 * rho * self.R)
         validate_positive(rho, T)
         E = 0.5 * rho * u**2 + 1.5 * rho * self.R * T
         return Moments(rho=rho, u=u, T=T, E=E)
 
     def equilibrium(self, mom: Moments, grid: PhaseGrid) -> np.ndarray:
+        eq = np.empty((2, grid.n_space, grid.n_vel))
         m1 = maxwellian(
-            mom.rho[:, None], mom.u[:, None], mom.T[:, None], grid.v[None, :], self.R
+            mom.rho[:, None], mom.u[:, None], mom.T[:, None], grid.v[None, :], self.R, out=eq[0]
         )
-        m2 = 2.0 * self.R * mom.T[:, None] * m1
-        return np.stack([m1, m2])
+        np.multiply(2.0 * self.R * mom.T[:, None], m1, out=eq[1])
+        return eq

@@ -7,10 +7,9 @@ the interior nodes.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,6 +102,7 @@ def run_case(
         f0[:, -1, :] = f0[:, 0, :]  # node nx is the same physical point as node 0
 
     stepper = TimeStepper(f0, grid, system, scheme)
+    del f0  # the stepper marches its own copy; do not hold a second field
     meta = {
         "scenario": scen.name,
         "model": scen.model,

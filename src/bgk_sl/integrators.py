@@ -137,6 +137,7 @@ class StepContext:
     eps: float
 
     def foot(self, field, tau):
+        """The field at the feet over tau: a new array the caller may modify."""
         return self.transport.shifted(field, tau)
 
     def relax(self, g, coeff_dt):
@@ -150,6 +151,16 @@ class StepContext:
         mom = self.system.moments(g, self.grid)
         m_eq = self.system.equilibrium(mom, self.grid)
         return relaxation_solve(g, m_eq, coeff_dt / self.eps)
+
+
+def _add_scaled(g, h, scale):
+    """g += scale*h in place, scaling h in place: h must be a scratch array.
+
+    Called with a fresh transport result, which dies on return instead of
+    staying alive in the caller through the relaxation that follows.
+    """
+    h *= scale
+    g += h
 
 
 def euler_step(ctx: StepContext, f, dt):
@@ -176,10 +187,12 @@ def dirk_step(ctx: StepContext, f, dt, tab: Tableau):
         for k in range(l):
             a_lk = a[l][k]
             if a_lk != 0.0:
-                g = g + (dt * a_lk) * ctx.foot(flux[k], (c[l] - c[k]) * dt)
+                _add_scaled(g, ctx.foot(flux[k], (c[l] - c[k]) * dt), dt * a_lk)
+        # With collisions off, relax returns g itself: neither is touched below.
         out = ctx.relax(g, a[l][l] * dt)
         if flux_needed[l]:
-            flux[l] = (out - g) / (a[l][l] * dt)
+            flux[l] = np.subtract(out, g)
+            flux[l] /= a[l][l] * dt
     return out
 
 
@@ -191,9 +204,10 @@ def bdf_step(ctx: StepContext, states, dt, order: int):
         raise ConfigError(f"BDF order must be 2 or 3, got {order}") from None
     if len(states) < order:
         raise ConfigError(f"BDF{order} needs {order} history states, got {len(states)}")
-    g = weights[0] * ctx.foot(states[0], dt)
+    g = ctx.foot(states[0], dt)
+    g *= weights[0]
     for k in range(1, order):
-        g = g + weights[k] * ctx.foot(states[k], (k + 1) * dt)
+        _add_scaled(g, ctx.foot(states[k], (k + 1) * dt), weights[k])
     return ctx.relax(g, relax_coeff * dt)
 
 

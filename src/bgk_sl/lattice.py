@@ -10,6 +10,13 @@ stride*nv.
 stride = 1 serves the first-order and BDF lattice schemes; the lattice RK2
 scheme uses stride = 3 so that its stage offsets dt/3 and 2*dt/3 are also
 node-aligned.
+
+A scheme sweeps the same few integer shifts every step (1 and 2 for BDF2),
+so the transport keeps, per shift, one flat int64 index into the field's
+(node, velocity) plane: source node times n_vel plus source column, with
+the boundary map and the reflective velocity flip folded in.  A shift is
+then a single take of every component from that index; the result is a
+new array that shares no memory with the field or the index.
 """
 from __future__ import annotations
 
@@ -56,9 +63,12 @@ def conforming_dt(grid: PhaseGrid, dt: float, stride: int = 1) -> bool:
 class LatticeTransport:
     """Shift fields along characteristics by exact integer node gathers."""
 
+    _INDEX_CACHE_MAX = 16
+
     def __init__(self, grid: PhaseGrid, bc: Boundary):
         self.grid = grid
         self.bc = bc
+        self._indices: dict[int, np.ndarray] = {}
 
     def shifted(self, field: np.ndarray, tau: float) -> np.ndarray:
         field = np.asarray(field)
@@ -70,10 +80,24 @@ class LatticeTransport:
             )
         if shift == 0:
             return field.copy()
-        grid = self.grid
-        i = np.arange(grid.n_space)
-        p = i[:, None] - grid.jv[None, :] * shift
-        src, flip = map_nodes(p, grid.nx, self.bc)
-        jj = np.arange(grid.n_vel)[None, :]
-        col = np.where(flip, grid.n_vel - 1 - jj, jj)
-        return field[:, src, col]
+        if field.shape[1:] != (self.grid.n_space, self.grid.n_vel):
+            raise ValueError(
+                f"field shape {field.shape} != (ncomp, {self.grid.n_space}, {self.grid.n_vel})"
+            )
+        flat = field.reshape(field.shape[0], -1)
+        return np.take(flat, self._index_for(shift), axis=1)
+
+    def _index_for(self, shift: int) -> np.ndarray:
+        """Flat (n_space, n_vel) source index src*n_vel + col of one shift."""
+        index = self._indices.get(shift)
+        if index is None:
+            grid = self.grid
+            p = np.arange(grid.n_space)[:, None] - grid.jv[None, :] * shift
+            src, flip = map_nodes(p, grid.nx, self.bc)
+            jj = np.arange(grid.n_vel)[None, :]
+            index = src * grid.n_vel  # int64, so take never casts it
+            index += np.where(flip, grid.n_vel - 1 - jj, jj)
+            if len(self._indices) >= self._INDEX_CACHE_MAX:
+                self._indices.pop(next(iter(self._indices)))
+            self._indices[shift] = index
+        return index

@@ -48,25 +48,36 @@ def validate_positive(rho: np.ndarray, T: np.ndarray) -> None:
         )
 
 
-def maxwellian(rho, u, T, v, R: float = GAS_CONSTANT) -> np.ndarray:
+def maxwellian(rho, u, T, v, R: float = GAS_CONSTANT, out=None) -> np.ndarray:
     """Pointwise 1D Maxwellian rho/sqrt(2 pi R T) * exp(-(v-u)^2/(2 R T)).
 
     rho, u, T broadcast against v; pass shapes (..., 1) and (nv,) to build
-    rows over a velocity grid.
+    rows over a velocity grid.  The result is built in one buffer of the
+    broadcast shape, `out` if given, in the textbook expression's order.
     """
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
     T = np.asarray(T, dtype=float)
     theta = R * T
-    return rho / np.sqrt(2.0 * np.pi * theta) * np.exp(-((v - u) ** 2) / (2.0 * theta))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(rho.shape, u.shape, T.shape, np.shape(v)))
+    np.subtract(v, u, out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    out /= 2.0 * theta
+    np.exp(out, out=out)
+    out *= rho / np.sqrt(2.0 * np.pi * theta)
+    return out
 
 
 def velocity_moments(f, v, dv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Midpoint-rule sums (rho, momentum, energy) over the trailing velocity axis."""
     f = np.asarray(f)
     rho = dv * f.sum(axis=-1)
-    mom = dv * (f * v).sum(axis=-1)
-    energy = 0.5 * dv * (f * v * v).sum(axis=-1)
+    fv = f * v
+    mom = dv * fv.sum(axis=-1)
+    fv *= v
+    energy = 0.5 * dv * fv.sum(axis=-1)
     return rho, mom, energy
 
 
@@ -79,7 +90,10 @@ def relaxation_solve(f, m_eq, tau):
     if np.isscalar(tau) or np.ndim(tau) == 0:
         if math.isinf(tau):
             return np.array(m_eq, dtype=float, copy=True)
-        return (f + tau * m_eq) / (1.0 + tau)
+        out = np.multiply(m_eq, float(tau))  # f and m_eq stay untouched
+        out += f
+        out /= 1.0 + tau
+        return out
     tau = np.asarray(tau, dtype=float)
     inf_mask = np.isinf(tau)
     if np.any(inf_mask):

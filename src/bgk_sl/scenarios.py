@@ -211,6 +211,18 @@ def load_scenario(spec) -> Scenario:
     return _scenario_from_dict(data)
 
 
+# Scalar scenario keys and the type each converts to.
+_SCALAR_KEYS = {
+    "name": str,
+    "model": str,
+    "nv": int,
+    "vmax": float,
+    "cfl": float,
+    "t_final": float,
+    "description": str,
+}
+
+
 def _scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("scenario JSON must be an object")
@@ -226,11 +238,13 @@ def _scenario_from_dict(data: dict) -> Scenario:
             overrides["x0"], overrides["x1"] = _parse_domain(domain)
         if "boundary" in data:
             overrides["boundary"] = parse_boundary(data.pop("boundary"))
-        for key in ("name", "model", "nv", "vmax", "cfl", "t_final", "description"):
+        for key, kind in _SCALAR_KEYS.items():
             if key in data:
-                overrides[key] = data.pop(key)
+                overrides[key] = _typed(key, data.pop(key), kind)
         if data:
             raise ConfigError(f"unknown scenario keys {sorted(data)} with 'base'")
+        if "model" in overrides:
+            make_system(overrides["model"])  # validates
         return dataclasses.replace(base, **overrides)
 
     required = ("name", "model", "domain", "boundary", "nv", "vmax", "cfl", "t_final", "initial")
@@ -241,37 +255,51 @@ def _scenario_from_dict(data: dict) -> Scenario:
     initial = data["initial"]
     if not isinstance(initial, dict) or "kind" not in initial:
         raise ConfigError("scenario 'initial' must be an object with a 'kind'")
-    riemann = None
-    if initial["kind"] == "riemann":
-        left = tuple(float(v) for v in initial["left"])
-        right = tuple(float(v) for v in initial["right"])
-        if len(left) != 3 or len(right) != 3:
-            raise ConfigError("riemann states must be [rho, u, T] triples")
-        x_jump = float(initial.get("x_jump", 0.5 * (x0 + x1)))
-        profile = _riemann_scenario_profile(left, right, x_jump)
-        riemann = (left, right, x_jump)
-    elif initial["kind"] == "uniform":
-        profile = _uniform_profile(
-            float(initial["rho"]), float(initial["u"]), float(initial["T"])
-        )
-    else:
-        raise ConfigError(f"unknown initial kind {initial['kind']!r} (riemann|uniform)")
-    model = str(data["model"])
-    make_system(model)  # validates
+    profile, riemann = _parse_initial(initial, x0, x1)
+    scalars = {
+        key: _typed(key, data[key], kind) for key, kind in _SCALAR_KEYS.items() if key in data
+    }
+    scalars.setdefault("description", "custom scenario")
+    make_system(scalars["model"])  # validates
     return Scenario(
-        name=str(data["name"]),
-        model=model,
         x0=x0,
         x1=x1,
         boundary=parse_boundary(data["boundary"]),
-        nv=int(data["nv"]),
-        vmax=float(data["vmax"]),
-        cfl=float(data["cfl"]),
-        t_final=float(data["t_final"]),
         profile=profile,
         riemann=riemann,
-        description=str(data.get("description", "custom scenario")),
+        **scalars,
     )
+
+
+def _typed(key, value, kind):
+    """value converted to kind, or a ConfigError naming the scenario key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"scenario key {key!r} expects {kind.__name__}, got {value!r}"
+        ) from None
+
+
+def _parse_initial(initial: dict, x0: float, x1: float):
+    """(profile, riemann triple or None) of an 'initial' block."""
+    kind = initial["kind"]
+    if kind not in ("riemann", "uniform"):
+        raise ConfigError(f"unknown initial kind {kind!r} (riemann|uniform)")
+    try:
+        if kind == "uniform":
+            rho, u, T = (float(initial[key]) for key in ("rho", "u", "T"))
+            return _uniform_profile(rho, u, T), None
+        left = tuple(float(v) for v in initial["left"])
+        right = tuple(float(v) for v in initial["right"])
+        x_jump = float(initial.get("x_jump", 0.5 * (x0 + x1)))
+    except KeyError as err:
+        raise ConfigError(f"initial {kind!r} block is missing key {err.args[0]!r}") from None
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"initial {kind!r} block has a bad value: {err}") from None
+    if len(left) != 3 or len(right) != 3:
+        raise ConfigError("riemann states must be [rho, u, T] triples")
+    return _riemann_scenario_profile(left, right, x_jump), (left, right, x_jump)
 
 
 def _parse_domain(domain):

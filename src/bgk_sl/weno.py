@@ -231,8 +231,10 @@ class InterpPlan:
             raise ValueError(f"stencil windows reach outside the {n_nodes} data nodes")
         if col.size and (col.min() < 0 or col.max() >= ncols):
             raise ValueError(f"column index outside the {ncols} data columns")
-        window = np.arange(self.rows + lo + hi)[:, None] + (cell - lo)[None, :]
-        self._index = window * ncols + col[None, :]
+        index = np.arange(self.rows + lo + hi)[:, None] + (cell - lo)[None, :]
+        index *= ncols
+        index += col[None, :]
+        self._index = index
         self.t = t
         q = 0.5 * t * (t - 1.0)
         if kind is Interp.LINEAR:

@@ -112,3 +112,17 @@ def test_extend_field_freeflow_repeats_edges():
 def test_extend_field_rejects_negative_ghost():
     with pytest.raises(ValueError):
         extend_field(np.zeros((1, 5, 3)), Boundary.PERIODIC, nghost=-1)
+
+
+@pytest.mark.parametrize("bc", list(Boundary))
+def test_extend_field_is_c_contiguous(bc):
+    """The padded field is C-contiguous, so the flat reshape of the window
+    gather in the WENO plan is a view, not a second copy."""
+    f = np.random.default_rng(3).normal(size=(2, 9, 5))
+    ext = extend_field(f, bc, nghost=4)
+    assert ext.flags.c_contiguous
+    assert np.shares_memory(ext.reshape(2, -1), ext)
+    src, flip = map_nodes(np.arange(-4, 13), 8, bc)
+    expect = f[:, src, :]
+    expect[:, flip, :] = expect[:, flip, ::-1]
+    assert np.array_equal(ext, expect)

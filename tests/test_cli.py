@@ -268,3 +268,41 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "x,rho,u,T,E"
+
+UNIFORM_SCENARIO = {
+    "name": "still",
+    "model": "1v",
+    "domain": [0.0, 1.0],
+    "boundary": "periodic",
+    "nv": 8,
+    "vmax": 6.0,
+    "cfl": 1.0,
+    "t_final": 0.01,
+    "initial": {"kind": "uniform", "rho": 1.0, "u": 0.0, "T": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({**UNIFORM_SCENARIO, "initial": {"kind": "uniform", "rho": 1}}, "'u'"),
+        ({**UNIFORM_SCENARIO, "nv": "abc"}, "'nv'"),
+        ({"base": "smooth", "nv": "abc"}, "'nv'"),
+        ({**UNIFORM_SCENARIO, "vmax": [6.0]}, "'vmax'"),
+        ({"base": "smooth", "t_final": None}, "'t_final'"),
+        ({**VACUUM_SCENARIO, "initial": {"kind": "riemann", "left": 1.0, "right": [1, 0, 1]}},
+         "riemann"),
+        ({**VACUUM_SCENARIO, "initial": {"kind": "riemann", "left": [1, 0, "x"],
+                                         "right": [1, 0, 1]}}, "riemann"),
+    ],
+)
+def test_mistyped_scenario_json_is_config_error(tmp_path, capsys, scenario, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _run_inprocess(
+        ["run", "--scenario", str(path), "--scheme", "Euler1", "--eps", "1", "--nx", "8"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and message in err
+    assert len(err.strip().splitlines()) == 1

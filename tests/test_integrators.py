@@ -221,6 +221,45 @@ def test_bdf_continuation_matches_manual_composition():
     assert np.array_equal(stepper.f, manual)
 
 
+def _textbook_dirk(ctx, f, dt, tab):
+    """dirk_step with every stage sum and flux formed out of place."""
+    a, c = tab.a, tab.c
+    flux = [None] * tab.stages
+    out = None
+    for l in range(tab.stages):
+        g = ctx.foot(f, c[l] * dt)
+        for k in range(l):
+            if a[l][k] != 0.0:
+                g = g + (dt * a[l][k]) * ctx.foot(flux[k], (c[l] - c[k]) * dt)
+        out = ctx.relax(g, a[l][l] * dt)
+        flux[l] = (out - g) / (a[l][l] * dt)
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.05, math.inf])
+def test_steps_equal_textbook_arithmetic_bitwise(eps):
+    """The in-place stage and history sums keep the operation order of the
+    out-of-place expressions, and never modify the states they read."""
+    rng = np.random.default_rng(33)
+    shape = (1, GRID.n_space, GRID.n_vel)
+    states = [_maxwellian_field(1.1, 0.2, 0.9) * rng.uniform(0.9, 1.1, shape) for _ in range(3)]
+    saved = [s.copy() for s in states]
+    ctx = _ctx(eps, kind=Interp.WENO35)
+    dt = 0.03
+    for tab in (RK2_TABLEAU, RK3_TABLEAU):
+        expect = _textbook_dirk(ctx, states[0], dt, tab)
+        assert np.array_equal(dirk_step(ctx, states[0], dt, tab), expect)
+    w2 = (4.0 / 3.0, -1.0 / 3.0)
+    g = w2[0] * ctx.foot(states[0], dt) + w2[1] * ctx.foot(states[1], 2 * dt)
+    assert np.array_equal(bdf_step(ctx, states[:2], dt, 2), ctx.relax(g, 2.0 / 3.0 * dt))
+    w3 = (18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0)
+    g = w3[0] * ctx.foot(states[0], dt)
+    g = g + w3[1] * ctx.foot(states[1], 2 * dt)
+    g = g + w3[2] * ctx.foot(states[2], 3 * dt)
+    assert np.array_equal(bdf_step(ctx, states, dt, 3), ctx.relax(g, 6.0 / 11.0 * dt))
+    assert all(np.array_equal(s, k) for s, k in zip(states, saved))
+
+
 def test_lattice_stepper_counts_offlattice_fallbacks():
     f = _maxwellian_field()
     scheme = _scheme(Integrator.LATTICE_EULER, interp=Interp.NONE)

@@ -111,3 +111,67 @@ def test_double_step_equals_two_single_steps_periodic():
     twice = tr.shifted(f, 2 * dt)
     # exact gathers compose exactly away from the duplicated seam node
     assert np.array_equal(once[:, :-1, :], twice[:, :-1, :])
+
+def _uncached_gather(grid, bc, field, shift):
+    """The gather spelled out with map_nodes and a 2-D fancy index."""
+    p = np.arange(grid.n_space)[:, None] - grid.jv[None, :] * shift
+    src, flip = map_nodes(p, grid.nx, bc)
+    jj = np.arange(grid.n_vel)[None, :]
+    return field[:, src, np.where(flip, grid.n_vel - 1 - jj, jj)]
+
+
+@pytest.mark.parametrize("bc", list(Boundary))
+def test_cached_gather_matches_uncached_gather(bc):
+    grid = PhaseGrid(0.0, 1.0, 8, 3, 1.5)  # shifts up to 3*3 nodes fold past the domain
+    tr = LatticeTransport(grid, bc)
+    f = _rand_field(grid, 27)
+    dt = lattice_dt(grid)
+    for shift in range(-3, 4):
+        out = tr.shifted(f, shift * dt)
+        assert np.array_equal(out, _uncached_gather(grid, bc, f, shift))
+        assert out.flags.c_contiguous
+
+
+def test_alternating_shifts_on_one_transport():
+    tr = LatticeTransport(GRID, Boundary.REFLECTIVE)
+    f = _rand_field(GRID, 28)
+    dt = lattice_dt(GRID)
+    for shift in (1, 2, 1, -1, 2, 1, 3, 1):
+        assert np.array_equal(
+            tr.shifted(f, shift * dt), _uncached_gather(GRID, Boundary.REFLECTIVE, f, shift)
+        )
+
+
+def test_one_transport_serves_1v_and_chu_fields():
+    tr = LatticeTransport(GRID, Boundary.FREEFLOW)
+    dt = lattice_dt(GRID)
+    rng = np.random.default_rng(29)
+    f1 = rng.normal(size=(1, GRID.n_space, GRID.n_vel))
+    f2 = rng.normal(size=(2, GRID.n_space, GRID.n_vel))
+    for f in (f1, f2, f1, f2):
+        fresh = LatticeTransport(GRID, Boundary.FREEFLOW).shifted(f, 2 * dt)
+        out = tr.shifted(f, 2 * dt)
+        assert out.shape == f.shape and np.array_equal(out, fresh)
+
+
+def test_gather_result_shares_no_memory():
+    tr = LatticeTransport(GRID, Boundary.PERIODIC)
+    f = _rand_field(GRID, 30)
+    dt = lattice_dt(GRID)
+    first = tr.shifted(f, dt)
+    saved = first.copy()
+    second = tr.shifted(f, dt)
+    for out in (first, second):
+        assert not np.shares_memory(out, f)
+        assert not any(np.shares_memory(out, index) for index in tr._indices.values())
+    assert not np.shares_memory(first, second)
+    second[...] = np.nan  # the caller may modify a result
+    assert np.array_equal(first, saved)
+    assert np.array_equal(tr.shifted(f, dt), saved)
+
+
+def test_gather_rejects_mismatched_field():
+    tr = LatticeTransport(GRID, Boundary.PERIODIC)
+    f = _rand_field(GRID, 31)
+    with pytest.raises(ValueError):
+        tr.shifted(f[:, :-1, :], lattice_dt(GRID))

@@ -78,3 +78,49 @@ def test_validate_positive_reports_node():
     assert err.value.node == 2
     with pytest.raises(DegenerateStateError):
         validate_positive(np.ones(3), np.array([1.0, np.nan, 1.0]))
+
+
+def _nonequilibrium_rows(grid, seed):
+    rng = np.random.default_rng(seed)
+    n = grid.n_space
+    rho = rng.uniform(0.5, 2.0, (n, 1))
+    u = rng.uniform(-1.0, 1.0, (n, 1))
+    T = rng.uniform(0.3, 2.0, (n, 1))
+    f = rng.uniform(0.0, 1.0, (n, grid.n_vel))
+    return rho, u, T, f
+
+
+def test_maxwellian_equals_textbook_expression_bitwise(grid):
+    rho, u, T, _ = _nonequilibrium_rows(grid, 41)
+    v = grid.v[None, :]
+    for R in (1.0, 0.7):
+        theta = R * T
+        expect = rho / np.sqrt(2.0 * np.pi * theta) * np.exp(-((v - u) ** 2) / (2.0 * theta))
+        assert np.array_equal(maxwellian(rho, u, T, v, R), expect)
+        out = np.empty(expect.shape)
+        assert maxwellian(rho, u, T, v, R, out=out) is out
+        assert np.array_equal(out, expect)
+    # rho broadcasting wider than v - u still gets a buffer of the full shape
+    assert maxwellian(rho, 0.0, 1.0, grid.v).shape == (grid.n_space, grid.n_vel)
+
+
+def test_velocity_moments_equal_textbook_sums_bitwise(grid):
+    _, _, _, f = _nonequilibrium_rows(grid, 42)
+    v, dv = grid.v, grid.dv
+    rho, mom, energy = velocity_moments(f, v, dv)
+    assert np.array_equal(rho, dv * f.sum(axis=-1))
+    assert np.array_equal(mom, dv * (f * v).sum(axis=-1))
+    assert np.array_equal(energy, 0.5 * dv * (f * v * v).sum(axis=-1))
+
+
+def test_relaxation_solve_equals_textbook_and_keeps_inputs(grid):
+    _, _, _, f = _nonequilibrium_rows(grid, 43)
+    m = np.flip(f, axis=-1).copy()
+    f_saved, m_saved = f.copy(), m.copy()
+    for tau in (0.0, 1e-3, 0.6, 7.0, 1e8, np.float64(2.5), 3):
+        out = relaxation_solve(f, m, tau)
+        assert np.array_equal(out, (f + tau * m) / (1.0 + tau))
+        assert not np.shares_memory(out, f) and not np.shares_memory(out, m)
+    out = relaxation_solve(f, m, np.inf)
+    assert np.array_equal(out, m) and not np.shares_memory(out, m)
+    assert np.array_equal(f, f_saved) and np.array_equal(m, m_saved)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from bgk_sl import ChuReduced3V, Monatomic1V, PhaseGrid
+from bgk_sl.moments import maxwellian
 
 
 @pytest.fixture
@@ -75,3 +76,24 @@ def test_moments_uniform_velocity_shift(grid):
     assert np.allclose(mom.u, 2 * grid.dv, atol=1e-12)
     assert np.allclose(mom.rho, 1.0, atol=1e-12)
     assert np.allclose(mom.T, 1.0, atol=1e-10)
+
+
+def test_chu_moments_and_equilibrium_equal_textbook_expressions_bitwise(grid):
+    """The buffer-reusing Chu moments and equilibrium pair follow the
+    textbook expressions' operation order, so they agree bit for bit."""
+    system = ChuReduced3V()
+    rng = np.random.default_rng(44)
+    noise = rng.uniform(0.8, 1.2, (2, grid.n_space, grid.n_vel))
+    f = system.from_macro(1.0, 0.1, 1.0, grid) * noise
+    g1, g2 = f
+    v, dv = grid.v, grid.dv
+    rho = dv * g1.sum(axis=-1)
+    u = dv * (g1 * v).sum(axis=-1) / rho
+    pec2 = (v[None, :] - u[:, None]) ** 2
+    T = (dv * (pec2 * g1).sum(axis=-1) + dv * g2.sum(axis=-1)) / (3.0 * rho * system.R)
+    mom = system.moments(f, grid)
+    assert np.array_equal(mom.rho, rho) and np.array_equal(mom.u, u)
+    assert np.array_equal(mom.T, T)
+    m1 = maxwellian(rho[:, None], u[:, None], T[:, None], v[None, :], system.R)
+    eq = system.equilibrium(mom, grid)
+    assert np.array_equal(eq, np.stack([m1, 2.0 * system.R * T[:, None] * m1]))
