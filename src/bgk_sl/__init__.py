@@ -9,7 +9,7 @@ from .boundaries import extend_field, map_nodes
 from .chu import ChuReduced3V
 from .config import Boundary, Integrator, Interp, SchemeConfig, default_interp
 from .errors import ConfigError, DegenerateStateError, NumericalError
-from .grid import PhaseGrid, TimeControl, characteristic_foot
+from .grid import PhaseGrid, TimeControl
 from .harness import (
     RunResult,
     cfl_sweep,
@@ -17,22 +17,22 @@ from .harness import (
     cost_study,
     l1_norm,
     l2_norm,
+    refinement_error,
     restrict,
     run_case,
     scheme_label,
 )
 from .integrators import (
     BDF_WEIGHTS,
+    EULER_TABLEAU,
     LATTICE_RK2_TABLEAU,
     RK2_TABLEAU,
     RK3_TABLEAU,
     StepContext,
     Tableau,
     TimeStepper,
-    bdf_startup,
     bdf_step,
     dirk_step,
-    euler_step,
 )
 from .lattice import LatticeTransport, lattice_cfl, lattice_dt
 from .moments import Moments, maxwellian, relaxation_solve, velocity_moments
@@ -40,12 +40,6 @@ from .riemann import GasState, RiemannSolution, riemann_profile
 from .scenarios import SCENARIOS, Scenario, load_scenario, make_system
 from .systems import KineticSystem, Monatomic1V
 from .transport import InterpolatedTransport
-from .weno import (
-    Interpolator,
-    linear_interp,
-    make_interpolator,
-    weno23_interp,
-    weno35_interp,
-)
+from .weno import Interpolator, linear_interp, weno23_interp, weno35_interp
 
 __version__ = "1.0.0"

@@ -34,7 +34,7 @@ class ChuReduced3V(KineticSystem):
     def dof(self) -> int:
         return 3
 
-    def moments(self, field: np.ndarray, grid: PhaseGrid) -> Moments:
+    def moments(self, field: np.ndarray, grid: PhaseGrid, validate: bool = True) -> Moments:
         field = self.check_field(field, grid)
         g1, g2 = field[0], field[1]
         dv, v = grid.dv, grid.v
@@ -49,7 +49,8 @@ class ChuReduced3V(KineticSystem):
             pec2 *= g1
             trT = dv * pec2.sum(axis=-1) + dv * g2.sum(axis=-1)
             T = trT / (3.0 * rho * self.R)
-        validate_positive(rho, T)
+        if validate:
+            validate_positive(rho, T)
         E = 0.5 * rho * u**2 + 1.5 * rho * self.R * T
         return Moments(rho=rho, u=u, T=T, E=E)
 

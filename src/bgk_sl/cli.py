@@ -34,6 +34,16 @@ from .harness import (
     run_case,
 )
 
+# CSV columns of each command, shared by the table of a finished command and
+# the partial table of a failed one.  Study rows are dicts keyed by the
+# lower-cased column name; run rows are the node tuples of RunResult.rows().
+_COLUMNS = {
+    "run": ["x", "rho", "u", "T", "E"],
+    "converge": ["eps", "nx", "err_L1_rho", "order"],
+    "cfl-sweep": ["cfl_requested", "cfl_actual", "err_L2_rho"],
+    "cost": ["scheme", "nx", "cpu_seconds", "err_L1_rho"],
+}
+
 _CONFIG_KEYS = (
     "scenario",
     "scheme",
@@ -105,9 +115,11 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NumericalError as err:
-        partial = getattr(err, "partial_result", None)
-        if isinstance(partial, RunResult):
-            _write_run_csv(opts.get("out"), partial, opts.get("seed_meta", False), failed=str(err))
+        # Flush what the command finished, in its own schema.
+        if args.command != "run":
+            _write_study(args.command, opts, getattr(err, "partial_rows", []), failed=str(err))
+        elif isinstance(getattr(err, "partial_result", None), RunResult):
+            _write_run_csv(opts.get("out"), err.partial_result, opts["seed_meta"], failed=str(err))
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 
@@ -163,18 +175,28 @@ def _float_list(value, key):
     return [_as_float(tok, key) for tok in str(value).split(",") if tok.strip()]
 
 
+def _optional(opts: dict, key: str, parse=_as_float, default=None):
+    """The parsed value of an option, or default when it is unset."""
+    return default if opts.get(key) is None else parse(opts[key], key)
+
+
 def _common_kwargs(opts: dict) -> dict:
-    kwargs = {}
-    if opts.get("nv") is not None:
-        kwargs["nv"] = _as_int(opts["nv"], "nv")
-    if opts.get("vmax") is not None:
-        kwargs["vmax"] = _as_float(opts["vmax"], "vmax")
-    return kwargs
+    """run_case options every command passes through; None keeps the scenario's."""
+    return {
+        "boundary": opts.get("bc"),
+        "nv": _optional(opts, "nv", _as_int),
+        "vmax": _optional(opts, "vmax"),
+        "t_final": _optional(opts, "tfinal"),
+    }
+
+
+def _cfl_list(opts: dict) -> list[float]:
+    return _optional(opts, "cfl", _float_list, list(DEFAULT_CFL_SWEEP))
 
 
 def _nx_ladder(opts: dict, default_nx: int, default_levels: int) -> list[int]:
-    base = _as_int(opts["nx"], "nx") if opts.get("nx") is not None else default_nx
-    levels = _as_int(opts["levels"], "levels") if opts.get("levels") is not None else default_levels
+    base = _optional(opts, "nx", _as_int, default_nx)
+    levels = _optional(opts, "levels", _as_int, default_levels)
     if levels < 2:
         raise ConfigError(f"--levels must be >= 2, got {levels}")
     return [base * 2**k for k in range(levels)]
@@ -184,99 +206,60 @@ def _nx_ladder(opts: dict, default_nx: int, default_levels: int) -> list[int]:
 # commands
 # --------------------------------------------------------------------------
 def _dispatch(command: str, opts: dict) -> int:
-    handler = {
-        "run": _cmd_run,
-        "converge": _cmd_converge,
-        "cfl-sweep": _cmd_cfl_sweep,
-        "cost": _cmd_cost,
-    }[command]
-    return handler(opts)
+    if command == "run":
+        _write_run_csv(opts.get("out"), _cmd_run(opts), opts["seed_meta"])
+    else:
+        study = {"converge": _cmd_converge, "cfl-sweep": _cmd_cfl_sweep, "cost": _cmd_cost}
+        _write_study(command, opts, study[command](opts))
+    return 0
 
 
-def _cmd_run(opts: dict) -> int:
-    result = run_case(
+def _cmd_run(opts: dict) -> RunResult:
+    return run_case(
         _require(opts, "scenario"),
         integrator=_require(opts, "scheme"),
         interp=opts.get("interp"),
-        boundary=opts.get("bc"),
         eps=_as_float(_require(opts, "eps"), "eps"),
         nx=_as_int(_require(opts, "nx"), "nx"),
-        cfl=_as_float(opts["cfl"], "cfl") if opts.get("cfl") is not None else None,
-        t_final=_as_float(opts["tfinal"], "tfinal") if opts.get("tfinal") is not None else None,
+        cfl=_optional(opts, "cfl"),
         **_common_kwargs(opts),
     )
-    _write_run_csv(opts.get("out"), result, opts["seed_meta"])
-    return 0
 
 
-def _cmd_converge(opts: dict) -> int:
-    rows = convergence_study(
+def _cmd_converge(opts: dict) -> list[dict]:
+    return convergence_study(
         _require(opts, "scenario"),
         integrator=_require(opts, "scheme"),
         interp=opts.get("interp"),
-        boundary=opts.get("bc"),
         eps_list=_float_list(_require(opts, "eps"), "eps"),
         nx_list=_nx_ladder(opts, default_nx=40, default_levels=4),
-        cfl=_as_float(opts["cfl"], "cfl") if opts.get("cfl") is not None else None,
-        t_final=_as_float(opts["tfinal"], "tfinal") if opts.get("tfinal") is not None else None,
+        cfl=_optional(opts, "cfl"),
         **_common_kwargs(opts),
     )
-    _write_table(
-        opts.get("out"),
-        ["eps", "nx", "err_l1_rho", "order"],
-        [[r["eps"], r["nx"], r["err_l1_rho"], r["order"]] for r in rows],
-        _meta(opts) if opts["seed_meta"] else None,
-        header_names=["eps", "nx", "err_L1_rho", "order"],
-    )
-    return 0
 
 
-def _cmd_cfl_sweep(opts: dict) -> int:
-    cfl_list = (
-        _float_list(opts["cfl"], "cfl") if opts.get("cfl") is not None else list(DEFAULT_CFL_SWEEP)
-    )
-    rows = cfl_sweep(
+def _cmd_cfl_sweep(opts: dict) -> list[dict]:
+    return cfl_sweep(
         _require(opts, "scenario"),
         integrator=_require(opts, "scheme"),
         interp=opts.get("interp"),
-        boundary=opts.get("bc"),
         eps=_as_float(_require(opts, "eps"), "eps"),
-        cfl_list=cfl_list,
-        nx=_as_int(opts["nx"], "nx") if opts.get("nx") is not None else 160,
-        t_final=_as_float(opts["tfinal"], "tfinal") if opts.get("tfinal") is not None else None,
+        cfl_list=_cfl_list(opts),
+        nx=_optional(opts, "nx", _as_int, 160),
         **_common_kwargs(opts),
     )
-    _write_table(
-        opts.get("out"),
-        ["cfl_requested", "cfl_actual", "err_l2_rho"],
-        [[r["cfl_requested"], r["cfl_actual"], r["err_l2_rho"]] for r in rows],
-        _meta(opts, cfl_grid=cfl_list) if opts["seed_meta"] else None,
-        header_names=["cfl_requested", "cfl_actual", "err_L2_rho"],
-    )
-    return 0
 
 
-def _cmd_cost(opts: dict) -> int:
+def _cmd_cost(opts: dict) -> list[dict]:
     tokens = [tok.strip() for tok in str(_require(opts, "scheme")).split(",") if tok.strip()]
-    schemes = [(tok, opts.get("interp")) for tok in tokens]
-    rows = cost_study(
+    return cost_study(
         _require(opts, "scenario"),
-        schemes=schemes,
-        boundary=opts.get("bc"),
+        schemes=[(tok, opts.get("interp")) for tok in tokens],
         eps=_as_float(_require(opts, "eps"), "eps"),
         nx_list=_nx_ladder(opts, default_nx=40, default_levels=3),
-        cfl=_as_float(opts["cfl"], "cfl") if opts.get("cfl") is not None else None,
-        t_final=_as_float(opts["tfinal"], "tfinal") if opts.get("tfinal") is not None else None,
+        cfl=_optional(opts, "cfl"),
         **_common_kwargs(opts),
     )
-    _write_table(
-        opts.get("out"),
-        ["scheme", "nx", "cpu_seconds", "err_l1_rho"],
-        [[r["scheme"], r["nx"], r["cpu_seconds"], r["err_l1_rho"]] for r in rows],
-        _meta(opts) if opts["seed_meta"] else None,
-        header_names=["scheme", "nx", "cpu_seconds", "err_L1_rho"],
-    )
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -313,20 +296,30 @@ def _open_out(path):
     return sys.stdout, False
 
 
-def _write_table(path, keys, rows, meta_lines, header_names=None, trailer=None):
+def _write_table(path, header, rows, meta_lines, failed: str | None = None):
     stream, close = _open_out(path)
     try:
         for line in meta_lines or ():
             stream.write(line + "\n")
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header_names or keys)
+        writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-        if trailer:
-            stream.write(trailer + "\n")
+        if failed:
+            stream.write(f"# FAILED: {failed}\n")
     finally:
         if close:
             stream.close()
+
+
+def _write_study(command: str, opts: dict, rows, failed: str | None = None):
+    meta_lines = None
+    if opts["seed_meta"]:
+        extra = {"cfl_grid": _cfl_list(opts)} if command == "cfl-sweep" else {}
+        meta_lines = _meta(opts, **extra)
+    columns = _COLUMNS[command]
+    cells = [[row[name.lower()] for name in columns] for row in rows]
+    _write_table(opts.get("out"), columns, cells, meta_lines, failed)
 
 
 def _write_run_csv(path, result: RunResult, seed_meta: bool, failed: str | None = None):
@@ -334,13 +327,7 @@ def _write_run_csv(path, result: RunResult, seed_meta: bool, failed: str | None 
     if seed_meta:
         meta_lines = [f"# {key}={_fmt(value)}" for key, value in sorted(result.meta.items())]
         meta_lines.append("# rng_seed=none")
-    _write_table(
-        path,
-        ["x", "rho", "u", "T", "E"],
-        list(result.rows()),
-        meta_lines,
-        trailer=f"# FAILED: {failed}" if failed else None,
-    )
+    _write_table(path, _COLUMNS["run"], list(result.rows()), meta_lines, failed)
 
 
 if __name__ == "__main__":

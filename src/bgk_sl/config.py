@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -26,37 +26,36 @@ class Integrator(enum.Enum):
 
     @property
     def is_lattice(self) -> bool:
-        return self in _LATTICE
+        return _TRAITS[self][1] > 0
+
+    @property
+    def is_multistep(self) -> bool:
+        """BDF schemes, whose step reads the fields of earlier steps."""
+        return _TRAITS[self][2]
 
     @property
     def order(self) -> int:
-        return _ORDER[self]
+        return _TRAITS[self][0]
 
     @property
     def lattice_stride(self) -> int:
         """Nodes swept per unit velocity index per step (lattice schemes only)."""
         if not self.is_lattice:
             raise ConfigError(f"{self.value} is not a lattice integrator")
-        return 3 if self is Integrator.LATTICE_RK2 else 1
+        return _TRAITS[self][1]
 
 
-_LATTICE = {
-    Integrator.LATTICE_EULER,
-    Integrator.LATTICE_BDF2,
-    Integrator.LATTICE_BDF3,
-    Integrator.LATTICE_RK2,
-}
-
-_ORDER = {
-    Integrator.EULER1: 1,
-    Integrator.RK2: 2,
-    Integrator.RK3: 3,
-    Integrator.BDF2: 2,
-    Integrator.BDF3: 3,
-    Integrator.LATTICE_EULER: 1,
-    Integrator.LATTICE_BDF2: 2,
-    Integrator.LATTICE_BDF3: 3,
-    Integrator.LATTICE_RK2: 2,
+# Per integrator: (order, lattice stride or 0 off the lattice, is multistep).
+_TRAITS = {
+    Integrator.EULER1: (1, 0, False),
+    Integrator.RK2: (2, 0, False),
+    Integrator.RK3: (3, 0, False),
+    Integrator.BDF2: (2, 0, True),
+    Integrator.BDF3: (3, 0, True),
+    Integrator.LATTICE_EULER: (1, 1, False),
+    Integrator.LATTICE_BDF2: (2, 1, True),
+    Integrator.LATTICE_BDF3: (3, 1, True),
+    Integrator.LATTICE_RK2: (2, 3, False),
 }
 
 
@@ -126,8 +125,8 @@ class SchemeConfig:
     def __post_init__(self):
         if not (self.eps > 0.0):  # also rejects NaN
             raise ConfigError(f"eps must be positive, got {self.eps}")
-        if not (self.cfl > 0.0) and not self.integrator.is_lattice:
-            raise ConfigError(f"cfl must be positive, got {self.cfl}")
+        if not (0.0 < self.cfl < math.inf) and not self.integrator.is_lattice:
+            raise ConfigError(f"cfl must be positive and finite, got {self.cfl}")
         if not (self.weno_eps > 0.0):
             raise ConfigError(f"weno_eps must be positive, got {self.weno_eps}")
         if self.integrator.is_lattice:
@@ -141,7 +140,3 @@ class SchemeConfig:
                 f"{self.integrator.value} needs an interpolation "
                 "(linear|weno23|weno35)"
             )
-
-    @property
-    def collisionless(self) -> bool:
-        return math.isinf(self.eps)

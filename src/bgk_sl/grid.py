@@ -65,14 +65,6 @@ class PhaseGrid:
     def dt_from_cfl(self, cfl: float) -> float:
         return cfl * self.dx / self.vmax
 
-    def cfl_from_dt(self, dt: float) -> float:
-        return dt * self.vmax / self.dx
-
-
-def characteristic_foot(x, v, tau):
-    """Departure point of the characteristic through x with speed v over time tau."""
-    return x - np.multiply(v, tau)
-
 
 @dataclass(frozen=True)
 class TimeControl:
@@ -90,10 +82,10 @@ class TimeControl:
     _REL_TOL = 1e-9
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0.0:
-            raise ConfigError(f"t_final must be >= 0, got {self.t_final}")
+        if not (0.0 < self.dt < np.inf):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not (0.0 <= self.t_final < np.inf):
+            raise ConfigError(f"t_final must be >= 0 and finite, got {self.t_final}")
         ratio = self.t_final / self.dt
         n_round = int(round(ratio))
         if n_round >= 1 and abs(self.t_final - n_round * self.dt) <= self._REL_TOL * self.dt:

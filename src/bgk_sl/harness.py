@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,7 @@ from .errors import ConfigError, NumericalError
 from .grid import PhaseGrid, TimeControl
 from .integrators import TimeStepper
 from .lattice import lattice_cfl, lattice_dt
-from .moments import GAS_CONSTANT
-from .scenarios import Scenario, load_scenario, make_system
+from .scenarios import load_scenario, make_system
 
 
 def scheme_label(integrator: Integrator, interp: Interp) -> str:
@@ -127,7 +127,13 @@ def run_case(
         for dt_k in control.steps():
             stepper.step(dt_k)
     except NumericalError as err:
-        err.partial_result = _partial_result(grid, system, stepper, meta)  # type: ignore[attr-defined]
+        # Best-effort profile of the last committed state, without validation.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mom = system.moments(stepper.f, grid, validate=False)
+        meta.update({"failed": True, "steps_taken": stepper.steps_taken, "t_reached": stepper.t})
+        err.partial_result = RunResult(  # type: ignore[attr-defined]
+            x=grid.x, rho=mom.rho, u=mom.u, T=mom.T, E=mom.E, meta=meta
+        )
         raise
     wall = time.perf_counter() - start
 
@@ -151,26 +157,6 @@ def run_case(
     )
 
 
-def _partial_result(grid, system, stepper, meta) -> RunResult:
-    """Best-effort profile of the last committed state, without validation."""
-    from .moments import velocity_moments
-
-    f = stepper.f
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho, momentum, energy = velocity_moments(f[0], grid.v, grid.dv)
-        u = momentum / rho
-        if system.n_components == 2:
-            pec2 = (grid.v[None, :] - u[:, None]) ** 2
-            T = (grid.dv * (pec2 * f[0]).sum(-1) + grid.dv * f[1].sum(-1)) / (3.0 * rho)
-            E = 0.5 * rho * u**2 + 1.5 * rho * T
-        else:
-            T = (2.0 * energy / rho - u**2) / GAS_CONSTANT
-            E = energy
-    failed_meta = dict(meta)
-    failed_meta.update({"failed": True, "steps_taken": stepper.steps_taken, "t_reached": stepper.t})
-    return RunResult(x=grid.x, rho=rho, u=u, T=T, E=E, meta=failed_meta)
-
-
 # --------------------------------------------------------------------------
 # error norms and grid restriction
 # --------------------------------------------------------------------------
@@ -187,6 +173,24 @@ def l1_norm(delta: np.ndarray, dx: float) -> float:
 def l2_norm(delta: np.ndarray, dx: float) -> float:
     """Discrete L2 over interior nodes."""
     return float(math.sqrt(dx * np.square(delta[1:-1]).sum()))
+
+
+def refinement_error(coarse: RunResult, fine: RunResult, norm=l1_norm) -> float:
+    """Norm of the density difference between a run and a refined run of the
+    same case restricted to the coarse nodes; the restriction factor is the
+    ratio of the two runs' interval counts."""
+    factor = (fine.x.size - 1) // (coarse.x.size - 1)
+    return norm(coarse.rho - restrict(fine.rho, factor), coarse.x[1] - coarse.x[0])
+
+
+@contextmanager
+def _keeping_rows(rows):
+    """On a NumericalError, attach the study rows finished so far to it."""
+    try:
+        yield
+    except NumericalError as err:
+        err.partial_rows = rows  # type: ignore[attr-defined]
+        raise
 
 
 def _check_doubling(nx_list):
@@ -208,8 +212,6 @@ def convergence_study(
     integrator,
     eps_list,
     nx_list,
-    interp=None,
-    boundary=None,
     norm: str = "l1",
     **run_kwargs,
 ) -> list[dict]:
@@ -221,29 +223,21 @@ def convergence_study(
     """
     nx_list = _check_doubling(nx_list)
     norm_fn = {"l1": l1_norm, "l2": l2_norm}[norm]
-    rows = []
-    for eps in eps_list:
-        results = {
-            nx: run_case(
-                scenario,
-                integrator=integrator,
-                interp=interp,
-                boundary=boundary,
-                eps=eps,
-                nx=nx,
-                **run_kwargs,
+    rows: list[dict] = []
+    with _keeping_rows(rows):
+        for eps in eps_list:
+            runs = (
+                run_case(scenario, integrator=integrator, eps=eps, nx=nx, **run_kwargs)
+                for nx in nx_list
             )
-            for nx in nx_list
-        }
-        prev_err = None
-        for nx, nx_fine in zip(nx_list[:-1], nx_list[1:]):
-            coarse, fine = results[nx], results[nx_fine]
-            err = norm_fn(coarse.rho - restrict(fine.rho), coarse.x[1] - coarse.x[0])
-            order = math.log2(prev_err / err) if prev_err not in (None, 0.0) else None
-            rows.append(
-                {"eps": eps, "nx": nx, f"err_{norm.upper()}_rho".lower(): err, "order": order}
-            )
-            prev_err = err
+            coarse, prev_err = next(runs), None
+            for fine in runs:
+                err = refinement_error(coarse, fine, norm_fn)
+                order = math.log2(prev_err / err) if prev_err not in (None, 0.0) else None
+                rows.append(
+                    {"eps": eps, "nx": coarse.meta["nx"], f"err_{norm}_rho": err, "order": order}
+                )
+                coarse, prev_err = fine, err
     return rows
 
 
@@ -258,12 +252,10 @@ def cfl_sweep(
     scenario,
     *,
     integrator,
-    interp=None,
     eps: float,
     cfl_list,
     nx: int = 160,
     t_final: float | None = None,
-    boundary=None,
     **run_kwargs,
 ) -> list[dict]:
     """L2 density error (nx vs 2*nx runs) over a grid of CFL numbers.
@@ -277,36 +269,29 @@ def cfl_sweep(
         raise ConfigError("the CFL of a lattice scheme is fixed; sweep needs interpolation")
     scen = load_scenario(scenario)
     t_final = float(t_final) if t_final is not None else scen.t_final
+    if not (0.0 <= t_final < math.inf):
+        raise ConfigError(f"t_final must be >= 0 and finite, got {t_final}")
     probe = PhaseGrid(scen.x0, scen.x1, int(nx), scen.nv, scen.vmax)
-    rows = []
-    for cfl_req in cfl_list:
-        if not cfl_req > 0:
-            raise ConfigError(f"CFL values must be positive, got {cfl_req}")
-        cfl_act, _ = admissible_cfl(float(cfl_req), probe, t_final)
-        coarse = run_case(
-            scenario,
-            integrator=integrator,
-            interp=interp,
-            boundary=boundary,
-            eps=eps,
-            nx=nx,
-            cfl=cfl_act,
-            t_final=t_final,
-            **run_kwargs,
-        )
-        fine = run_case(
-            scenario,
-            integrator=integrator,
-            interp=interp,
-            boundary=boundary,
-            eps=eps,
-            nx=2 * nx,
-            cfl=cfl_act,
-            t_final=t_final,
-            **run_kwargs,
-        )
-        err = l2_norm(coarse.rho - restrict(fine.rho), coarse.x[1] - coarse.x[0])
-        rows.append({"cfl_requested": float(cfl_req), "cfl_actual": cfl_act, "err_l2_rho": err})
+    rows: list[dict] = []
+    with _keeping_rows(rows):
+        for cfl_req in cfl_list:
+            if not (0.0 < cfl_req < math.inf):
+                raise ConfigError(f"CFL values must be positive and finite, got {cfl_req}")
+            cfl_act, _ = admissible_cfl(float(cfl_req), probe, t_final)
+            coarse, fine = (
+                run_case(
+                    scenario,
+                    integrator=integrator,
+                    eps=eps,
+                    nx=n,
+                    cfl=cfl_act,
+                    t_final=t_final,
+                    **run_kwargs,
+                )
+                for n in (nx, 2 * nx)
+            )
+            err = refinement_error(coarse, fine, l2_norm)
+            rows.append({"cfl_requested": float(cfl_req), "cfl_actual": cfl_act, "err_l2_rho": err})
     return rows
 
 
@@ -319,7 +304,6 @@ def cost_study(
     schemes,
     eps: float,
     nx_list,
-    boundary=None,
     **run_kwargs,
 ) -> list[dict]:
     """Wall time vs L1 density error for several schemes on a grid ladder.
@@ -329,40 +313,23 @@ def cost_study(
     twice the finest resolution, restricted to each grid.
     """
     nx_list = _check_doubling(nx_list)
-    ref_nx = 2 * nx_list[-1]
-    rows = []
-    for integrator, interp in schemes:
-        integrator = parse_integrator(integrator)
-        interp = parse_interp(interp) if interp is not None else default_interp(integrator)
-        reference = run_case(
-            scenario,
-            integrator=integrator,
-            interp=interp,
-            boundary=boundary,
-            eps=eps,
-            nx=ref_nx,
-            **run_kwargs,
-        )
-        for nx in nx_list:
-            result = run_case(
-                scenario,
-                integrator=integrator,
-                interp=interp,
-                boundary=boundary,
-                eps=eps,
-                nx=nx,
-                **run_kwargs,
+    rows: list[dict] = []
+    with _keeping_rows(rows):
+        for integrator, interp in schemes:
+            runs = (
+                run_case(
+                    scenario, integrator=integrator, interp=interp, eps=eps, nx=nx, **run_kwargs
+                )
+                for nx in [2 * nx_list[-1], *nx_list]
             )
-            err = l1_norm(
-                result.rho - restrict(reference.rho, ref_nx // nx),
-                result.x[1] - result.x[0],
-            )
-            rows.append(
-                {
-                    "scheme": scheme_label(integrator, interp),
-                    "nx": nx,
-                    "cpu_seconds": result.meta["wall_seconds"],
-                    "err_l1_rho": err,
-                }
-            )
+            reference = next(runs)
+            for result in runs:
+                rows.append(
+                    {
+                        "scheme": result.meta["scheme"],
+                        "nx": result.meta["nx"],
+                        "cpu_seconds": result.meta["wall_seconds"],
+                        "err_l1_rho": refinement_error(result, reference),
+                    }
+                )
     return rows

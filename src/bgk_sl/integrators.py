@@ -8,15 +8,16 @@ part, so the Maxwellian of the implicit stage is computable in advance and
 
     f = (g + tau * M[g]) / (1 + tau),        tau = a_ll * dt / eps,
 
-which is L-stable and remains well-defined as eps -> 0.
+which is L-stable and remains well-defined as eps -> 0.  Schemes differ only
+in how they form g:
 
-Three families share this structure:
-
-- one-step backward Euler (`euler_step`),
-- stiffly-accurate DIRK methods (`dirk_step`) with the stage flux rewritten
-  as K = (F - g)/(a_ll*dt) so that no 1/eps factor is ever formed,
-- BDF multistep methods (`bdf_step`) whose history lives on feet 1, 2(, 3)
-  characteristic lengths upstream; startup uses same-order DIRK predictors.
+- stiffly-accurate DIRK methods (`dirk_step`) gather the transported start
+  value and the earlier stage fluxes, rewritten as K = (F - g)/(a_ll*dt) so
+  that no 1/eps factor is ever formed; backward Euler is the one-stage DIRK
+  `EULER_TABLEAU`;
+- BDF multistep methods (`bdf_step`) sum the history transported from feet
+  1, 2(, 3) characteristic lengths upstream; the history is started, and
+  restarted after a change of step size, with the DIRK of the same order.
 
 All steps are parameterized over a transport operator (interpolated or
 lattice) and a kinetic system (plain 1V or the reduced 3V pair).
@@ -31,7 +32,7 @@ import numpy as np
 from .config import Integrator, Interp, SchemeConfig
 from .errors import ConfigError, DegenerateStateError, NumericalError
 from .grid import PhaseGrid
-from .lattice import LatticeTransport, conforming_dt, lattice_dt
+from .lattice import LatticeTransport, conforming_dt
 from .moments import relaxation_solve
 from .systems import KineticSystem
 from .transport import InterpolatedTransport
@@ -82,10 +83,8 @@ class Tableau:
     def stages(self) -> int:
         return len(self.c)
 
-    @property
-    def b(self) -> tuple[float, ...]:
-        return self.a[-1]
 
+EULER_TABLEAU = Tableau(a=((1.0,),), c=(1.0,))
 
 RK2_TABLEAU = Tableau(
     a=((RK2_ALPHA, 0.0), (1.0 - RK2_ALPHA, RK2_ALPHA)),
@@ -110,18 +109,16 @@ LATTICE_RK2_TABLEAU = Tableau(
     c=(1.0 / 3.0, 1.0),
 )
 
+# The DIRK of each order: the step of Euler1, RK2 and RK3, the startup of a BDF
+# history, and a lattice scheme's off-lattice step.
+DIRK_BY_ORDER = {1: EULER_TABLEAU, 2: RK2_TABLEAU, 3: RK3_TABLEAU}
+
 # BDF history weights (feet at 1, 2(, 3) characteristic lengths upstream)
 # and the relaxation coefficient of the implicit current-time term.
 BDF_WEIGHTS = {
     2: ((4.0 / 3.0, -1.0 / 3.0), 2.0 / 3.0),
     3: ((18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0), 6.0 / 11.0),
 }
-
-
-def stability_at_infinity(tab: Tableau) -> float:
-    """R(inf) = 1 - b A^{-1} 1; zero for every tableau above (L-stability)."""
-    a = np.array(tab.a)
-    return float(1.0 - np.array(tab.b) @ np.linalg.solve(a, np.ones(tab.stages)))
 
 
 # --------------------------------------------------------------------------
@@ -161,12 +158,6 @@ def _add_scaled(g, h, scale):
     """
     h *= scale
     g += h
-
-
-def euler_step(ctx: StepContext, f, dt):
-    """First-order step: transport over dt, then implicit relaxation."""
-    g = ctx.foot(f, dt)
-    return ctx.relax(g, dt)
 
 
 def dirk_step(ctx: StepContext, f, dt, tab: Tableau):
@@ -211,31 +202,9 @@ def bdf_step(ctx: StepContext, states, dt, order: int):
     return ctx.relax(g, relax_coeff * dt)
 
 
-def bdf_startup(ctx: StepContext, f0, dt, order: int):
-    """Take order-1 same-order DIRK predictor steps; newest state first."""
-    tab = RK2_TABLEAU if order == 2 else RK3_TABLEAU
-    states = [np.asarray(f0, dtype=float)]
-    for _ in range(order - 1):
-        states.insert(0, dirk_step(ctx, states[0], dt, tab))
-    return states
-
-
 # --------------------------------------------------------------------------
 # Time marching with history / lattice bookkeeping
 # --------------------------------------------------------------------------
-_DIRK_TABLEAUS = {
-    Integrator.RK2: RK2_TABLEAU,
-    Integrator.RK3: RK3_TABLEAU,
-    Integrator.LATTICE_RK2: LATTICE_RK2_TABLEAU,
-}
-
-_BDF_ORDER = {
-    Integrator.BDF2: 2,
-    Integrator.BDF3: 3,
-    Integrator.LATTICE_BDF2: 2,
-    Integrator.LATTICE_BDF3: 3,
-}
-
 # Interpolation used when a lattice scheme must take an off-lattice step
 # (shortened final step) or start a BDF history: order-matched DIRK with a
 # high-order interpolation.
@@ -260,14 +229,11 @@ class TimeStepper:
         if not np.all(np.isfinite(self.f)):
             raise NumericalError("initial field contains non-finite values")
 
-        integrator = scheme.integrator
-        if integrator.is_lattice:
+        if scheme.integrator.is_lattice:
             transport = LatticeTransport(grid, scheme.boundary)
-            self.dt_lattice = lattice_dt(grid, integrator.lattice_stride)
         else:
             interpolator = Interpolator(scheme.interp, scheme.weno_eps)
             transport = InterpolatedTransport(grid, interpolator, scheme.boundary)
-            self.dt_lattice = None
         self.ctx = StepContext(grid=grid, system=system, transport=transport, eps=scheme.eps)
 
         self.t = 0.0
@@ -284,16 +250,7 @@ class TimeStepper:
             raise ConfigError(f"step size must be positive, got {dt}")
         integrator = self.scheme.integrator
         try:
-            if integrator.is_lattice and not conforming_dt(
-                self.grid, dt, integrator.lattice_stride
-            ):
-                f_new = self._offlattice_step(dt)
-            elif integrator in _BDF_ORDER:
-                f_new = self._bdf_step(dt)
-            elif integrator in _DIRK_TABLEAUS:
-                f_new = dirk_step(self.ctx, self.f, dt, _DIRK_TABLEAUS[integrator])
-            else:
-                f_new = euler_step(self.ctx, self.f, dt)
+            f_new = self._advance(dt)
         except DegenerateStateError as err:
             raise DegenerateStateError(
                 f"{err} (while taking step {self.steps_taken + 1} from t={self.t:.8g})",
@@ -304,39 +261,37 @@ class TimeStepper:
                 f"non-finite distribution values after step {self.steps_taken + 1} "
                 f"(t={self.t + dt:.8g})"
             )
-        if integrator in _BDF_ORDER:
-            self._push_history(dt)
+        if integrator.is_multistep:
+            if self._history_dt == dt:
+                self._history = [self.f] + self._history[: integrator.order - 2]
+            else:
+                self._history = [self.f]
+            self._history_dt = dt
         self.f = f_new
         self.t += dt
         self.steps_taken += 1
 
     # -- internals -----------------------------------------------------------
-    def _bdf_step(self, dt):
-        order = _BDF_ORDER[self.scheme.integrator]
-        history_ok = self._history_dt == dt and len(self._history) >= order - 1
-        if not history_ok:
-            ctx, tab = self._predictor(order)
-            self.predictor_steps += 1
-            return dirk_step(ctx, self.f, dt, tab)
-        return bdf_step(self.ctx, [self.f] + self._history, dt, order)
-
-    def _predictor(self, order):
-        """Same-order DIRK startup; lattice schemes borrow interpolation."""
-        tab = RK2_TABLEAU if order == 2 else RK3_TABLEAU
-        if self.scheme.integrator.is_lattice:
-            return self._fallback(), tab
-        return self.ctx, tab
-
-    def _offlattice_step(self, dt):
-        """Order-matched interpolated step for a non-node-aligned dt."""
-        self.offlattice_steps += 1
-        self._history = []
-        self._history_dt = None
-        ctx = self._fallback()
-        order = self.scheme.integrator.order
-        if order == 1:
-            return euler_step(ctx, self.f, dt)
-        return dirk_step(ctx, self.f, dt, RK2_TABLEAU if order == 2 else RK3_TABLEAU)
+    def _advance(self, dt):
+        """The new field after one step of dt from self.f."""
+        integrator = self.scheme.integrator
+        order = integrator.order
+        if integrator.is_lattice and not conforming_dt(self.grid, dt, integrator.lattice_stride):
+            # Not node-aligned: order-matched interpolated step, history dropped.
+            self.offlattice_steps += 1
+            self._history = []
+            self._history_dt = None
+            return dirk_step(self._fallback(), self.f, dt, DIRK_BY_ORDER[order])
+        if integrator is Integrator.LATTICE_RK2:
+            return dirk_step(self.ctx, self.f, dt, LATTICE_RK2_TABLEAU)
+        if not integrator.is_multistep:
+            return dirk_step(self.ctx, self.f, dt, DIRK_BY_ORDER[order])
+        if self._history_dt == dt and len(self._history) >= order - 1:
+            return bdf_step(self.ctx, [self.f] + self._history, dt, order)
+        # Same-order DIRK predictor; lattice schemes borrow interpolation.
+        self.predictor_steps += 1
+        ctx = self._fallback() if integrator.is_lattice else self.ctx
+        return dirk_step(ctx, self.f, dt, DIRK_BY_ORDER[order])
 
     def _fallback(self) -> StepContext:
         if self._fallback_ctx is None:
@@ -350,11 +305,3 @@ class TimeStepper:
                 grid=self.grid, system=self.system, transport=transport, eps=self.scheme.eps
             )
         return self._fallback_ctx
-
-    def _push_history(self, dt):
-        order = _BDF_ORDER[self.scheme.integrator]
-        if self._history_dt == dt:
-            self._history = [self.f] + self._history[: order - 2]
-        else:
-            self._history = [self.f]
-        self._history_dt = dt

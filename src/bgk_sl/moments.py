@@ -32,9 +32,6 @@ class Moments:
     def momentum(self) -> np.ndarray:
         return self.rho * self.u
 
-    def pressure(self, R: float = GAS_CONSTANT) -> np.ndarray:
-        return self.rho * R * self.T
-
 
 def validate_positive(rho: np.ndarray, T: np.ndarray) -> None:
     """Abort on non-positive density or temperature (no clamping)."""
@@ -84,20 +81,12 @@ def velocity_moments(f, v, dv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def relaxation_solve(f, m_eq, tau):
     """Exact solution of the implicit relaxation step: (f + tau*M)/(1 + tau).
 
-    tau = a*dt/eps >= 0.  Limits: tau=0 returns f unchanged (bitwise);
+    tau = a*dt/eps >= 0 is a scalar.  Limits: tau=0 returns f unchanged (bitwise);
     tau=inf returns the equilibrium M (fluid limit). L-stable for any tau.
     """
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        if math.isinf(tau):
-            return np.array(m_eq, dtype=float, copy=True)
-        out = np.multiply(m_eq, float(tau))  # f and m_eq stay untouched
-        out += f
-        out /= 1.0 + tau
-        return out
-    tau = np.asarray(tau, dtype=float)
-    inf_mask = np.isinf(tau)
-    if np.any(inf_mask):
-        finite_tau = np.where(inf_mask, 0.0, tau)
-        out = (f + finite_tau * m_eq) / (1.0 + finite_tau)
-        return np.where(inf_mask, m_eq, out)
-    return (f + tau * m_eq) / (1.0 + tau)
+    if math.isinf(tau):
+        return np.array(m_eq, dtype=float, copy=True)
+    out = np.multiply(m_eq, float(tau))  # f and m_eq stay untouched
+    out += f
+    out /= 1.0 + tau
+    return out

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -288,18 +289,32 @@ def _parse_initial(initial: dict, x0: float, x1: float):
         raise ConfigError(f"unknown initial kind {kind!r} (riemann|uniform)")
     try:
         if kind == "uniform":
-            rho, u, T = (float(initial[key]) for key in ("rho", "u", "T"))
-            return _uniform_profile(rho, u, T), None
-        left = tuple(float(v) for v in initial["left"])
-        right = tuple(float(v) for v in initial["right"])
-        x_jump = float(initial.get("x_jump", 0.5 * (x0 + x1)))
+            state = tuple(float(initial[key]) for key in ("rho", "u", "T"))
+        else:
+            left = tuple(float(v) for v in initial["left"])
+            right = tuple(float(v) for v in initial["right"])
+            x_jump = float(initial.get("x_jump", 0.5 * (x0 + x1)))
     except KeyError as err:
         raise ConfigError(f"initial {kind!r} block is missing key {err.args[0]!r}") from None
     except (TypeError, ValueError) as err:
         raise ConfigError(f"initial {kind!r} block has a bad value: {err}") from None
+    if kind == "uniform":
+        _check_state(kind, *state)
+        return _uniform_profile(*state), None
     if len(left) != 3 or len(right) != 3:
         raise ConfigError("riemann states must be [rho, u, T] triples")
+    _check_state("riemann", *left)
+    _check_state("riemann", *right)
     return _riemann_scenario_profile(left, right, x_jump), (left, right, x_jump)
+
+
+def _check_state(kind, rho, u, T):
+    """Reject an initial state that is not finite or has rho <= 0 or T <= 0."""
+    if not (math.isfinite(u) and 0.0 < rho < math.inf and 0.0 < T < math.inf):
+        raise ConfigError(
+            f"initial {kind!r} state needs finite values with rho > 0 and T > 0, "
+            f"got rho={rho}, u={u}, T={T}"
+        )
 
 
 def _parse_domain(domain):

@@ -31,7 +31,8 @@ class KineticSystem:
     def __init__(self, R: float = GAS_CONSTANT):
         self.R = R
 
-    def moments(self, field: np.ndarray, grid: PhaseGrid) -> Moments:
+    def moments(self, field: np.ndarray, grid: PhaseGrid, validate: bool = True) -> Moments:
+        """Moments of a field; validate=True raises on non-positive rho or T."""
         raise NotImplementedError
 
     def equilibrium(self, mom: Moments, grid: PhaseGrid) -> np.ndarray:
@@ -71,13 +72,14 @@ class Monatomic1V(KineticSystem):
     def dof(self) -> int:
         return 1
 
-    def moments(self, field: np.ndarray, grid: PhaseGrid) -> Moments:
+    def moments(self, field: np.ndarray, grid: PhaseGrid, validate: bool = True) -> Moments:
         field = self.check_field(field, grid)
         rho, mom, energy = velocity_moments(field[0], grid.v, grid.dv)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = mom / rho
             T = (2.0 * energy / rho - u**2) / self.R
-        validate_positive(rho, T)
+        if validate:
+            validate_positive(rho, T)
         return Moments(rho=rho, u=u, T=T, E=energy)
 
     def equilibrium(self, mom: Moments, grid: PhaseGrid) -> np.ndarray:

@@ -330,6 +330,3 @@ def weno35_interp(data, x, x0: float = 0.0, dx: float = 1.0, eps: float = WENO_E
     """WENO blend of the three cubic stencils around each point."""
     return Interpolator(Interp.WENO35, eps)(data, x, x0, dx)
 
-
-def make_interpolator(kind: Interp, eps: float = WENO_EPS_DEFAULT) -> Interpolator:
-    return Interpolator(kind=kind, eps=eps)

@@ -166,12 +166,13 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 2 and "unknown config keys" in err and "mesh" in err
 
 
-def test_numerical_failure_exit_code_and_partial_csv(tmp_path, capsys):
+@pytest.mark.parametrize("model", ["1v", "chu"])
+def test_numerical_failure_exit_code_and_partial_csv(tmp_path, capsys, model):
     """Vacuum-generating opposed streams blow up the relaxation; the CLI
     reports exit code 3 and flushes the last committed profile with a
     failure trailer."""
     scen = tmp_path / "vacuum.json"
-    scen.write_text(json.dumps(VACUUM_SCENARIO))
+    scen.write_text(json.dumps({**VACUUM_SCENARIO, "model": model}))
     out = tmp_path / "partial.csv"
     code, _, err = _run_inprocess(
         [
@@ -187,6 +188,47 @@ def test_numerical_failure_exit_code_and_partial_csv(tmp_path, capsys):
     assert lines[0] == "x,rho,u,T,E"
     assert len(lines) > 100  # header + node rows
     assert lines[-1].startswith("# FAILED:")
+
+
+@pytest.mark.parametrize(
+    "args, header, n_rows",
+    [
+        (["converge", "--scheme", "LatRK2", "--eps", "1e-4", "--nx", "40", "--levels", "2"],
+         "eps,nx,err_L1_rho,order", 0),
+        (["converge", "--scheme", "LatRK2", "--eps", "1e-2,1e-4", "--nx", "40", "--levels", "2"],
+         "eps,nx,err_L1_rho,order", 1),
+        (["cost", "--scheme", "BDF3,LatRK2", "--eps", "1e-4", "--nx", "20", "--levels", "2"],
+         "scheme,nx,cpu_seconds,err_L1_rho", 2),
+    ],
+)
+def test_failed_study_flushes_its_own_table(tmp_path, capsys, args, header, n_rows):
+    """LatRK2 fails on the 1v shock tube at eps = 1e-4 (negative T in its
+    first step); the study's table keeps its own header and the rows that
+    finished before the failure, then the failure trailer."""
+    out = tmp_path / "study.csv"
+    code, _, err = _run_inprocess(
+        args + ["--scenario", "riemann", "--out", str(out)], capsys
+    )
+    assert code == 3 and "numerical failure:" in err
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == header
+    assert len(lines) == n_rows + 2
+    assert lines[-1].startswith("# FAILED:")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--cfl", "inf", "cfl"), ("--tfinal", "inf", "t_final"), ("--tfinal", "nan", "t_final")],
+)
+def test_nonfinite_cfl_or_final_time_is_config_error(capsys, flag, value, message):
+    code, out, err = _run_inprocess(
+        ["run", "--scenario", "smooth", "--scheme", "RK2", "--eps", "1", "--nx", "16",
+         flag, value],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and message in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_converge_subcommand_table(tmp_path, capsys):
@@ -294,6 +336,14 @@ UNIFORM_SCENARIO = {
          "riemann"),
         ({**VACUUM_SCENARIO, "initial": {"kind": "riemann", "left": [1, 0, "x"],
                                          "right": [1, 0, 1]}}, "riemann"),
+        ({**UNIFORM_SCENARIO, "initial": {"kind": "uniform", "rho": 1, "u": 0, "T": 0}},
+         "T > 0"),
+        ({**UNIFORM_SCENARIO, "initial": {"kind": "uniform", "rho": 1, "u": 0, "T": -1}},
+         "T > 0"),
+        ({**VACUUM_SCENARIO, "initial": {"kind": "riemann", "left": [-1, 0, 1],
+                                         "right": [1, 0, 1]}}, "rho > 0"),
+        ({**VACUUM_SCENARIO, "initial": {"kind": "riemann", "left": [1, 0, 1],
+                                         "right": [1, 0, 0]}}, "riemann"),
     ],
 )
 def test_mistyped_scenario_json_is_config_error(tmp_path, capsys, scenario, message):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from bgk_sl import ConfigError, PhaseGrid, TimeControl, characteristic_foot
+from bgk_sl import ConfigError, PhaseGrid, TimeControl
 
 
 def test_space_nodes_span_domain():
@@ -29,7 +29,7 @@ def test_cfl_dt_round_trip():
     grid = PhaseGrid(-1.0, 1.0, 40, 20, 10.0)
     dt = grid.dt_from_cfl(4.0)
     assert dt == pytest.approx(4.0 * grid.dx / grid.vmax)
-    assert grid.cfl_from_dt(dt) == pytest.approx(4.0)
+    assert dt * grid.vmax / grid.dx == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize(
@@ -44,13 +44,6 @@ def test_cfl_dt_round_trip():
 def test_grid_validation(kwargs):
     with pytest.raises(ConfigError):
         PhaseGrid(**kwargs)
-
-
-def test_characteristic_foot():
-    x = np.array([[0.0], [1.0]])
-    v = np.array([[-2.0, 3.0]])
-    feet = characteristic_foot(x, v, 0.5)
-    assert np.allclose(feet, [[1.0, -1.5], [2.0, -0.5]])
 
 
 def test_time_control_exact_multiple():
@@ -84,3 +77,6 @@ def test_time_control_validation():
         TimeControl(dt=0.0, t_final=1.0)
     with pytest.raises(ConfigError):
         TimeControl(dt=0.1, t_final=-1.0)
+    for dt, t_final in ((np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf), (0.1, np.nan)):
+        with pytest.raises(ConfigError):
+            TimeControl(dt=dt, t_final=t_final)

@@ -9,15 +9,18 @@ from bgk_sl import (
     Integrator,
     Interp,
     PhaseGrid,
+    RunResult,
     cfl_sweep,
     convergence_study,
     cost_study,
     l1_norm,
     l2_norm,
+    refinement_error,
     restrict,
     run_case,
     scheme_label,
 )
+from bgk_sl import harness
 from bgk_sl.harness import DEFAULT_CFL_SWEEP, _check_doubling, admissible_cfl
 
 
@@ -31,6 +34,18 @@ def test_norms_over_interior_nodes():
     delta = np.array([100.0, 1.0, -2.0, 3.0, 100.0])  # edge nodes excluded
     assert l1_norm(delta, 0.5) == pytest.approx(0.5 * 6.0)
     assert l2_norm(delta, 0.5) == pytest.approx(math.sqrt(0.5 * 14.0))
+
+
+def test_refinement_error_infers_restriction_factor():
+    def result(nx, rho):
+        x = np.linspace(0.0, 1.0, nx + 1)
+        return RunResult(x=x, rho=rho, u=x, T=x, E=x, meta={})
+
+    rng = np.random.default_rng(3)
+    coarse, fine = result(8, rng.normal(size=9)), result(32, rng.normal(size=33))
+    delta = coarse.rho - fine.rho[::4]
+    assert refinement_error(coarse, fine) == l1_norm(delta, 0.125)
+    assert refinement_error(coarse, fine, l2_norm) == l2_norm(delta, 0.125)
 
 
 def test_check_doubling():
@@ -50,7 +65,7 @@ def test_admissible_cfl_divides_t_final():
         assert abs(cfl_act - cfl_req) / cfl_req < 0.5
     # an exactly dividing request is returned unchanged
     dt0 = 0.3 / 25
-    cfl_exact = grid.cfl_from_dt(dt0)
+    cfl_exact = dt0 * grid.vmax / grid.dx
     cfl_act, n = admissible_cfl(cfl_exact, grid, 0.3)
     assert n == 25 and cfl_act == pytest.approx(cfl_exact, rel=1e-12)
 
@@ -138,6 +153,30 @@ def test_convergence_study_row_structure():
         assert all(r["err_l1_rho"] > 0 for r in sub)
 
 
+def test_convergence_study_calls_module_run_case_per_level(monkeypatch):
+    """convergence_study looks run_case up through the module at call time and
+    runs each nx once per eps, coarsest first: a benchmark records every
+    level's RunResult by patching bgk_sl.harness.run_case this way."""
+    calls = []
+    original = harness.run_case
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((kwargs["eps"], result.meta["nx"]))
+        return result
+
+    monkeypatch.setattr(harness, "run_case", recording)
+    convergence_study(
+        "smooth",
+        integrator="Euler1",
+        interp="linear",
+        eps_list=[1.0, math.inf],
+        nx_list=[16, 32, 64],
+        t_final=0.02,
+    )
+    assert calls == [(eps, nx) for eps in (1.0, math.inf) for nx in (16, 32, 64)]
+
+
 def test_convergence_study_rejects_non_doubling_ladder():
     with pytest.raises(ConfigError):
         convergence_study(
@@ -167,11 +206,12 @@ def test_cfl_sweep_rows_and_lattice_rejection():
         cfl_sweep(
             "smooth", integrator="LatEuler", eps=1.0, cfl_list=(2.0,), nx=16, t_final=0.04
         )
-    with pytest.raises(ConfigError):
-        cfl_sweep(
-            "smooth", integrator="RK2", interp="weno23", eps=1.0,
-            cfl_list=(0.0,), nx=16, t_final=0.04,
-        )
+    for cfl_list, t_final in (((0.0,), 0.04), ((math.inf,), 0.04), ((2.0,), math.nan)):
+        with pytest.raises(ConfigError):
+            cfl_sweep(
+                "smooth", integrator="RK2", interp="weno23", eps=1.0,
+                cfl_list=cfl_list, nx=16, t_final=t_final,
+            )
 
 
 def test_cost_study_rows():

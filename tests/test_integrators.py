@@ -8,9 +8,12 @@ from bgk_sl import (
     Boundary,
     ConfigError,
     DegenerateStateError,
+    EULER_TABLEAU,
     Integrator,
     Interp,
+    Interpolator,
     LATTICE_RK2_TABLEAU,
+    LatticeTransport,
     Monatomic1V,
     NumericalError,
     PhaseGrid,
@@ -20,13 +23,10 @@ from bgk_sl import (
     StepContext,
     Tableau,
     TimeStepper,
-    bdf_startup,
     bdf_step,
     dirk_step,
-    euler_step,
-    make_interpolator,
 )
-from bgk_sl.integrators import RK2_ALPHA, RK3_GAMMA, stability_at_infinity
+from bgk_sl.integrators import RK2_ALPHA, RK3_GAMMA
 from bgk_sl.lattice import lattice_dt
 from bgk_sl.transport import InterpolatedTransport
 
@@ -36,7 +36,7 @@ SYSTEM = Monatomic1V()
 
 
 def _ctx(eps, kind=Interp.WENO23, bc=Boundary.PERIODIC):
-    transport = InterpolatedTransport(GRID, make_interpolator(kind), bc)
+    transport = InterpolatedTransport(GRID, Interpolator(kind), bc)
     return StepContext(grid=GRID, system=SYSTEM, transport=transport, eps=eps)
 
 
@@ -44,6 +44,13 @@ def _maxwellian_field(rho=1.0, u=0.0, T=1.0):
     return SYSTEM.from_macro(
         np.full(GRID.nx + 1, rho), np.full(GRID.nx + 1, u), np.full(GRID.nx + 1, T), GRID
     )
+
+
+def stability_at_infinity(tab: Tableau) -> float:
+    """R(inf) = 1 - b A^{-1} 1 of a DIRK tableau, whose weights b are the last
+    row of A; zero means L-stable."""
+    a = np.array(tab.a)
+    return float(1.0 - np.array(tab.a[-1]) @ np.linalg.solve(a, np.ones(tab.stages)))
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +64,11 @@ def test_tableau_constants():
     assert abs(residual) < 1e-14
 
 
-@pytest.mark.parametrize("tab", [RK2_TABLEAU, RK3_TABLEAU, LATTICE_RK2_TABLEAU])
+@pytest.mark.parametrize("tab", [EULER_TABLEAU, RK2_TABLEAU, RK3_TABLEAU, LATTICE_RK2_TABLEAU])
 def test_tableaus_are_strongly_damped_at_infinity(tab):
     """All DIRK tableaus are stiffly accurate with R(inf) = 0 (L-stable)."""
     assert abs(stability_at_infinity(tab)) < 1e-12
     assert tab.c[-1] == 1.0
-    assert tab.b == tab.a[-1]
 
 
 def test_tableau_validation_errors():
@@ -98,7 +104,7 @@ def test_dirk_without_collisions_reduces_to_transport():
     f = rng.normal(size=(1, GRID.nx + 1, GRID.v.size))
     dt = 0.07
     pure = ctx.foot(f, dt)
-    assert np.array_equal(euler_step(ctx, f, dt), pure)
+    assert np.array_equal(dirk_step(ctx, f, dt, EULER_TABLEAU), pure)
     assert np.array_equal(dirk_step(ctx, f, dt, RK2_TABLEAU), pure)
     assert np.array_equal(dirk_step(ctx, f, dt, RK3_TABLEAU), pure)
 
@@ -109,12 +115,12 @@ def test_equilibrium_is_fixed_point_of_every_step():
     must be wide enough (here 10 thermal widths) that the discrete moments
     of the sampled Maxwellian are the sampling parameters to roundoff."""
     grid = PhaseGrid(0.0, 1.0, 16, 20, 10.0)
-    transport = InterpolatedTransport(grid, make_interpolator(Interp.WENO23), Boundary.PERIODIC)
+    transport = InterpolatedTransport(grid, Interpolator(Interp.WENO23), Boundary.PERIODIC)
     ctx = StepContext(grid=grid, system=SYSTEM, transport=transport, eps=0.01)
     f = SYSTEM.from_macro(1.0, 0.0, 1.0, grid)
     dt = 0.2
     for out in (
-        euler_step(ctx, f, dt),
+        dirk_step(ctx, f, dt, EULER_TABLEAU),
         dirk_step(ctx, f, dt, RK2_TABLEAU),
         dirk_step(ctx, f, dt, RK3_TABLEAU),
         bdf_step(ctx, [f, f], dt, 2),
@@ -131,7 +137,7 @@ def test_strong_relaxation_drives_toward_equilibrium():
     f = _maxwellian_field()
     f *= 1.0 + 0.2 * rng.random(f.shape)  # perturb off equilibrium
     dt = 0.1
-    out = euler_step(ctx, f, dt)
+    out = dirk_step(ctx, f, dt, EULER_TABLEAU)
     g = ctx.foot(f, dt)
     m_eq = SYSTEM.equilibrium(SYSTEM.moments(g, GRID), GRID)
     assert np.allclose(out, m_eq, atol=1e-7)
@@ -146,17 +152,19 @@ def test_bdf_step_validation():
         bdf_step(ctx, [f], 0.1, 2)  # missing history
 
 
-def test_bdf_startup_uses_same_order_predictor():
-    ctx = _ctx(0.5)
-    f = _maxwellian_field(rho=1.3, u=0.2, T=0.9)
-    dt = 0.05
-    states = bdf_startup(ctx, f, dt, 2)
-    assert len(states) == 2
-    assert np.array_equal(states[1], f)
-    assert np.array_equal(states[0], dirk_step(ctx, f, dt, RK2_TABLEAU))
-    states3 = bdf_startup(ctx, f, dt, 3)
-    assert len(states3) == 3
-    assert np.array_equal(states3[2], f)
+@pytest.mark.parametrize("lattice", [False, True])
+def test_euler_tableau_is_foot_then_relaxation_bitwise(lattice):
+    """Backward Euler as the one-stage DIRK is transport over dt followed by
+    one relaxation over dt, on interpolated and node-aligned transport."""
+    rng = np.random.default_rng(35)
+    f = _maxwellian_field(1.1, 0.2, 0.9) * rng.uniform(0.9, 1.1, (1, GRID.n_space, GRID.n_vel))
+    if lattice:
+        transport = LatticeTransport(GRID, Boundary.PERIODIC)
+        ctx = StepContext(grid=GRID, system=SYSTEM, transport=transport, eps=0.05)
+        dt = lattice_dt(GRID)
+    else:
+        ctx, dt = _ctx(0.05, kind=Interp.WENO35), 0.03
+    assert np.array_equal(dirk_step(ctx, f, dt, EULER_TABLEAU), ctx.relax(ctx.foot(f, dt), dt))
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +215,27 @@ def test_bdf3_needs_two_equal_spaced_predecessors():
     assert len(stepper._history) == 2  # never keeps more than order-1 states
 
 
-def test_bdf_continuation_matches_manual_composition():
-    """TimeStepper's BDF2 path reproduces bdf_startup + bdf_step exactly."""
+@pytest.mark.parametrize(
+    "integrator, tab",
+    [(Integrator.BDF2, RK2_TABLEAU), (Integrator.BDF3, RK3_TABLEAU)],
+    ids=["BDF2", "BDF3"],
+)
+def test_bdf_continuation_matches_manual_composition(integrator, tab):
+    """TimeStepper's BDF path is order-1 same-order DIRK startup steps, then
+    bdf_step on the equally spaced history, newest state first."""
     f = _maxwellian_field(rho=1.2, u=-0.1, T=0.95)
-    scheme = _scheme(Integrator.BDF2, eps=0.3)
-    stepper = TimeStepper(f, GRID, SYSTEM, scheme)
-    dt = 0.04
-    stepper.step(dt)
-    stepper.step(dt)
+    stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, eps=0.3))
+    dt, order = 0.04, integrator.order
+    for _ in range(order + 1):
+        stepper.step(dt)
+    assert stepper.predictor_steps == order - 1
     ctx = _ctx(0.3)
-    states = bdf_startup(ctx, f, dt, 2)
-    manual = bdf_step(ctx, states, dt, 2)
-    assert np.array_equal(stepper.f, manual)
+    states = [f]
+    for _ in range(order - 1):
+        states.insert(0, dirk_step(ctx, states[0], dt, tab))
+    for _ in range(2):
+        states = [bdf_step(ctx, states, dt, order)] + states[: order - 1]
+    assert np.array_equal(stepper.f, states[0])
 
 
 def _textbook_dirk(ctx, f, dt, tab):
@@ -272,6 +289,28 @@ def test_lattice_stepper_counts_offlattice_fallbacks():
     stepper.step(dt)
     assert stepper.offlattice_steps == 1
     assert stepper.steps_taken == 3
+
+
+@pytest.mark.parametrize(
+    "integrator, kind, tab",
+    [
+        (Integrator.LATTICE_EULER, Interp.LINEAR, EULER_TABLEAU),
+        (Integrator.LATTICE_BDF2, Interp.WENO23, RK2_TABLEAU),
+        (Integrator.LATTICE_BDF3, Interp.WENO35, RK3_TABLEAU),
+        (Integrator.LATTICE_RK2, Interp.WENO23, RK2_TABLEAU),
+    ],
+    ids=["LatEuler", "LatBDF2", "LatBDF3", "LatRK2"],
+)
+def test_offlattice_step_is_order_matched_interpolated_dirk(integrator, kind, tab):
+    """A step that is not node-aligned is the DIRK of the scheme's order on
+    an interpolation of matching order, bit for bit."""
+    rng = np.random.default_rng(36)
+    f = _maxwellian_field(1.1, 0.05, 1.0) * rng.uniform(0.9, 1.1, (1, GRID.n_space, GRID.n_vel))
+    stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=Interp.NONE, eps=0.2))
+    dt = 0.37 * lattice_dt(GRID, integrator.lattice_stride)
+    stepper.step(dt)
+    assert stepper.offlattice_steps == 1 and stepper.predictor_steps == 0
+    assert np.array_equal(stepper.f, dirk_step(_ctx(0.2, kind=kind), f, dt, tab))
 
 
 def test_lattice_bdf_startup_borrows_interpolation():

@@ -55,10 +55,6 @@ def test_relaxation_solve_limits():
     assert np.allclose(relaxation_solve(f, m, 1.0), (f + m) / 2.0)
     # tau = inf: projection onto the equilibrium
     assert np.array_equal(relaxation_solve(f, m, np.inf), m)
-    # array tau with an infinite entry
-    tau = np.array([0.0, 1.0, np.inf])
-    out = relaxation_solve(f, m, tau)
-    assert np.allclose(out, [1.0, 2.0, 2.0])
 
 
 def test_relaxation_solve_is_contraction():

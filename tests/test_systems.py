@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from bgk_sl import ChuReduced3V, Monatomic1V, PhaseGrid
+from bgk_sl import ChuReduced3V, DegenerateStateError, Monatomic1V, PhaseGrid
 from bgk_sl.moments import maxwellian
 
 
@@ -97,3 +97,22 @@ def test_chu_moments_and_equilibrium_equal_textbook_expressions_bitwise(grid):
     m1 = maxwellian(rho[:, None], u[:, None], T[:, None], v[None, :], system.R)
     eq = system.equilibrium(mom, grid)
     assert np.array_equal(eq, np.stack([m1, 2.0 * system.R * T[:, None] * m1]))
+
+
+@pytest.mark.parametrize("system", [Monatomic1V(), ChuReduced3V()])
+def test_moments_without_validation_return_negative_temperature(system, grid):
+    """validate=False reports the moments of a degenerate field (negative
+    energy content, so T < 0) where validation raises."""
+    f = np.zeros((system.n_components, grid.n_space, grid.n_vel))
+    f[0, :, grid.nv] = 1.0  # unit density at rest
+    if system.n_components == 2:
+        f[1, :, grid.nv] = -1.0  # negative transverse energy
+    else:
+        f[0, :, grid.nv - 1] = f[0, :, grid.nv + 1] = -0.1  # negative energy
+    with pytest.raises(DegenerateStateError):
+        system.moments(f, grid)
+    mom = system.moments(f, grid, validate=False)
+    rho = grid.dv * f[0].sum(axis=-1)
+    assert np.all(rho > 0.0) and np.allclose(mom.rho, rho)
+    assert np.all(mom.T < 0.0)
+    assert np.allclose(mom.u, 0.0)

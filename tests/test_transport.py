@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bgk_sl import Boundary, Interp, PhaseGrid, make_interpolator
+from bgk_sl import Boundary, Interp, Interpolator, PhaseGrid
 from bgk_sl.boundaries import extend_field
 from bgk_sl.lattice import LatticeTransport
 from bgk_sl.transport import InterpolatedTransport
@@ -21,13 +21,13 @@ def _field(grid, ncomp=1, seed=0):
 
 
 def _transport(grid, kind=Interp.WENO23, bc=Boundary.PERIODIC):
-    return InterpolatedTransport(grid, make_interpolator(kind), bc)
+    return InterpolatedTransport(grid, Interpolator(kind), bc)
 
 
 def _pointwise_shift(grid, kind, bc, f, tau):
     """Reference: pointwise interpolation of the ghost-extended field at the
     departure points x - v*tau, one component at a time."""
-    interp = make_interpolator(kind)
+    interp = Interpolator(kind)
     nghost = interp.ghost + int(math.ceil(abs(tau) * grid.vmax / grid.dx)) + 1
     ext = extend_field(f, bc, nghost)
     feet = grid.x[:, None] - grid.v[None, :] * tau

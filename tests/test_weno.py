@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from bgk_sl import ConfigError, Interp, make_interpolator
+from bgk_sl import ConfigError, Interp
 from bgk_sl.weno import (
     GHOST_WIDTH,
     Interpolator,
@@ -176,7 +176,7 @@ def test_plan_matches_one_shot_evaluation():
     t = rng.integers(0, 64, ncols) / 64.0  # dyadic: cell + t + i is exact
     pts = cell[None, :] + t[None, :] + np.arange(rows)[:, None]
     for kind in (Interp.LINEAR, Interp.WENO23, Interp.WENO35):
-        interp = make_interpolator(kind)
+        interp = Interpolator(kind)
         plan = interp.plan((n_nodes, ncols), cell, t, rows=rows)
         ws = Workspace()
         got = plan.apply(data, ws)
@@ -198,7 +198,7 @@ def test_batch_columns_match_single_columns():
 
 
 def test_plan_shape_validation():
-    interp = make_interpolator(Interp.WENO23)
+    interp = Interpolator(Interp.WENO23)
     plan = interp.plan((20, 2), np.array([10, 10]), np.array([0.5, 0.5]), rows=3)
     with pytest.raises(ValueError):
         plan.apply(np.zeros((20, 3)))  # wrong column count
