@@ -53,6 +53,13 @@ class RunResult:
             yield (self.x[i], self.rho[i], self.u[i], self.T[i], self.E[i])
 
 
+def _phase_grid(scen, nx, nv=None, vmax=None) -> PhaseGrid:
+    """A run's phase grid: the scenario's velocity grid unless nv or vmax is given."""
+    nv = int(nv) if nv is not None else scen.nv
+    vmax = float(vmax) if vmax is not None else scen.vmax
+    return PhaseGrid(x0=scen.x0, x1=scen.x1, nx=int(nx), nv=nv, vmax=vmax)
+
+
 def run_case(
     scenario,
     *,
@@ -73,12 +80,10 @@ def run_case(
     integrator = parse_integrator(integrator)
     interp = parse_interp(interp) if interp is not None else default_interp(integrator)
     boundary = parse_boundary(boundary) if boundary is not None else scen.boundary
-    nv = int(nv) if nv is not None else scen.nv
-    vmax = float(vmax) if vmax is not None else scen.vmax
     cfl_requested = float(cfl) if cfl is not None else scen.cfl
     t_final = float(t_final) if t_final is not None else scen.t_final
 
-    grid = PhaseGrid(x0=scen.x0, x1=scen.x1, nx=int(nx), nv=nv, vmax=vmax)
+    grid = _phase_grid(scen, nx, nv, vmax)
     system = make_system(scen.model)
     scheme = SchemeConfig(
         integrator=integrator,
@@ -112,8 +117,8 @@ def run_case(
         "boundary": boundary.value,
         "eps": eps,
         "nx": int(nx),
-        "nv": nv,
-        "vmax": vmax,
+        "nv": grid.nv,
+        "vmax": grid.vmax,
         "cfl_requested": cfl_requested,
         "cfl_actual": cfl_actual,
         "dt": dt,
@@ -271,7 +276,8 @@ def cfl_sweep(
     t_final = float(t_final) if t_final is not None else scen.t_final
     if not (0.0 <= t_final < math.inf):
         raise ConfigError(f"t_final must be >= 0 and finite, got {t_final}")
-    probe = PhaseGrid(scen.x0, scen.x1, int(nx), scen.nv, scen.vmax)
+    # the runs' own grid: dt then divides t_final under an nv or vmax override too
+    probe = _phase_grid(scen, nx, run_kwargs.get("nv"), run_kwargs.get("vmax"))
     rows: list[dict] = []
     with _keeping_rows(rows):
         for cfl_req in cfl_list:

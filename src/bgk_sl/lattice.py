@@ -11,16 +11,22 @@ stride = 1 serves the first-order and BDF lattice schemes; the lattice RK2
 scheme uses stride = 3 so that its stage offsets dt/3 and 2*dt/3 are also
 node-aligned.
 
-A scheme sweeps the same few integer shifts every step (1 and 2 for BDF2),
-so the transport keeps, per shift, one flat int64 index into the field's
-(node, velocity) plane: source node times n_vel plus source column, with
-the boundary map and the reflective velocity flip folded in.  A shift is
-then a single take of every component from that index; the result is a
-new array that shares no memory with the field or the index.
+Under a shift s, row i of velocity column j reads node i - jv_j*s, whose
+offset in the field's flat (node, velocity) plane, (i - jv_j*s)*n_vel + j, is
+affine in (i, j).  The interior rows nv*|s| <= i < n_space - nv*|s|, whose
+feet all lie inside the domain, are therefore one read-only strided view of
+the C-contiguous field, copied into the result.  Only the 2*nv*|s| edge rows
+go through the boundary map: a scheme sweeps the same few shifts every step
+(1 and 2 for BDF2), so the transport keeps, per shift, one int64 index of the
+edge rows into the flat plane (source node times n_vel plus source column,
+reflective velocity flip folded in) and takes them with it.  When the edges
+cover the whole field that index covers every row and one take serves.  The
+result is a new array that shares no memory with the field or the index.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .boundaries import map_nodes
 from .config import Boundary
@@ -84,15 +90,38 @@ class LatticeTransport:
             raise ValueError(
                 f"field shape {field.shape} != (ncomp, {self.grid.n_space}, {self.grid.n_vel})"
             )
-        flat = field.reshape(field.shape[0], -1)
-        return np.take(flat, self._index_for(shift), axis=1)
+        grid = self.grid
+        edge = grid.nv * abs(shift)
+        index = self._index_for(shift)
+        flat = np.ascontiguousarray(field).reshape(field.shape[0], -1)
+        if 2 * edge >= grid.n_space:
+            return np.take(flat, index, axis=1)
+        # interior row i, column j: flat offset (i + nv*shift)*n_vel + j*(1 - shift*n_vel)
+        step = flat.itemsize
+        interior = as_strided(
+            flat[:, (edge + grid.nv * shift) * grid.n_vel :],
+            shape=(field.shape[0], grid.n_space - 2 * edge, grid.n_vel),
+            strides=(flat.strides[0], grid.n_vel * step, (1 - shift * grid.n_vel) * step),
+            writeable=False,
+        )
+        out = np.empty(field.shape, dtype=flat.dtype)
+        out[:, edge:-edge] = interior
+        edges = np.take(flat, index, axis=1)
+        out[:, :edge] = edges[:, :edge]
+        out[:, -edge:] = edges[:, edge:]
+        return out
 
     def _index_for(self, shift: int) -> np.ndarray:
-        """Flat (n_space, n_vel) source index src*n_vel + col of one shift."""
+        """Flat source index src*n_vel + col of one shift's edge rows: the first
+        and last nv*|shift| rows, or every row when those overlap."""
         index = self._indices.get(shift)
         if index is None:
             grid = self.grid
-            p = np.arange(grid.n_space)[:, None] - grid.jv[None, :] * shift
+            edge = grid.nv * abs(shift)
+            rows = np.arange(grid.n_space)
+            if 2 * edge < grid.n_space:
+                rows = np.concatenate([rows[:edge], rows[-edge:]])
+            p = rows[:, None] - grid.jv[None, :] * shift
             src, flip = map_nodes(p, grid.nx, self.bc)
             jj = np.arange(grid.n_vel)[None, :]
             index = src * grid.n_vel  # int64, so take never casts it

@@ -28,10 +28,6 @@ class Moments:
     T: np.ndarray
     E: np.ndarray
 
-    @property
-    def momentum(self) -> np.ndarray:
-        return self.rho * self.u
-
 
 def validate_positive(rho: np.ndarray, T: np.ndarray) -> None:
     """Abort on non-positive density or temperature (no clamping)."""

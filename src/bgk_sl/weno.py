@@ -41,12 +41,25 @@ coefficient and linear weight, is then a per-column constant, stored as a
 rows + width consecutive nodes per column, gathered with a single take.
 Pointwise evaluation is the same plan with rows = 1 and one column per point.
 
+Source map.  A plan may read its node plane through a `source` index: node
+n of column c is then element source[n, c] of the flat (node, column) plane
+of the data apply() receives.  Transport plans address the ghost-extended
+field this way, with the boundary map and the reflective velocity flip folded
+into the window index, so every window is gathered straight from the field.
+
 Workspace.  The differences, indicators and weights live in scratch arrays
-drawn from a Workspace, which keeps them between calls, keyed by shape; only
-the returned result is allocated afresh, so it never aliases the workspace.
+drawn from one process-wide Workspace, POOL.  Each apply() is one cycle of
+the pool, which keeps the arrays of its last cycle only: consecutive
+applies, steps and runs of one configuration reuse the same arrays, and an
+apply of another configuration (another grid, say) replaces them.  Each
+array is an anonymous memory map of its own, outside the malloc heap.  Only
+the returned result is allocated afresh, so it never aliases the pool.  The
+pool is not for concurrent solvers: two threads applying plans at once
+would share its arrays.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,29 +106,47 @@ def _anchor(s, n_nodes, lo, hi):
     return cell, t
 
 
-class Workspace:
-    """Scratch arrays kept between calls, keyed by shape.
+def _mapped(shape) -> np.ndarray:
+    """A float array in an anonymous memory map of its own.
 
-    After reset(), successive get() calls with one shape return distinct
-    arrays, allocated only the first time that many are asked for.
+    Scratch that outlives a run must not sit in the malloc heap: the arrays
+    of later runs would be placed around it, and the heap, with the peak
+    resident memory, would grow."""
+    n = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(n, 1) * np.dtype(float).itemsize)
+    return np.frombuffer(buf, dtype=float, count=n).reshape(shape)
+
+
+class Workspace:
+    """Scratch arrays kept between calls, each in its own memory map.
+
+    reset() starts a cycle: the k-th get() of a cycle returns the k-th array,
+    allocated afresh only when the last cycle had no k-th array or one of
+    another shape, so the arrays a cycle gets are distinct.  reset() also
+    drops every array beyond the last cycle's count: the workspace holds the
+    scratch of its last cycle only.
     """
 
     def __init__(self):
-        self._arrays: dict[tuple, list[np.ndarray]] = {}
-        self._used: dict[tuple, int] = {}
+        self._arrays: list[np.ndarray] = []
+        self._next = 0
 
     def reset(self) -> None:
-        """Make every array available again."""
-        self._used.clear()
+        del self._arrays[self._next :]
+        self._next = 0
 
     def get(self, shape) -> np.ndarray:
-        shape = tuple(shape)
-        arrays = self._arrays.setdefault(shape, [])
-        k = self._used.get(shape, 0)
-        if k == len(arrays):
-            arrays.append(np.empty(shape))
-        self._used[shape] = k + 1
-        return arrays[k]
+        k = self._next
+        self._next = k + 1
+        if k == len(self._arrays):
+            self._arrays.append(_mapped(shape))
+        elif self._arrays[k].shape != shape:
+            self._arrays[k] = _mapped(shape)
+        return self._arrays[k]
+
+
+#: the scratch every InterpPlan.apply() draws from
+POOL = Workspace()
 
 
 def _differences(win, order, ws):
@@ -134,7 +165,7 @@ def _indicators(kind, diffs, rows, ws):
     `diffs` are the window's differences from _differences(win, 2 or 3, ws);
     d0^2 and the squared highest differences are formed once and shared.
     """
-    lo = GHOST_WIDTH[kind] - 1
+    lo = len(diffs) - 1
     d = diffs[0]
     d0 = d[:, lo : lo + rows]
     d0sq = np.multiply(d0, d0, out=ws.get(d0.shape))
@@ -207,18 +238,29 @@ class InterpPlan:
     """The evaluation of node data at one rigid shift of rows, frozen for reuse.
 
     Column q of the result holds the `rows` points cell[q] + t[q] + i
-    (i = 0..rows-1, node units) of data column col[q].  Built once per shift
-    pattern; apply() then gathers one window of node values and blends it.
+    (i = 0..rows-1, node units) of column col[q] of the node plane: the
+    data's own (n_nodes, ncols) plane, or the plane `source` maps onto it.
+    Built once per shift pattern; apply() then gathers one window of node
+    values and blends it.
     """
 
-    def __init__(self, kind: Interp, eps: float, data_shape, cell, t, rows: int, col=None):
+    def __init__(
+        self, kind: Interp, eps: float, data_shape, cell, t, rows: int, col=None, source=None
+    ):
         hi = GHOST_WIDTH[kind]
         lo = hi - 1
         self.kind = kind
+        self._width = hi
+        self._correction = _CORRECTION.get(kind)
         self.eps = float(eps)
         self.data_shape = (int(data_shape[0]), int(data_shape[1]))
         self.rows = int(rows)
-        n_nodes, ncols = self.data_shape
+        if source is not None:
+            source = np.asarray(source, dtype=np.int64)
+            size = self.data_shape[0] * self.data_shape[1]
+            if source.ndim != 2 or (source.size and (source.min() < 0 or source.max() >= size)):
+                raise ValueError(f"source must be a 2D index into the {size} data values")
+        n_nodes, ncols = self.data_shape if source is None else source.shape
         cell = np.asarray(cell, dtype=np.int64)
         t = np.asarray(t, dtype=float)
         col = np.arange(cell.size) if col is None else np.asarray(col, dtype=np.int64)
@@ -234,7 +276,7 @@ class InterpPlan:
         index = np.arange(self.rows + lo + hi)[:, None] + (cell - lo)[None, :]
         index *= ncols
         index += col[None, :]
-        self._index = index
+        self._index = index if source is None else np.take(source, index)
         self.t = t
         q = 0.5 * t * (t - 1.0)
         if kind is Interp.LINEAR:
@@ -252,7 +294,7 @@ class InterpPlan:
         else:  # pragma: no cover - guarded by Interpolator
             raise ConfigError(f"no interpolation plan for kind {kind!r}")
 
-    def apply(self, data, ws: Workspace | None = None) -> np.ndarray:
+    def apply(self, data) -> np.ndarray:
         """Interpolate node data of shape (..., n_nodes, ncols) at the planned
         points; the result, of shape (..., rows, len(cell)), is a new array."""
         data = np.asarray(data, dtype=float)
@@ -263,27 +305,25 @@ class InterpPlan:
             )
         lead = data.shape[:-2]
         flat = data.reshape(-1, self.data_shape[0] * self.data_shape[1])
-        ws = Workspace() if ws is None else ws
-        ws.reset()
-        win = ws.get((flat.shape[0],) + self._index.shape)
-        np.take(flat, self._index, axis=1, out=win, mode="clip")
-        out = self._blend(win, ws)
+        POOL.reset()
+        win = POOL.get((flat.shape[0],) + self._index.shape)
+        flat.take(self._index, axis=1, out=win, mode="clip")
+        out = self._blend(win, POOL)
         return out.reshape(lead + out.shape[1:])
 
     def _blend(self, win, ws):
-        kind, rows = self.kind, self.rows
-        lo = GHOST_WIDTH[kind] - 1
-        diffs = _differences(win, GHOST_WIDTH[kind], ws)
+        rows, lo = self.rows, self._width - 1
+        diffs = _differences(win, self._width, ws)
         out = np.multiply(diffs[0][:, lo : lo + rows], self.t)
         out += win[:, lo : lo + rows]
-        if kind is Interp.LINEAR:
+        if self._correction is None:
             return out
-        alphas = _indicators(kind, diffs, rows, ws)
+        alphas = _indicators(self.kind, diffs, rows, ws)
         for alpha, linear in zip(alphas, self._linear):
             alpha += self.eps
             alpha *= alpha
             np.divide(linear, alpha, out=alpha)
-        out += _CORRECTION[kind](alphas, diffs, self._coef, rows, ws)
+        out += self._correction(alphas, diffs, self._coef, rows, ws)
         return out
 
 
@@ -302,11 +342,14 @@ class Interpolator:
     def ghost(self) -> int:
         return GHOST_WIDTH[self.kind]
 
-    def plan(self, data_shape, cell, t, rows: int = 1, col=None) -> InterpPlan:
+    def plan(self, data_shape, cell, t, rows: int = 1, col=None, source=None) -> InterpPlan:
         """Freeze the evaluation of (..., n_nodes, ncols) data, data_shape =
         (n_nodes, ncols), at the points cell[q] + t[q] + i, i = 0..rows-1, of
-        data column col[q] (default q); cell, t and col are 1D rows."""
-        return InterpPlan(self.kind, self.eps, data_shape, cell, t, rows, col)
+        column col[q] (default q); cell, t and col are 1D rows.  Node
+        coordinates are the data's own, or those of `source`, an integer
+        plane whose entry [n, c] is the flat data index node n of column c
+        reads."""
+        return InterpPlan(self.kind, self.eps, data_shape, cell, t, rows, col, source)
 
     def __call__(self, data, x, x0: float = 0.0, dx: float = 1.0):
         data2, x2, out_shape = _as_columns(data, x)

@@ -214,6 +214,27 @@ def test_cfl_sweep_rows_and_lattice_rejection():
             )
 
 
+def test_cfl_sweep_probes_the_grid_of_its_runs(monkeypatch):
+    """A vmax override reaches the grid that picks cfl_actual: both runs take
+    uniform steps and report the published CFL."""
+    runs = []
+    original = harness.run_case
+
+    def recording(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(harness, "run_case", recording)
+    (row,) = cfl_sweep(
+        "smooth", integrator="RK2", eps=1.0, cfl_list=[2.0], nx=16, t_final=0.04, vmax=12.0
+    )
+    assert [r.meta["nx"] for r in runs] == [16, 32]
+    for r in runs:
+        assert r.meta["vmax"] == 12.0
+        assert r.meta["shortened_final_step"] is False
+        assert r.meta["cfl_actual"] == row["cfl_actual"]
+
+
 def test_cost_study_rows():
     rows = cost_study(
         "smooth",

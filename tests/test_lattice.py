@@ -176,3 +176,42 @@ def test_gather_rejects_mismatched_field():
     f = _rand_field(GRID, 31)
     with pytest.raises(ValueError):
         tr.shifted(f[:, :-1, :], lattice_dt(GRID))
+
+
+@pytest.mark.parametrize("bc", list(Boundary))
+@pytest.mark.parametrize(
+    "grid",
+    [
+        PhaseGrid(0.0, 1.0, 40, 3, 1.5),  # every shift -3..3 has interior rows
+        PhaseGrid(0.0, 1.0, 12, 2, 1.0),  # |shift| >= 3: the edges cover the field
+        PhaseGrid(0.0, 1.0, 8, 2, 1.0),  # |shift| = 2 leaves one interior row
+    ],
+    ids=["interior", "edges-cover", "one-row"],
+)
+def test_strided_gather_matches_map_nodes_gather(grid, bc):
+    """Interior rows read through a strided view, edge rows through the cached
+    index: together the map_nodes gather, bit for bit, in a fresh C-contiguous
+    array that shares no memory with the field, for 1v and Chu fields."""
+    tr = LatticeTransport(grid, bc)
+    dt = lattice_dt(grid)
+    rng = np.random.default_rng(32)
+    for ncomp in (1, 2):
+        f = rng.normal(size=(ncomp, grid.n_space, grid.n_vel))
+        for shift in range(-3, 4):
+            out = tr.shifted(f, shift * dt)
+            assert np.array_equal(out, _uncached_gather(grid, bc, f, shift)), (ncomp, shift)
+            assert out.flags.c_contiguous and out.flags.writeable
+            assert not np.shares_memory(out, f)
+
+
+def test_cached_index_covers_only_the_edge_rows():
+    """Per shift the cache holds at most 2*nv*|shift|*n_vel int64 entries."""
+    grid = PhaseGrid(0.0, 1.0, 40, 3, 1.5)
+    tr = LatticeTransport(grid, Boundary.REFLECTIVE)
+    f = _rand_field(grid, 33)
+    for shift in (1, -2, 3, 7):
+        tr.shifted(f, shift * lattice_dt(grid))
+    for shift, index in tr._indices.items():
+        assert index.dtype == np.int64
+        assert index.size <= 2 * grid.nv * abs(shift) * grid.n_vel
+        assert index.size <= grid.n_space * grid.n_vel

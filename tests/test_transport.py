@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bgk_sl import Boundary, Interp, Interpolator, PhaseGrid
+from bgk_sl import transport, weno
 from bgk_sl.boundaries import extend_field
-from bgk_sl.lattice import LatticeTransport
+from bgk_sl.lattice import LatticeTransport, snap_to_integers
 from bgk_sl.transport import InterpolatedTransport
 
 KINDS = (Interp.LINEAR, Interp.WENO23, Interp.WENO35)
@@ -81,6 +82,85 @@ def test_shift_matches_pointwise_interpolation_property(kind, bc, nodes, seed):
     got = _transport(grid, kind, bc).shifted(f, tau)
     expect = _pointwise_shift(grid, kind, bc, f, tau)
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(f))
+
+
+def _extended_shift(grid, kind, bc, f, tau):
+    """Reference: the ghost-extended field, built by extend_field, and a plan in
+    its coordinates (the transport's shifts and fractions)."""
+    interp = Interpolator(kind)
+    nghost = interp.ghost + int(math.ceil(abs(tau) * grid.vmax / grid.dx)) + 1
+    ext = extend_field(f, bc, nghost)
+    r = snap_to_integers(grid.jv * (grid.dv * tau / grid.dx))
+    shift = np.floor(-r)
+    plan = interp.plan(ext.shape[1:], nghost + shift.astype(np.int64), -r - shift, rows=grid.n_space)
+    return plan.apply(ext)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    bc=st.sampled_from(BOUNDARIES),
+    ncomp=st.sampled_from((1, 2)),
+    nodes=st.one_of(
+        st.floats(-200.0, 200.0, allow_nan=False),  # up to ~19 domain widths
+        st.integers(-200, 200).map(float),  # node-aligned shifts
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_shift_gathers_what_the_extended_field_holds_bitwise(kind, bc, ncomp, nodes, seed):
+    """Gathering straight from the field through the folded window index is
+    the gather from the ghost-extended field, bit for bit: every kind and
+    boundary, 1v and Chu fields, negative tau, overhangs of many domain widths."""
+    grid = PhaseGrid(0.0, 1.0, 32, 3, 1.5)
+    tau = nodes * grid.dx / grid.dv
+    assume(tau != 0.0)
+    f = _field(grid, ncomp=ncomp, seed=seed)
+    got = _transport(grid, kind, bc).shifted(f, tau)
+    assert np.array_equal(got, _extended_shift(grid, kind, bc, f, tau))
+
+
+def test_extend_field_runs_once_per_plan_build(monkeypatch):
+    """extend_field, looked up through bgk_sl.transport, extends the index
+    plane once per plan; calls that reuse a plan never extend anything."""
+    calls = []
+
+    def counting(field, bc, nghost):
+        calls.append(np.asarray(field).dtype)
+        return extend_field(field, bc, nghost)
+
+    monkeypatch.setattr(transport, "extend_field", counting)
+    grid = PhaseGrid(0.0, 1.0, 24, 5, 3.0)
+    tr = _transport(grid, Interp.WENO35, Boundary.REFLECTIVE)
+    f = _field(grid, ncomp=2, seed=8)
+    for tau in (0.01, 0.01, -0.02, 0.01, -0.02):
+        tr.shifted(f, tau)
+    assert len(calls) == 2 and all(np.issubdtype(d, np.integer) for d in calls)
+
+
+def test_pool_keeps_one_configuration_of_scratch():
+    """Consecutive shifts of one configuration reuse the pool's arrays; a shift
+    on another grid replaces them, and one that needs fewer drops the rest."""
+    small, large = PhaseGrid(0.0, 1.0, 24, 5, 3.0), PhaseGrid(0.0, 1.0, 48, 5, 3.0)
+    tr_small = _transport(small, Interp.WENO35)
+    tr_large = _transport(large, Interp.WENO35)
+    f_small, f_large = _field(small, ncomp=2), _field(large, ncomp=2)
+
+    def held():
+        return {id(a): a for a in weno.POOL._arrays}
+
+    tr_small.shifted(f_small, 0.01)
+    first = held()
+    assert first and all(a.shape[-2] >= small.n_space for a in first.values())
+    tr_small.shifted(f_small, -0.03)  # another plan, same configuration
+    assert held().keys() == first.keys()
+    tr_large.shifted(f_large, 0.01)
+    after = held()
+    assert not after.keys() & first.keys()
+    assert all(a.shape[-2] >= large.n_space for a in after.values())
+    linear = _transport(large, Interp.LINEAR)
+    linear.shifted(f_large, 0.01)
+    linear.shifted(f_large, 0.01)  # starts by dropping what the last cycle left unused
+    assert 0 < len(held()) < len(after)
 
 
 @pytest.mark.parametrize("bc", BOUNDARIES)

@@ -6,7 +6,6 @@ from bgk_sl import ConfigError, Interp
 from bgk_sl.weno import (
     GHOST_WIDTH,
     Interpolator,
-    Workspace,
     linear_interp,
     weno23_interp,
     weno35_interp,
@@ -178,12 +177,11 @@ def test_plan_matches_one_shot_evaluation():
     for kind in (Interp.LINEAR, Interp.WENO23, Interp.WENO35):
         interp = Interpolator(kind)
         plan = interp.plan((n_nodes, ncols), cell, t, rows=rows)
-        ws = Workspace()
-        got = plan.apply(data, ws)
+        got = plan.apply(data)
         assert got.shape == (2, rows, ncols)
         for comp in range(2):
             assert np.array_equal(got[comp], interp(data[comp], pts, x0=0.0, dx=1.0))
-        assert np.array_equal(plan.apply(data, ws), got)
+        assert np.array_equal(plan.apply(data), got)
         assert np.array_equal(plan.apply(data[1]), got[1])
 
 
@@ -208,6 +206,11 @@ def test_plan_shape_validation():
         interp.plan((20, 2), np.array([0, 10]), np.array([0.5, 0.5]))  # before the start
     with pytest.raises(ValueError):
         interp.plan((20, 2), np.array([10, 10]), np.array([0.5]))  # rows of unequal length
+    source = np.arange(40).reshape(20, 2)
+    with pytest.raises(ValueError):  # a source index past the data
+        interp.plan((20, 2), np.array([10, 10]), np.array([0.5, 0.5]), rows=3, source=source + 1)
+    with pytest.raises(ValueError):  # windows past the source plane's nodes
+        interp.plan((20, 2), np.array([10, 16]), np.array([0.5, 0.5]), rows=3, source=source)
 
 
 def test_out_of_range_points_rejected():
