@@ -13,13 +13,18 @@ same 1D characteristics and relax towards the reduced equilibria
 Moments:  rho = dv*sum g1,  rho u = dv*sum v g1,
           3 rho R T = dv*sum (v - u)^2 g1 + dv*sum g2,
           E = rho u^2/2 + (3/2) rho R T       (fluid limit gamma = 5/3).
+rho, rho u and dv*sum g2 come from one product of both components with the
+grid's moment weights.  The longitudinal thermal energy stays a separate pass
+over the peculiar velocity v - u: the raw-moment form
+dv*sum v^2 g1 - rho u^2 subtracts two terms of size rho u^2 to leave one of
+size rho R T, so it loses about log10(u^2/(R T)) digits as the Mach number grows.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .grid import PhaseGrid
-from .moments import Moments, maxwellian, validate_positive
+from .moments import Moments, maxwellian, validate_positive, velocity_moments
 from .systems import KineticSystem
 
 
@@ -36,18 +41,15 @@ class ChuReduced3V(KineticSystem):
 
     def moments(self, field: np.ndarray, grid: PhaseGrid, validate: bool = True) -> Moments:
         field = self.check_field(field, grid)
-        g1, g2 = field[0], field[1]
-        dv, v = grid.dv, grid.v
-        rho = dv * g1.sum(axis=-1)
-        buf = g1 * v
-        mom = dv * buf.sum(axis=-1)
+        # One product for both components; the mass of g2 is dv*sum g2.
+        mass, momentum, _ = velocity_moments(field, grid.moment_weights)
+        rho = mass[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = mom / rho
+            u = momentum[0] / rho
             # Peculiar velocity is measured against the local u of each node.
-            pec2 = np.subtract(v[None, :], u[:, None], out=buf)
+            pec2 = np.subtract(grid.v[None, :], u[:, None])
             np.square(pec2, out=pec2)
-            pec2 *= g1
-            trT = dv * pec2.sum(axis=-1) + dv * g2.sum(axis=-1)
+            trT = grid.dv * np.einsum("ij,ij->i", pec2, field[0]) + mass[1]
             T = trT / (3.0 * rho * self.R)
         if validate:
             validate_positive(rho, T)

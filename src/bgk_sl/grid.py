@@ -54,6 +54,16 @@ class PhaseGrid:
         """Velocity nodes j*dv, shape (2*nv+1,). Exactly antisymmetric."""
         return self.jv * self.dv
 
+    @cached_property
+    def moment_weights(self) -> np.ndarray:
+        """Midpoint-rule weights dv*[1, v, v^2/2], shape (2*nv+1, 3), C-contiguous.
+
+        One product f @ moment_weights gives (rho, rho*u, energy) of every
+        velocity row of f.
+        """
+        v = self.v
+        return np.stack([np.ones_like(v), v, 0.5 * v * v], axis=-1) * self.dv
+
     @property
     def n_space(self) -> int:
         return self.nx + 1

@@ -141,13 +141,14 @@ class StepContext:
         """Implicit relaxation of g over an effective time coeff_dt.
 
         With collisions disabled (eps = inf) this is the identity, and no
-        moments are formed (pure transport works on any data).
+        moments are formed (pure transport works on any data).  The solve
+        overwrites the equilibrium, which is dead after it; g is kept.
         """
         if math.isinf(self.eps):
             return g
         mom = self.system.moments(g, self.grid)
         m_eq = self.system.equilibrium(mom, self.grid)
-        return relaxation_solve(g, m_eq, coeff_dt / self.eps)
+        return relaxation_solve(g, m_eq, coeff_dt / self.eps, out=m_eq)
 
 
 def _add_scaled(g, h, scale):

@@ -74,7 +74,7 @@ class Monatomic1V(KineticSystem):
 
     def moments(self, field: np.ndarray, grid: PhaseGrid, validate: bool = True) -> Moments:
         field = self.check_field(field, grid)
-        rho, mom, energy = velocity_moments(field[0], grid.v, grid.dv)
+        rho, mom, energy = velocity_moments(field[0], grid.moment_weights)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = mom / rho
             T = (2.0 * energy / rho - u**2) / self.R

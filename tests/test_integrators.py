@@ -1,11 +1,15 @@
 """Tableaus, single-step building blocks and TimeStepper bookkeeping."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgk_sl import (
     Boundary,
+    ChuReduced3V,
     ConfigError,
     DegenerateStateError,
     EULER_TABLEAU,
@@ -26,6 +30,7 @@ from bgk_sl import (
     bdf_step,
     dirk_step,
 )
+from bgk_sl import integrators
 from bgk_sl.integrators import RK2_ALPHA, RK3_GAMMA
 from bgk_sl.lattice import lattice_dt
 from bgk_sl.transport import InterpolatedTransport
@@ -347,3 +352,80 @@ def test_collisionless_stepper_accepts_signed_data():
     stepper.step(0.03)
     assert np.all(np.isfinite(stepper.f))
     assert stepper.steps_taken == 2
+
+
+# ---------------------------------------------------------------------------
+# the relaxation of a stage: StepContext.relax
+# ---------------------------------------------------------------------------
+# dv = 1/3 resolves every T >= 0.4 to round-off, and vmax = 16 holds the
+# Maxwellian tails of |u| <= 1.3, T <= 2.5 below round-off.
+RELAX_GRID = PhaseGrid(0.0, 1.0, 4, 48, 16.0)
+ROW = st.tuples(st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(0.5, 2.0))
+
+
+def _conserved(system, field, grid):
+    mom = system.moments(field, grid)
+    return mom.rho, mom.rho * mom.u, mom.E
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    system=st.sampled_from((Monatomic1V(), ChuReduced3V())),
+    rows=st.lists(ROW, min_size=RELAX_GRID.n_space, max_size=RELAX_GRID.n_space),
+    bump=st.floats(0.0, 0.2),
+    seed=st.integers(0, 2**16),
+    tau=st.one_of(st.floats(0.0, 1e8), st.floats(-12.0, 8.0).map(lambda e: 10.0**e)),
+)
+def test_relax_conserves_the_moments_of_g(system, rows, bump, seed, tau):
+    """On admissible rows (rho, u, T) perturbed upwards cell by cell, the
+    relaxed field has the mass, momentum and energy of g to 1e-12 relative,
+    for tau from 0 to 1e8, and g itself is left untouched."""
+    rho, u, T = (np.array(col) for col in zip(*rows))
+    g = system.from_macro(rho, u, T, RELAX_GRID)
+    g *= 1.0 + bump * np.random.default_rng(seed).random(g.shape)
+    saved = g.copy()
+    ctx = StepContext(grid=RELAX_GRID, system=system, transport=None, eps=1.0)
+    out = ctx.relax(g, tau)
+    assert np.array_equal(g, saved) and not np.shares_memory(out, g)
+    mass, momentum, energy = _conserved(system, g, RELAX_GRID)
+    after = _conserved(system, out, RELAX_GRID)
+    # |rho u| <= sqrt(2 rho E): the momentum's scale where u is near zero
+    for got, want, scale in zip(after, (mass, momentum, energy),
+                                (mass, np.sqrt(2.0 * mass * energy), energy)):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("system", [Monatomic1V(), ChuReduced3V()])
+def test_relax_allocates_one_field_and_solves_in_place(system):
+    """One relaxation of a (n_components, 3201, 61) field peaks at 1.25
+    field-sizes of traced memory: the equilibrium, which the solve
+    overwrites, plus row-sized moments and the Chu pair's half-field
+    peculiar-velocity pass, freed before the equilibrium is built."""
+    grid = PhaseGrid(0.0, 1.0, 3200, 30, 10.0)
+    g = system.from_macro(1.0 + 0.1 * np.sin(2.0 * np.pi * grid.x), 0.2, 1.0, grid)
+    ctx = StepContext(grid=grid, system=system, transport=None, eps=1e-3)
+    expect = ctx.relax(g, 0.01)  # also fills the grid's cached properties
+    tracemalloc.start()
+    try:
+        out = ctx.relax(g, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, expect)
+    assert peak <= 1.25 * g.nbytes, f"peak {peak / g.nbytes:.2f} field-sizes"
+
+
+def test_relax_solves_through_the_module_binding(monkeypatch):
+    """The solve is looked up as `bgk_sl.integrators.relaxation_solve`, where
+    the benchmark's traced mode wraps it, and writes into the equilibrium."""
+    calls = []
+    original = integrators.relaxation_solve
+
+    def spy(f, m_eq, tau, out=None):
+        calls.append(out is m_eq)
+        return original(f, m_eq, tau, out=out)
+
+    monkeypatch.setattr(integrators, "relaxation_solve", spy)
+    f = _maxwellian_field(1.1, 0.2, 0.9)
+    _ctx(1e-2).relax(f, 0.1)
+    assert calls == [True]

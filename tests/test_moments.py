@@ -1,4 +1,6 @@
 """Velocity moments, Maxwellians and the implicit relaxation solve."""
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ def test_maxwellian_moments_round_trip(grid):
     to near machine precision (spectral accuracy of the midpoint rule)."""
     rho0, u0, T0 = 1.3, 0.4, 0.9
     f = maxwellian(rho0, u0, T0, grid.v)
-    rho, mom, energy = velocity_moments(f, grid.v, grid.dv)
+    rho, mom, energy = velocity_moments(f, grid.moment_weights)
     assert rho == pytest.approx(rho0, abs=1e-14)
     assert mom == pytest.approx(rho0 * u0, abs=1e-14)
     assert energy == pytest.approx(0.5 * rho0 * u0**2 + 0.5 * rho0 * T0, abs=1e-14)
@@ -38,9 +40,10 @@ def test_maxwellian_broadcasting(grid):
 
 
 def test_velocity_moments_constant_data():
-    v = np.arange(-3, 4, dtype=float)
+    grid = PhaseGrid(0.0, 1.0, 4, 3, 3.0)  # v = -3..3, dv = 1
+    v = grid.v
     f = np.ones_like(v)
-    rho, mom, energy = velocity_moments(f, v, 1.0)
+    rho, mom, energy = velocity_moments(f, grid.moment_weights)
     assert rho == pytest.approx(7.0)
     assert mom == pytest.approx(0.0)  # symmetric grid
     assert energy == pytest.approx(0.5 * np.sum(v**2))
@@ -101,12 +104,32 @@ def test_maxwellian_equals_textbook_expression_bitwise(grid):
 
 
 def test_velocity_moments_equal_textbook_sums_bitwise(grid):
-    _, _, _, f = _nonequilibrium_rows(grid, 42)
+    """Small-integer f on a dyadic dv: every product and partial sum is exact,
+    so the one-product moments equal the textbook sums in any summation order."""
+    assert grid.dv == 0.5
+    f = np.random.default_rng(42).integers(-7, 8, (grid.n_space, grid.n_vel)).astype(float)
     v, dv = grid.v, grid.dv
-    rho, mom, energy = velocity_moments(f, v, dv)
+    rho, mom, energy = velocity_moments(f, grid.moment_weights)
     assert np.array_equal(rho, dv * f.sum(axis=-1))
     assert np.array_equal(mom, dv * (f * v).sum(axis=-1))
     assert np.array_equal(energy, 0.5 * dv * (f * v * v).sum(axis=-1))
+
+
+def test_velocity_moments_within_dot_product_bound_of_exact_sums(grid):
+    """On random data each moment is within the dot-product bound
+    n*u*sum_j |f_j w_j| (u = 2^-53, the unit round-off) of the exact sum,
+    taken by math.fsum.  Two more units of u cover the reference's own
+    rounded products and its final rounding."""
+    # Two signed components, as the Chu pair passes them: momentum sums cancel.
+    f = np.random.default_rng(42).uniform(-0.5, 1.0, (2, grid.n_space, grid.n_vel))
+    w = grid.moment_weights
+    assert w.flags.c_contiguous and w.shape == (grid.n_vel, 3)
+    got = np.stack(velocity_moments(f, w), axis=-1)
+    bound = (grid.n_vel + 2) * np.finfo(float).eps / 2.0
+    for row, sums in zip(f.reshape(-1, grid.n_vel), got.reshape(-1, 3)):
+        for k in range(3):
+            terms = row * w[:, k]
+            assert abs(sums[k] - math.fsum(terms)) <= bound * np.abs(terms).sum()
 
 
 def test_relaxation_solve_equals_textbook_and_keeps_inputs(grid):
@@ -120,3 +143,20 @@ def test_relaxation_solve_equals_textbook_and_keeps_inputs(grid):
     out = relaxation_solve(f, m, np.inf)
     assert np.array_equal(out, m) and not np.shares_memory(out, m)
     assert np.array_equal(f, f_saved) and np.array_equal(m, m_saved)
+
+
+def test_relaxation_solve_into_out_equals_a_new_result_bitwise(grid):
+    """out= writes the same bits as a new result, into a separate buffer or
+    over the equilibrium itself, and leaves f untouched."""
+    _, _, _, f = _nonequilibrium_rows(grid, 46)
+    m = np.flip(f, axis=-1).copy()
+    f_saved = f.copy()
+    for tau in (0.0, 0.6, 1e8, np.inf):
+        expect = relaxation_solve(f, m, tau)
+        buf = np.empty_like(m)
+        assert relaxation_solve(f, m, tau, out=buf) is buf
+        assert np.array_equal(buf, expect)
+        m_eq = m.copy()
+        assert relaxation_solve(f, m_eq, tau, out=m_eq) is m_eq
+        assert np.array_equal(m_eq, expect)
+    assert np.array_equal(f, f_saved)

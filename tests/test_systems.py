@@ -78,13 +78,22 @@ def test_moments_uniform_velocity_shift(grid):
     assert np.allclose(mom.T, 1.0, atol=1e-10)
 
 
+def _exact_chu_field(grid, seed):
+    """Small-integer components on a dyadic dv whose g1 rows sum to 128, so
+    u is dyadic too: every product and partial sum of the moments is exact."""
+    assert grid.dv == 0.5
+    rng = np.random.default_rng(seed)
+    f = rng.integers(1, 4, (2, grid.n_space, grid.n_vel)).astype(float)
+    f[0, :, grid.nv] += 128.0 - f[0].sum(axis=-1)
+    return f
+
+
 def test_chu_moments_and_equilibrium_equal_textbook_expressions_bitwise(grid):
-    """The buffer-reusing Chu moments and equilibrium pair follow the
-    textbook expressions' operation order, so they agree bit for bit."""
+    """On exact data the one-product Chu moments equal the textbook
+    expressions bit for bit in any summation order, and the equilibrium pair
+    follows the textbook expression's operation order."""
     system = ChuReduced3V()
-    rng = np.random.default_rng(44)
-    noise = rng.uniform(0.8, 1.2, (2, grid.n_space, grid.n_vel))
-    f = system.from_macro(1.0, 0.1, 1.0, grid) * noise
+    f = _exact_chu_field(grid, 44)
     g1, g2 = f
     v, dv = grid.v, grid.dv
     rho = dv * g1.sum(axis=-1)
