@@ -114,6 +114,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        print(f"config error: grid too large to allocate: {err}", file=sys.stderr)
+        return 2
     except NumericalError as err:
         # Flush what the command finished, in its own schema.
         if args.command != "run":

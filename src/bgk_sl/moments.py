@@ -36,6 +36,8 @@ class Moments:
 
 def validate_positive(rho: np.ndarray, T: np.ndarray) -> None:
     """Abort on non-positive density or temperature (no clamping)."""
+    if rho.min() > 0.0 and T.min() > 0.0:  # a NaN propagates through min
+        return
     bad = ~((rho > 0.0) & (T > 0.0))  # catches NaN too
     if np.any(bad):
         node = int(np.argmax(bad))

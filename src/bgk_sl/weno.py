@@ -48,14 +48,17 @@ field this way, with the boundary map and the reflective velocity flip folded
 into the window index, so every window is gathered straight from the field.
 
 Workspace.  The differences, indicators and weights live in scratch arrays
-drawn from one process-wide Workspace, POOL.  Each apply() is one cycle of
-the pool, which keeps the arrays of its last cycle only: consecutive
-applies, steps and runs of one configuration reuse the same arrays, and an
-apply of another configuration (another grid, say) replaces them.  Each
-array is an anonymous memory map of its own, outside the malloc heap.  Only
-the returned result is allocated afresh, so it never aliases the pool.  The
-pool is not for concurrent solvers: two threads applying plans at once
-would share its arrays.
+drawn from one process-wide Workspace, POOL.  apply() evaluates its rows in
+blocks of at most BLOCK_POINTS points, all of one shape, and each block is
+one cycle of the pool, which keeps the arrays of its last cycle only: the
+scratch is sized by the block, not by the field, and stays in cache.
+Consecutive blocks, applies, steps and runs of one configuration reuse the
+same arrays, and an apply of another configuration (another grid, say)
+replaces them.  Each array is an anonymous memory map of its own, outside
+the malloc heap.  Only the returned result is allocated afresh, once per
+apply, and each block's blend writes straight into its rows, so it never
+aliases the pool.  The pool is not for concurrent solvers: two threads
+applying plans at once would share its arrays.
 """
 from __future__ import annotations
 
@@ -75,6 +78,14 @@ WENO_EPS_DEFAULT = 1e-6
 GHOST_WIDTH = {Interp.LINEAR: 1, Interp.WENO23: 2, Interp.WENO35: 3}
 
 _ANCHOR_TOL = 1e-9
+
+#: the most points (components x rows x columns) one pass of apply()
+#: evaluates, but at least one row: the 8 (WENO23) to 12 (WENO35) scratch
+#: arrays of a block take 2-3 MB, about one L2 cache, while fields of up to
+#: about 26k points (2 x 201 x 61 for the Chu shock tube at nx=200, 2 x 321 x
+#: 41 for the smooth ladder at nx=320) still take one pass and pay the fixed
+#: cost of a pass once
+BLOCK_POINTS = 2**15
 
 
 def _as_columns(data, x):
@@ -296,7 +307,15 @@ class InterpPlan:
 
     def apply(self, data) -> np.ndarray:
         """Interpolate node data of shape (..., n_nodes, ncols) at the planned
-        points; the result, of shape (..., rows, len(cell)), is a new array."""
+        points; the result, of shape (..., rows, len(cell)), is a new array.
+
+        The rows are evaluated in the fewest blocks of at most BLOCK_POINTS
+        points (components x rows x columns) each, but at least one row, and
+        each block is one cycle of POOL, so the scratch is sized by the block,
+        not by the field.  All blocks have one shape: the rows are split as
+        evenly as that allows, and the last block is shifted back to overlap
+        its neighbour.  Rows are independent, so the blocks write the very
+        values one pass over all rows would."""
         data = np.asarray(data, dtype=float)
         if data.shape[-2:] != self.data_shape:
             raise ValueError(
@@ -305,26 +324,34 @@ class InterpPlan:
             )
         lead = data.shape[:-2]
         flat = data.reshape(-1, self.data_shape[0] * self.data_shape[1])
-        POOL.reset()
-        win = POOL.get((flat.shape[0],) + self._index.shape)
-        flat.take(self._index, axis=1, out=win, mode="clip")
-        out = self._blend(win, POOL)
+        rows, halo = self.rows, 2 * self._width - 1
+        ncomp, ncols = flat.shape[0], self._index.shape[1]
+        most = max(1, BLOCK_POINTS // max(1, ncomp * ncols))  # rows a block may hold
+        nblocks = -(-rows // most)
+        block = -(-rows // nblocks) if nblocks else 0  # overlaps of under a row each
+        out = np.empty((ncomp, rows, ncols))
+        for k in range(nblocks):
+            start = min(k * block, rows - block)
+            POOL.reset()
+            win = POOL.get((ncomp, block + halo, ncols))
+            flat.take(self._index[start : start + block + halo], axis=1, out=win, mode="clip")
+            self._blend(win, POOL, out[:, start : start + block])
         return out.reshape(lead + out.shape[1:])
 
-    def _blend(self, win, ws):
-        rows, lo = self.rows, self._width - 1
+    def _blend(self, win, ws, out):
+        """Blend the windows `win` into `out`, whose rows they cover."""
+        rows, lo = out.shape[1], self._width - 1
         diffs = _differences(win, self._width, ws)
-        out = np.multiply(diffs[0][:, lo : lo + rows], self.t)
+        np.multiply(diffs[0][:, lo : lo + rows], self.t, out=out)
         out += win[:, lo : lo + rows]
         if self._correction is None:
-            return out
+            return
         alphas = _indicators(self.kind, diffs, rows, ws)
         for alpha, linear in zip(alphas, self._linear):
             alpha += self.eps
             alpha *= alpha
             np.divide(linear, alpha, out=alpha)
         out += self._correction(alphas, diffs, self._coef, rows, ws)
-        return out
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,7 @@ SMOOTH_LADDER = [40, 80, 160, 320, 640, 1280]
 SMOOTH_LADDER_DEEP = SMOOTH_LADDER + [2560]  # first-order scheme is slowest to settle
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize(
     "integrator,interp,eps,ladder,lo,hi",
     [
@@ -235,6 +236,7 @@ def _fluid_limit_case(scenario, gamma, integrator):
     assert errs[0] > errs[1] > errs[2], f"{integrator}: L1 errors not decreasing: {errs}"
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("integrator", ["RK3", "BDF3"])
 def test_riemann_fluid_limit(integrator):
     """At eps = 1e-6 the shock-tube density converges to the exact Euler
@@ -244,6 +246,7 @@ def test_riemann_fluid_limit(integrator):
     _fluid_limit_case("riemann", 3.0, integrator)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("integrator", ["RK3", "BDF3"])
 def test_chu_riemann_fluid_limit(integrator):
     """Same fluid-limit properties for the reduced 3D-velocity gas, whose
@@ -368,6 +371,7 @@ def test_lattice_pure_transport_is_exact_index_shift():
 # ---------------------------------------------------------------------------
 # 9. an interior optimal CFL exists, and better interpolation shifts it down
 # ---------------------------------------------------------------------------
+@pytest.mark.slow
 def test_optimal_cfl_interior_minimum():
     """Sweeping the CFL number at eps = 1e-4 (smooth flow, t = 0.3, nx 160 vs
     320) gives an interior error minimum: the errors at the smallest and
@@ -382,6 +386,7 @@ def test_optimal_cfl_interior_minimum():
     assert min(errs[0], errs[-1]) > e_min  # the minimum is interior
 
 
+@pytest.mark.slow
 def test_optimal_cfl_decreases_with_interpolation_order():
     """The more accurate 6-node interpolation moves the optimal CFL of the
     3-stage DIRK scheme to a value no larger than with the 4-node one."""

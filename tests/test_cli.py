@@ -231,6 +231,18 @@ def test_nonfinite_cfl_or_final_time_is_config_error(capsys, flag, value, messag
     assert len(err.strip().splitlines()) == 1
 
 
+def test_grid_too_large_to_allocate_is_config_error(capsys):
+    # 2e12 velocity nodes: a 14.6 TiB request, refused at once, nothing allocated
+    code, out, err = _run_inprocess(
+        ["run", "--scenario", "smooth", "--scheme", "RK3", "--eps", "1e-4", "--nx", "20",
+         "--nv", "1000000000000"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "too large" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_converge_subcommand_table(tmp_path, capsys):
     out = tmp_path / "orders.csv"
     code, _, _ = _run_inprocess(

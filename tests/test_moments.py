@@ -79,6 +79,22 @@ def test_validate_positive_reports_node():
         validate_positive(np.ones(3), np.array([1.0, np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("bad", (np.nan, 0.0, -0.0, -0.5, -np.inf))
+@pytest.mark.parametrize("which", ("rho", "T"))
+def test_validate_positive_names_the_first_bad_node(which, bad):
+    """NaN, zero and negative values in rho or T raise, naming the first bad
+    node, alone and when a later node is bad in the other quantity."""
+    state = {"rho": np.linspace(0.5, 2.0, 6), "T": np.linspace(1.0, 3.0, 6)}
+    state[which][3] = bad
+    for other in (None, "T" if which == "rho" else "rho"):
+        if other is not None:
+            state[other][5] = -1.0
+        with pytest.raises(DegenerateStateError) as err:
+            validate_positive(state["rho"], state["T"])
+        assert err.value.node == 3 and "space node 3" in str(err.value)
+    validate_positive(np.linspace(0.5, 2.0, 6), np.full(6, 5e-324))  # positive passes
+
+
 def _nonequilibrium_rows(grid, seed):
     rng = np.random.default_rng(seed)
     n = grid.n_space

@@ -163,6 +163,45 @@ def test_pool_keeps_one_configuration_of_scratch():
     assert 0 < len(held()) < len(after)
 
 
+@pytest.mark.parametrize("ncomp", (1, 2))
+@pytest.mark.parametrize("bc", BOUNDARIES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_apply_equals_one_pass_bitwise(monkeypatch, kind, bc, ncomp):
+    """Rows evaluated in blocks, the last one shifted back to overlap its
+    neighbour, give the one-pass result bit for bit, at either sign of tau."""
+    grid = PhaseGrid(0.0, 1.0, 33, 3, 1.5)  # 34 rows: 12-row blocks at rows 0, 12, 22
+    f = _field(grid, ncomp=ncomp, seed=ncomp)
+    taus = [nodes * grid.dx / grid.dv for nodes in (0.37, -2.6, 41.2)]
+    one_pass = [_transport(grid, kind, bc).shifted(f, tau) for tau in taus]
+    passes = []
+    reset = weno.POOL.reset
+    monkeypatch.setattr(weno, "BLOCK_POINTS", 12 * ncomp * grid.n_vel)
+    monkeypatch.setattr(weno.POOL, "reset", lambda: passes.append(1) or reset())
+    tr = _transport(grid, kind, bc)
+    for tau, expect in zip(taus, one_pass):
+        passes.clear()
+        assert np.array_equal(tr.shifted(f, tau), expect), tau
+        assert len(passes) == 3
+
+
+def test_pool_scratch_is_sized_by_the_block():
+    """A field of many blocks leaves the pool holding about 12 block-sized
+    arrays (WENO35's scratch), not field-sized ones, and the result, allocated
+    once, shares no memory with them.  The rows are split evenly, so the
+    blocks repeat almost no work."""
+    grid = PhaseGrid(0.0, 1.0, 2000, 30, 8.0)
+    f = _field(grid, ncomp=2, seed=9)
+    assert f.size >= 200_000
+    out = _transport(grid, Interp.WENO35).shifted(f, 0.37 * grid.dx / grid.dv)
+    held = weno.POOL._arrays
+    assert held and sum(a.nbytes for a in held) <= 12.5 * weno.BLOCK_POINTS * f.itemsize
+    assert not any(np.shares_memory(out, a) for a in held)
+    block = held[0].shape[1] - 5  # the window: a block's rows and WENO35's 5 halo rows
+    nblocks = -(-grid.n_space // block)
+    assert f[:, :block].size <= weno.BLOCK_POINTS
+    assert nblocks * block < grid.n_space + nblocks  # even blocks: overlaps under a row each
+
+
 @pytest.mark.parametrize("bc", BOUNDARIES)
 @pytest.mark.parametrize("kind", KINDS)
 def test_node_aligned_shift_reproduces_node_values_bitwise(kind, bc):
