@@ -40,6 +40,6 @@ from .riemann import GasState, RiemannSolution, riemann_profile
 from .scenarios import SCENARIOS, Scenario, load_scenario, make_system
 from .systems import KineticSystem, Monatomic1V
 from .transport import InterpolatedTransport
-from .weno import Interpolator, linear_interp, weno23_interp, weno35_interp
+from .weno import Interpolator
 
 __version__ = "1.0.0"

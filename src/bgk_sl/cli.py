@@ -172,10 +172,20 @@ def _as_int(value, key):
         raise ConfigError(f"--{key} expects an integer, got {value!r}") from None
 
 
-def _float_list(value, key):
+def _tokens(value, key) -> list:
+    """The items of a list option, a JSON list or comma-separated tokens; at
+    least one."""
     if isinstance(value, (list, tuple)):
-        return [_as_float(v, key) for v in value]
-    return [_as_float(tok, key) for tok in str(value).split(",") if tok.strip()]
+        items = list(value)
+    else:
+        items = [tok.strip() for tok in str(value).split(",") if tok.strip()]
+    if not items:
+        raise ConfigError(f"--{key} expects at least one value, got {value!r}")
+    return items
+
+
+def _float_list(value, key):
+    return [_as_float(v, key) for v in _tokens(value, key)]
 
 
 def _optional(opts: dict, key: str, parse=_as_float, default=None):
@@ -254,10 +264,9 @@ def _cmd_cfl_sweep(opts: dict) -> list[dict]:
 
 
 def _cmd_cost(opts: dict) -> list[dict]:
-    tokens = [tok.strip() for tok in str(_require(opts, "scheme")).split(",") if tok.strip()]
     return cost_study(
         _require(opts, "scenario"),
-        schemes=[(tok, opts.get("interp")) for tok in tokens],
+        schemes=[(tok, opts.get("interp")) for tok in _tokens(_require(opts, "scheme"), "scheme")],
         eps=_as_float(_require(opts, "eps"), "eps"),
         nx_list=_nx_ladder(opts, default_nx=40, default_levels=3),
         cfl=_optional(opts, "cfl"),

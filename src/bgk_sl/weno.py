@@ -25,27 +25,29 @@ so a result is v0 + t d0 plus weighted corrections that all carry the factor
 q: at t = 0 it is the node value, bit for bit.  The smoothness indicators,
 beta = sum_l integral_0^1 (d^l p/dt^l)^2 dt over the evaluation cell, become
 sums of squares of the same differences (checked symbolically against the
-quadratic forms in the node values):
+quadratic forms in the node values, and in the tests against a quadrature
+of the definition):
 
     quadratics      d0^2 + 13/12 S_0^2,  d0^2 + 13/12 S_1^2
     cubic, right    d0^2 + 13/48 (3 S_1 - S_2)^2  + 781/720 (S_2 - S_1)^2
     cubic, centre   d0^2 + 13/48 (S_0 + S_1)^2    + 781/720 (S_1 - S_0)^2
     cubic, left     d0^2 + 13/48 (3 S_0 - S_-1)^2 + 781/720 (S_0 - S_-1)^2
 
-Rigid shift.  An InterpPlan evaluates, in every column q, the points
-cell_q + t_q + i (node units), i = 0..rows-1: a whole column of nodes shifted
-by one common amount, which is what the characteristic feet x_i - v_j*tau of
-one velocity column are.  The fraction t_q, and with it every Newton
-coefficient and linear weight, is then a per-column constant, stored as a
-(ncols,) row, and the stencils of all rows are slices of one window of
-rows + width consecutive nodes per column, gathered with a single take.
-Pointwise evaluation is the same plan with rows = 1 and one column per point.
+Rigid shift.  The characteristic feet x_i - v_j*tau of one velocity column
+are that column's nodes shifted by one common amount, so an InterpPlan
+evaluates, in every column q, the points cell_q + t_q + i (node units),
+i = 0..rows-1.  The fraction t_q, and with it every Newton coefficient and
+linear weight, is then a per-column constant, stored as a (ncols,) row, and
+the stencils of all rows are slices of one window of rows + width
+consecutive nodes per column, gathered with a single take.
 
-Source map.  A plan may read its node plane through a `source` index: node
-n of column c is then element source[n, c] of the flat (node, column) plane
-of the data apply() receives.  Transport plans address the ghost-extended
-field this way, with the boundary map and the reflective velocity flip folded
-into the window index, so every window is gathered straight from the field.
+Source map.  A plan reads its node plane through a `source` index: node n of
+column c is element source[n, c] of the flat (node, column) plane of each
+component of the field apply() receives.  Transport plans address the
+ghost-extended field this way, with the boundary map and the reflective
+velocity flip folded into the window index, so every window is gathered
+straight from the field; the identity index np.arange(n*c).reshape(n, c)
+reads the field's own plane.
 
 Workspace.  The differences, indicators and weights live in scratch arrays
 drawn from one process-wide Workspace, POOL.  apply() evaluates its rows in
@@ -77,8 +79,6 @@ WENO_EPS_DEFAULT = 1e-6
 #: [x_j, x_j+dx] and uses the window's differences up to order g.
 GHOST_WIDTH = {Interp.LINEAR: 1, Interp.WENO23: 2, Interp.WENO35: 3}
 
-_ANCHOR_TOL = 1e-9
-
 #: the most points (components x rows x columns) one pass of apply()
 #: evaluates, but at least one row: the 8 (WENO23) to 12 (WENO35) scratch
 #: arrays of a block take 2-3 MB, about one L2 cache, while fields of up to
@@ -86,35 +86,6 @@ _ANCHOR_TOL = 1e-9
 #: 41 for the smooth ladder at nx=320) still take one pass and pay the fixed
 #: cost of a pass once
 BLOCK_POINTS = 2**15
-
-
-def _as_columns(data, x):
-    """Normalize to 2D column batches; return (data2, x2, out_shape)."""
-    data = np.asarray(data, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if data.ndim == 1:
-        return data[:, None], x.reshape(-1, 1), x.shape
-    if data.ndim == 2:
-        if x.ndim != 2 or x.shape[1] != data.shape[1]:
-            raise ValueError(
-                f"points shape {x.shape} incompatible with data columns {data.shape}"
-            )
-        return data, x, x.shape
-    raise ValueError(f"data must be 1D or 2D, got shape {data.shape}")
-
-
-def _anchor(s, n_nodes, lo, hi):
-    """Anchor cell index and local coordinate of points s given in node units."""
-    if n_nodes - 1 - hi < lo:
-        raise ValueError(f"{n_nodes} nodes are too few for this stencil")
-    cell = np.clip(np.floor(s).astype(np.int64), lo, n_nodes - 1 - hi)
-    t = s - cell
-    if t.size and not ((t.min() >= -_ANCHOR_TOL) and (t.max() <= 1.0 + _ANCHOR_TOL)):
-        raise ValueError(
-            "evaluation point outside the stencil-reachable range of the data "
-            "(insufficient ghost extension?)"
-        )
-    return cell, t
 
 
 def _mapped(shape) -> np.ndarray:
@@ -246,18 +217,16 @@ _CORRECTION = {Interp.WENO23: _weno23_correction, Interp.WENO35: _weno35_correct
 
 
 class InterpPlan:
-    """The evaluation of node data at one rigid shift of rows, frozen for reuse.
+    """The evaluation of a field at one rigid shift of rows, frozen for reuse.
 
     Column q of the result holds the `rows` points cell[q] + t[q] + i
-    (i = 0..rows-1, node units) of column col[q] of the node plane: the
-    data's own (n_nodes, ncols) plane, or the plane `source` maps onto it.
-    Built once per shift pattern; apply() then gathers one window of node
-    values and blends it.
+    (i = 0..rows-1, node units) of column q of the node plane `source`, whose
+    entry [n, c] is the flat index, into each component's (n_nodes, ncols)
+    plane, of the value node n of column c reads.  Built once per shift
+    pattern; apply() then gathers one window of node values and blends it.
     """
 
-    def __init__(
-        self, kind: Interp, eps: float, data_shape, cell, t, rows: int, col=None, source=None
-    ):
+    def __init__(self, kind: Interp, eps: float, data_shape, cell, t, rows: int, source):
         hi = GHOST_WIDTH[kind]
         lo = hi - 1
         self.kind = kind
@@ -266,28 +235,22 @@ class InterpPlan:
         self.eps = float(eps)
         self.data_shape = (int(data_shape[0]), int(data_shape[1]))
         self.rows = int(rows)
-        if source is not None:
-            source = np.asarray(source, dtype=np.int64)
-            size = self.data_shape[0] * self.data_shape[1]
-            if source.ndim != 2 or (source.size and (source.min() < 0 or source.max() >= size)):
-                raise ValueError(f"source must be a 2D index into the {size} data values")
-        n_nodes, ncols = self.data_shape if source is None else source.shape
+        source = np.asarray(source, dtype=np.int64)
+        size = self.data_shape[0] * self.data_shape[1]
+        if source.ndim != 2 or (source.size and (source.min() < 0 or source.max() >= size)):
+            raise ValueError(f"source must be a 2D index into the {size} data values")
+        n_nodes, ncols = source.shape
         cell = np.asarray(cell, dtype=np.int64)
         t = np.asarray(t, dtype=float)
-        col = np.arange(cell.size) if col is None else np.asarray(col, dtype=np.int64)
-        if cell.ndim != 1 or t.shape != cell.shape or col.shape != cell.shape:
+        if cell.shape != (ncols,) or t.shape != cell.shape:
             raise ValueError(
-                f"cell, t and col must be matching 1D rows, got shapes "
-                f"{cell.shape}, {t.shape}, {col.shape}"
+                f"cell and t must be 1D rows of one entry per source column, got "
+                f"shapes {cell.shape} and {t.shape} for {ncols} columns"
             )
-        if cell.size and (cell.min() < lo or cell.max() + self.rows - 1 + hi >= n_nodes):
-            raise ValueError(f"stencil windows reach outside the {n_nodes} data nodes")
-        if col.size and (col.min() < 0 or col.max() >= ncols):
-            raise ValueError(f"column index outside the {ncols} data columns")
-        index = np.arange(self.rows + lo + hi)[:, None] + (cell - lo)[None, :]
-        index *= ncols
-        index += col[None, :]
-        self._index = index if source is None else np.take(source, index)
+        if ncols and (cell.min() < lo or cell.max() + self.rows - 1 + hi >= n_nodes):
+            raise ValueError(f"stencil windows reach outside the {n_nodes} source nodes")
+        nodes = np.arange(self.rows + lo + hi)[:, None] + (cell - lo)[None, :]
+        self._index = np.take_along_axis(source, nodes, axis=0)
         self.t = t
         q = 0.5 * t * (t - 1.0)
         if kind is Interp.LINEAR:
@@ -302,12 +265,10 @@ class InterpPlan:
                 -(t + 2.0) * (t - 3.0) / 10.0,
                 (t + 2.0) * (t + 1.0) / 20.0,
             )
-        else:  # pragma: no cover - guarded by Interpolator
-            raise ConfigError(f"no interpolation plan for kind {kind!r}")
 
-    def apply(self, data) -> np.ndarray:
-        """Interpolate node data of shape (..., n_nodes, ncols) at the planned
-        points; the result, of shape (..., rows, len(cell)), is a new array.
+    def apply(self, field) -> np.ndarray:
+        """Interpolate a field of shape (ncomp, n_nodes, ncols) at the planned
+        points; the result, of shape (ncomp, rows, ncols), is a new array.
 
         The rows are evaluated in the fewest blocks of at most BLOCK_POINTS
         points (components x rows x columns) each, but at least one row, and
@@ -316,14 +277,13 @@ class InterpPlan:
         evenly as that allows, and the last block is shifted back to overlap
         its neighbour.  Rows are independent, so the blocks write the very
         values one pass over all rows would."""
-        data = np.asarray(data, dtype=float)
-        if data.shape[-2:] != self.data_shape:
+        field = np.asarray(field, dtype=float)
+        if field.ndim != 3 or field.shape[1:] != self.data_shape:
             raise ValueError(
-                f"data shape {data.shape} does not match plan (..., "
+                f"field shape {field.shape} does not match plan (ncomp, "
                 f"{self.data_shape[0]}, {self.data_shape[1]})"
             )
-        lead = data.shape[:-2]
-        flat = data.reshape(-1, self.data_shape[0] * self.data_shape[1])
+        flat = field.reshape(field.shape[0], -1)
         rows, halo = self.rows, 2 * self._width - 1
         ncomp, ncols = flat.shape[0], self._index.shape[1]
         most = max(1, BLOCK_POINTS // max(1, ncomp * ncols))  # rows a block may hold
@@ -336,7 +296,7 @@ class InterpPlan:
             win = POOL.get((ncomp, block + halo, ncols))
             flat.take(self._index[start : start + block + halo], axis=1, out=win, mode="clip")
             self._blend(win, POOL, out[:, start : start + block])
-        return out.reshape(lead + out.shape[1:])
+        return out
 
     def _blend(self, win, ws, out):
         """Blend the windows `win` into `out`, whose rows they cover."""
@@ -369,34 +329,10 @@ class Interpolator:
     def ghost(self) -> int:
         return GHOST_WIDTH[self.kind]
 
-    def plan(self, data_shape, cell, t, rows: int = 1, col=None, source=None) -> InterpPlan:
-        """Freeze the evaluation of (..., n_nodes, ncols) data, data_shape =
+    def plan(self, data_shape, cell, t, rows: int, source) -> InterpPlan:
+        """Freeze the evaluation of (ncomp, n_nodes, ncols) fields, data_shape =
         (n_nodes, ncols), at the points cell[q] + t[q] + i, i = 0..rows-1, of
-        column col[q] (default q); cell, t and col are 1D rows.  Node
-        coordinates are the data's own, or those of `source`, an integer
-        plane whose entry [n, c] is the flat data index node n of column c
-        reads."""
-        return InterpPlan(self.kind, self.eps, data_shape, cell, t, rows, col, source)
-
-    def __call__(self, data, x, x0: float = 0.0, dx: float = 1.0):
-        data2, x2, out_shape = _as_columns(data, x)
-        cell, t = _anchor((x2 - x0) / dx, data2.shape[0], self.ghost - 1, self.ghost)
-        col = np.broadcast_to(np.arange(data2.shape[1]), x2.shape)
-        plan = self.plan(data2.shape, cell.ravel(), t.ravel(), col=col.ravel())
-        return plan.apply(data2).reshape(out_shape)
-
-
-def linear_interp(data, x, x0: float = 0.0, dx: float = 1.0):
-    """Piecewise-linear interpolation of node data at points x."""
-    return Interpolator(Interp.LINEAR)(data, x, x0, dx)
-
-
-def weno23_interp(data, x, x0: float = 0.0, dx: float = 1.0, eps: float = WENO_EPS_DEFAULT):
-    """WENO blend of the two quadratic stencils around each point."""
-    return Interpolator(Interp.WENO23, eps)(data, x, x0, dx)
-
-
-def weno35_interp(data, x, x0: float = 0.0, dx: float = 1.0, eps: float = WENO_EPS_DEFAULT):
-    """WENO blend of the three cubic stencils around each point."""
-    return Interpolator(Interp.WENO35, eps)(data, x, x0, dx)
-
+        column q of `source`, an integer plane whose entry [n, c] is the flat
+        (n_nodes, ncols) index node n of column c reads; cell and t are 1D
+        rows of one entry per source column."""
+        return InterpPlan(self.kind, self.eps, data_shape, cell, t, rows, source)

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import legendre, polynomial
 
-from bgk_sl import ChuReduced3V, Monatomic1V, PhaseGrid
+from bgk_sl import ChuReduced3V, Interp, Monatomic1V, PhaseGrid
 from bgk_sl.moments import maxwellian
 from bgk_sl.weno import GHOST_WIDTH, Workspace, _differences, _indicators
 
@@ -21,6 +22,105 @@ def smoothness_indicators(kind, window) -> list[float]:
     ws = Workspace()
     diffs = _differences(win, GHOST_WIDTH[kind], ws)
     return [float(b[0, 0, 0]) for b in _indicators(kind, diffs, 1, ws)]
+
+
+def cells(s):
+    """Points s in node units as (cell, t) rows: s = cell + t, 0 <= t < 1."""
+    s = np.asarray(s, dtype=float)
+    cell = np.floor(s).astype(np.int64)
+    return cell, s - cell
+
+
+def interpolate_at(interp, values, cell, t) -> np.ndarray:
+    """The kernel's values of 1D node data at the points cell[q] + t[q] (node
+    units): a one-row plan of `interp` whose every column reads the one data
+    column."""
+    values = np.asarray(values, dtype=float)
+    source = np.repeat(np.arange(values.size)[:, None], np.size(cell), axis=1)
+    plan = interp.plan((values.size, 1), cell, t, rows=1, source=source)
+    return plan.apply(values.reshape(1, -1, 1))[0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Independent interpolation reference.  Written from the definitions, it
+# shares nothing with bgk_sl.weno: each candidate polynomial comes from a
+# Vandermonde solve on its stencil, the linear weights are the textbook ones,
+# and beta = sum_l integral_0^1 (d^l p/dt^l)^2 dt is a Gauss-Legendre sum,
+# exact at these degrees.  A wrong kernel coefficient cannot pass through it.
+# ---------------------------------------------------------------------------
+#: node offsets, from the left node of the evaluation cell [0, 1], of each
+#: candidate stencil, left to right
+_STENCILS = {
+    Interp.LINEAR: [(0, 1)],
+    Interp.WENO23: [(-1, 0, 1), (0, 1, 2)],
+    Interp.WENO35: [(-2, -1, 0, 1), (-1, 0, 1, 2), (0, 1, 2, 3)],
+}
+
+
+def window_offsets(kind) -> np.ndarray:
+    """Node offsets, from the left node of the evaluation cell, of the window
+    the reference reads: the union of the kind's stencils."""
+    stencils = _STENCILS[kind]
+    return np.arange(stencils[0][0], stencils[-1][-1] + 1)
+
+
+def _linear_weights(kind, t) -> list:
+    """Linear (optimal) weights of the candidate stencils at fraction t: with
+    them the blend is the interpolant through every node of the window."""
+    if kind is Interp.WENO23:
+        return [(2.0 - t) / 3.0, (1.0 + t) / 3.0]
+    return [
+        (2.0 - t) * (3.0 - t) / 20.0,
+        (2.0 + t) * (3.0 - t) / 10.0,
+        (1.0 + t) * (2.0 + t) / 20.0,
+    ]
+
+
+def _stencil_polynomial(windows, offsets, first) -> np.ndarray:
+    """Monomial coefficients in t, lowest first along axis 0, of the polynomial
+    through the windows' values at the stencil's offsets."""
+    vander = np.vander(np.asarray(offsets, dtype=float), increasing=True)
+    vals = windows[..., np.asarray(offsets) - first]
+    coef = np.linalg.solve(vander, vals.reshape(-1, len(offsets)).T)
+    return coef.reshape((len(offsets),) + vals.shape[:-1])
+
+
+def _beta(coef) -> np.ndarray:
+    """sum over l >= 1 of the integral over [0, 1] of the squared l-th
+    derivative of the polynomials `coef`, by Gauss-Legendre quadrature with as
+    many nodes as coefficients (exact to degree 2m - 1 >= 2(m - 2))."""
+    x, w = legendre.leggauss(coef.shape[0])
+    tq, wq = 0.5 * (x + 1.0), 0.5 * w
+    beta = 0.0
+    for order in range(1, coef.shape[0]):
+        deriv = polynomial.polyval(tq, polynomial.polyder(coef, order, axis=0))
+        beta = beta + (deriv**2) @ wq
+    return beta
+
+
+def reference_indicators(kind, window) -> list[float]:
+    """Smoothness indicators, left stencil first, of one window of node values
+    (WENO23: nodes -1..2 of the evaluation cell; WENO35: nodes -2..3)."""
+    window = np.asarray(window, dtype=float)
+    first = _STENCILS[kind][0][0]
+    return [float(_beta(_stencil_polynomial(window, st, first))) for st in _STENCILS[kind]]
+
+
+def reference_interp(kind, windows, t, eps) -> np.ndarray:
+    """Interpolation of node windows at the fraction t of their evaluation cell.
+
+    windows[..., k] holds the value at node offset window_offsets(kind)[k];
+    t broadcasts against windows[..., 0].  WENO blends the candidate
+    polynomials with the weights d_k / (beta_k + eps)^2, normalised."""
+    windows = np.asarray(windows, dtype=float)
+    t = np.asarray(t, dtype=float)
+    stencils = _STENCILS[kind]
+    polys = [_stencil_polynomial(windows, st, stencils[0][0]) for st in stencils]
+    values = [polynomial.polyval(t, c, tensor=False) for c in polys]
+    if kind is Interp.LINEAR:
+        return values[0]
+    alphas = [d / (_beta(c) + eps) ** 2 for d, c in zip(_linear_weights(kind, t), polys)]
+    return sum(a * v for a, v in zip(alphas, values)) / sum(alphas)
 
 
 def mixture_row(v: np.ndarray, parts) -> np.ndarray:

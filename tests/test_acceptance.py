@@ -20,6 +20,7 @@ from bgk_sl import (
     ChuReduced3V,
     Integrator,
     Interp,
+    Interpolator,
     Monatomic1V,
     PhaseGrid,
     SchemeConfig,
@@ -32,9 +33,14 @@ from bgk_sl import (
     run_case,
 )
 from bgk_sl.moments import maxwellian, relaxation_solve
-from bgk_sl.weno import weno23_interp, weno35_interp
 
-from conftest import fitted_slope, smoothness_indicators, uniform_mixture_field
+from conftest import (
+    cells,
+    fitted_slope,
+    interpolate_at,
+    smoothness_indicators,
+    uniform_mixture_field,
+)
 
 MACHINE_EPS = np.finfo(float).eps
 
@@ -268,13 +274,15 @@ def test_weno_polynomial_exactness():
     c2 = rng.uniform(-2.0, 2.0, 3)
     quad = np.polynomial.polynomial.polyval(nodes, c2)
     exact2 = np.polynomial.polynomial.polyval(pts, c2)
-    err23 = np.max(np.abs(weno23_interp(quad, pts, 0.0, dx) - exact2))
+    got23 = interpolate_at(Interpolator(Interp.WENO23), quad, *cells(pts / dx))
+    err23 = np.max(np.abs(got23 - exact2))
     assert err23 <= 1e-12, err23
 
     c3 = rng.uniform(-2.0, 2.0, 4)
     cubic = np.polynomial.polynomial.polyval(nodes, c3)
     exact3 = np.polynomial.polynomial.polyval(pts, c3)
-    err35 = np.max(np.abs(weno35_interp(cubic, pts, 0.0, dx) - exact3))
+    got35 = interpolate_at(Interpolator(Interp.WENO35), cubic, *cells(pts / dx))
+    err35 = np.max(np.abs(got35 - exact3))
     assert err35 <= 1e-12, err35
 
 

@@ -243,6 +243,28 @@ def test_grid_too_large_to_allocate_is_config_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["cfl-sweep", "--scheme", "RK3", "--eps", "1e-4", "--cfl", ","], {}),
+        (["converge", "--scheme", "RK3", "--eps", ","], {}),
+        (["cost", "--scheme", ",", "--eps", "1e-4"], {}),
+        (["cfl-sweep", "--scheme", "RK3", "--eps", "1e-4"], {"cfl": []}),
+    ],
+    ids=["cfl-sweep", "converge", "cost", "config-file"],
+)
+def test_empty_list_is_config_error(tmp_path, capsys, args, config):
+    """A list option with no value is refused before any run, with no table."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run_inprocess(
+        args + ["--scenario", "smooth", "--nx", "10", "--config", str(cfg)], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "at least one value" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_converge_subcommand_table(tmp_path, capsys):
     out = tmp_path / "orders.csv"
     code, _, _ = _run_inprocess(

@@ -12,6 +12,8 @@ from bgk_sl.boundaries import extend_field
 from bgk_sl.lattice import LatticeTransport, snap_to_integers
 from bgk_sl.transport import InterpolatedTransport
 
+from conftest import cells, reference_interp, window_offsets
+
 KINDS = (Interp.LINEAR, Interp.WENO23, Interp.WENO35)
 BOUNDARIES = (Boundary.PERIODIC, Boundary.REFLECTIVE, Boundary.FREEFLOW)
 
@@ -25,15 +27,18 @@ def _transport(grid, kind=Interp.WENO23, bc=Boundary.PERIODIC):
     return InterpolatedTransport(grid, Interpolator(kind), bc)
 
 
-def _pointwise_shift(grid, kind, bc, f, tau):
-    """Reference: pointwise interpolation of the ghost-extended field at the
-    departure points x - v*tau, one component at a time."""
-    interp = Interpolator(kind)
-    nghost = interp.ghost + int(math.ceil(abs(tau) * grid.vmax / grid.dx)) + 1
+def _reference_shift(grid, kind, bc, f, tau):
+    """Reference: the independent interpolation of conftest, at the departure
+    points x - v*tau of the ghost-extended field, each foot in the extended
+    cell that contains it."""
+    # the widest window reaches 3 nodes past its cell; one more for rounding
+    nghost = 4 + int(math.ceil(abs(tau) * grid.vmax / grid.dx))
     ext = extend_field(f, bc, nghost)
     feet = grid.x[:, None] - grid.v[None, :] * tau
-    x0_ext = grid.x[0] - nghost * grid.dx
-    return np.stack([interp(ext[c], feet, x0=x0_ext, dx=grid.dx) for c in range(f.shape[0])])
+    cell, t = cells((feet - (grid.x[0] - nghost * grid.dx)) / grid.dx)
+    cols = np.arange(grid.n_vel)[:, None]
+    windows = ext[:, cell[..., None] + window_offsets(kind), cols]
+    return reference_interp(kind, windows, t, Interpolator(kind).eps)
 
 
 def test_zero_shift_returns_copy_not_alias():
@@ -48,14 +53,15 @@ def test_zero_shift_returns_copy_not_alias():
 def test_shift_matches_direct_interpolation_on_extended_field():
     """shifted() is interpolation of the ghost-extended field at the departure
     points x - v*tau, for each interpolation kind, up to round-off: the
-    transport takes each column's fraction from j*(dv*tau/dx), the pointwise
-    path from each foot, and the two round differently."""
+    transport takes each column's fraction from j*(dv*tau/dx) and blends in
+    difference form, the reference takes it from each foot and blends
+    Vandermonde polynomials, and the two round differently."""
     grid = PhaseGrid(-1.0, 1.0, 24, 8, 5.0)
     tau = 0.023
     f = _field(grid, ncomp=2, seed=1)
     for kind in KINDS:
         got = _transport(grid, kind).shifted(f, tau)
-        expect = _pointwise_shift(grid, kind, Boundary.PERIODIC, f, tau)
+        expect = _reference_shift(grid, kind, Boundary.PERIODIC, f, tau)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(f))
 
 
@@ -71,16 +77,17 @@ def test_shift_matches_direct_interpolation_on_extended_field():
 )
 def test_shift_matches_pointwise_interpolation_property(kind, bc, nodes, seed):
     """For any kind, boundary and tau (negative, node-aligned, or several
-    domain widths long) transport agrees with pointwise interpolation."""
+    domain widths long) transport agrees with the independent pointwise
+    reference."""
     grid = PhaseGrid(0.0, 1.0, 32, 3, 1.5)
     tau = nodes * grid.dx / grid.dv  # column j moves j*nodes nodes
     # shifts within the lattice tolerance of an integer are snapped to it by
-    # design, which pointwise interpolation does not do
+    # design, which the pointwise reference does not do
     off = [abs(j * nodes - round(j * nodes)) for j in (1, 2, 3)]
     assume(tau != 0.0 and all(d == 0.0 or d > 1e-7 for d in off))
     f = _field(grid, ncomp=2, seed=seed)
     got = _transport(grid, kind, bc).shifted(f, tau)
-    expect = _pointwise_shift(grid, kind, bc, f, tau)
+    expect = _reference_shift(grid, kind, bc, f, tau)
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(f))
 
 
@@ -92,7 +99,14 @@ def _extended_shift(grid, kind, bc, f, tau):
     ext = extend_field(f, bc, nghost)
     r = snap_to_integers(grid.jv * (grid.dv * tau / grid.dx))
     shift = np.floor(-r)
-    plan = interp.plan(ext.shape[1:], nghost + shift.astype(np.int64), -r - shift, rows=grid.n_space)
+    n, ncols = ext.shape[1:]
+    plan = interp.plan(
+        (n, ncols),
+        nghost + shift.astype(np.int64),
+        -r - shift,
+        rows=grid.n_space,
+        source=np.arange(n * ncols).reshape(n, ncols),
+    )
     return plan.apply(ext)
 
 

@@ -1,17 +1,26 @@
-"""Pointwise interpolation kernels: exactness, indicators, plans, robustness."""
+"""Interpolation kernel: indicators and values against an independent
+reference, exactness, non-oscillation, plans and their validation.
+
+Points are given to the kernel as (cell, t) rows of a plan; the reference of
+conftest (Vandermonde stencils, textbook weights, quadrature indicators)
+shares no code with it."""
 import numpy as np
 import pytest
 
 from bgk_sl import ConfigError, Interp
-from bgk_sl.weno import (
-    GHOST_WIDTH,
-    Interpolator,
-    linear_interp,
-    weno23_interp,
-    weno35_interp,
+from bgk_sl.weno import GHOST_WIDTH, Interpolator
+
+from conftest import (
+    cells,
+    fitted_slope,
+    interpolate_at,
+    reference_indicators,
+    reference_interp,
+    smoothness_indicators as _betas,
+    window_offsets,
 )
 
-from conftest import fitted_slope, smoothness_indicators as _betas
+KINDS = (Interp.LINEAR, Interp.WENO23, Interp.WENO35)
 
 
 # ---------------------------------------------------------------------------
@@ -20,34 +29,46 @@ from conftest import fitted_slope, smoothness_indicators as _betas
 # derivatives over the evaluation cell), computed symbolically
 # ---------------------------------------------------------------------------
 def test_beta_quadratic_oracle_values():
-    # left stencil nodes (-1, 0, 1) with values (1, 3, 2)
-    assert _betas(Interp.WENO23, [1.0, 3.0, 2.0, 9.0])[0] == pytest.approx(43.0 / 4.0, rel=1e-15)
-    # right stencil nodes (0, 1, 2) with values (1, 3, 2)
-    assert _betas(Interp.WENO23, [9.0, 1.0, 3.0, 2.0])[1] == pytest.approx(55.0 / 4.0, rel=1e-15)
+    """The kernel's difference-form indicators and the reference's quadrature
+    both give the exact rationals."""
+    for betas in (_betas, reference_indicators):
+        _check_quadratic_betas(betas)
 
 
 def test_beta_cubic_oracle_values():
+    for betas in (_betas, reference_indicators):
+        _check_cubic_betas(betas)
+
+
+def _check_quadratic_betas(betas):
+    # left stencil nodes (-1, 0, 1) with values (1, 3, 2)
+    assert betas(Interp.WENO23, [1.0, 3.0, 2.0, 9.0])[0] == pytest.approx(43.0 / 4.0, rel=1e-15)
+    # right stencil nodes (0, 1, 2) with values (1, 3, 2)
+    assert betas(Interp.WENO23, [9.0, 1.0, 3.0, 2.0])[1] == pytest.approx(55.0 / 4.0, rel=1e-15)
+
+
+def _check_cubic_betas(betas):
     left, centre, right = range(3)
     # right-biased stencil nodes (0, 1, 2, 3) with values (1, 2, 5, 3)
-    assert _betas(Interp.WENO35, [7.0, -4.0, 1.0, 2.0, 5.0, 3.0])[right] == pytest.approx(
+    assert betas(Interp.WENO35, [7.0, -4.0, 1.0, 2.0, 5.0, 3.0])[right] == pytest.approx(
         7823.0 / 90.0, rel=1e-14
     )
     # left-biased stencil nodes (-2, -1, 0, 1) with values (1, 2, 5, 3)
-    assert _betas(Interp.WENO35, [1.0, 2.0, 5.0, 3.0, 7.0, -4.0])[left] == pytest.approx(
+    assert betas(Interp.WENO35, [1.0, 2.0, 5.0, 3.0, 7.0, -4.0])[left] == pytest.approx(
         6094.0 / 45.0, rel=1e-14
     )
     # centered stencil nodes (-1, 0, 1, 2) with values (1, 2, 5, 3)
-    assert _betas(Interp.WENO35, [7.0, 1.0, 2.0, 5.0, 3.0, -4.0])[centre] == pytest.approx(
+    assert betas(Interp.WENO35, [7.0, 1.0, 2.0, 5.0, 3.0, -4.0])[centre] == pytest.approx(
         5813.0 / 90.0, rel=1e-14
     )
     # second data set, (-2, 0, 1, 7) on each stencil's nodes
-    assert _betas(Interp.WENO35, [0.0, 0.0, -2.0, 0.0, 1.0, 7.0])[right] == pytest.approx(
+    assert betas(Interp.WENO35, [0.0, 0.0, -2.0, 0.0, 1.0, 7.0])[right] == pytest.approx(
         3623.0 / 60.0, rel=1e-14
     )
-    assert _betas(Interp.WENO35, [-2.0, 0.0, 1.0, 7.0, 0.0, 0.0])[left] == pytest.approx(
+    assert betas(Interp.WENO35, [-2.0, 0.0, 1.0, 7.0, 0.0, 0.0])[left] == pytest.approx(
         8663.0 / 60.0, rel=1e-14
     )
-    assert _betas(Interp.WENO35, [0.0, -2.0, 0.0, 1.0, 7.0, 0.0])[centre] == pytest.approx(
+    assert betas(Interp.WENO35, [0.0, -2.0, 0.0, 1.0, 7.0, 0.0])[centre] == pytest.approx(
         2663.0 / 60.0, rel=1e-14
     )
 
@@ -85,7 +106,7 @@ def test_weno23_smooth_blend_is_cubic():
     rng = np.random.default_rng(4)
     vals = rng.normal(size=8)
     pts = rng.uniform(2.0, 3.0, 50)  # anchor cell [2, 3]
-    got = weno23_interp(vals, pts, x0=0.0, dx=1.0, eps=1e15)
+    got = interpolate_at(Interpolator(Interp.WENO23, 1e15), vals, *cells(pts))
     expect = _lagrange_eval([1.0, 2.0, 3.0, 4.0], vals[1:5], pts)
     assert np.allclose(got, expect, atol=1e-10)
 
@@ -94,15 +115,29 @@ def test_weno35_smooth_blend_is_quintic():
     rng = np.random.default_rng(5)
     vals = rng.normal(size=9)
     pts = rng.uniform(3.0, 4.0, 50)  # anchor cell [3, 4]
-    got = weno35_interp(vals, pts, x0=0.0, dx=1.0, eps=1e15)
+    got = interpolate_at(Interpolator(Interp.WENO35, 1e15), vals, *cells(pts))
     expect = _lagrange_eval([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vals[1:7], pts)
+    assert np.allclose(got, expect, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", (Interp.WENO23, Interp.WENO35))
+def test_reference_smooth_blend_is_the_window_interpolant(kind):
+    """The reference checks itself: with the indicators flattened, its linear
+    weights blend the candidate polynomials into the interpolant through every
+    node of the window."""
+    rng = np.random.default_rng(14)
+    offsets = window_offsets(kind)
+    windows = rng.normal(size=(50, offsets.size))
+    t = rng.uniform(0.0, 1.0, 50)
+    got = reference_interp(kind, windows, t, 1e15)
+    expect = [_lagrange_eval(offsets, w, x) for w, x in zip(windows, t)]
     assert np.allclose(got, expect, atol=1e-10)
 
 
 def test_linear_interp_exact_on_lines():
     vals = 3.0 - 2.0 * np.arange(6) * 0.5
     pts = np.array([0.1, 0.6, 1.45, 2.3])
-    got = linear_interp(vals, pts, x0=0.0, dx=0.5)
+    got = interpolate_at(Interpolator(Interp.LINEAR), vals, *cells(pts / 0.5))
     assert np.allclose(got, 3.0 - 2.0 * pts, atol=1e-14)
 
 
@@ -111,10 +146,9 @@ def test_node_values_reproduced_exactly():
     kind (all candidate stencil polynomials pass through the shared nodes)."""
     rng = np.random.default_rng(6)
     vals = rng.normal(size=12)
-    nodes = np.arange(12, dtype=float)
-    inner = nodes[3:-4]
-    for fn in (linear_interp, weno23_interp, weno35_interp):
-        got = fn(vals, inner, 0.0, 1.0)
+    inner = np.arange(12)[3:-4]
+    for kind in KINDS:
+        got = interpolate_at(Interpolator(kind), vals, inner, np.zeros(inner.size))
         assert np.allclose(got, vals[3:-4], atol=1e-12)
 
 
@@ -129,12 +163,12 @@ def test_weno_step_data_overshoot_is_tiny():
     step = (nodes > 0.5).astype(float)
     rng = np.random.default_rng(8)
     pts = rng.uniform(0.3, 0.7, 1000)
-    for fn in (weno23_interp, weno35_interp):
-        vals = fn(step, pts, 0.0, dx)
+    for kind in (Interp.WENO23, Interp.WENO35):
+        vals = interpolate_at(Interpolator(kind), step, *cells(pts / dx))
         overshoot = max(vals.max() - 1.0, -vals.min())
         assert overshoot <= 1e-10, overshoot
     # the flattened-indicator (pure high-order) blend does overshoot
-    smooth = weno35_interp(step, pts, 0.0, dx, eps=1e12)
+    smooth = interpolate_at(Interpolator(Interp.WENO35, 1e12), step, *cells(pts / dx))
     assert max(smooth.max() - 1.0, -smooth.min()) > 1e-2
 
 
@@ -142,10 +176,10 @@ def test_weno_step_data_overshoot_is_tiny():
 # refinement slopes of single applications
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "fn,design",
-    [(linear_interp, 2.0), (weno23_interp, 4.0), (weno35_interp, 6.0)],
+    "kind,design",
+    [(Interp.LINEAR, 2.0), (Interp.WENO23, 4.0), (Interp.WENO35, 6.0)],
 )
-def test_single_application_refinement_slopes(fn, design):
+def test_single_application_refinement_slopes(kind, design):
     """One interpolation pass converges at the order of the full stencil
     (smooth data activates the smooth-limit weights): 2, 4 and 6 nodes."""
     rng = np.random.default_rng(42)
@@ -156,7 +190,8 @@ def test_single_application_refinement_slopes(fn, design):
     for n in ns:
         dx = 1.0 / n
         vals = f(np.arange(n + 1) * dx)
-        errs.append(np.max(np.abs(fn(vals, pts, 0.0, dx) - f(pts))))
+        got = interpolate_at(Interpolator(kind), vals, *cells(pts / dx))
+        errs.append(np.max(np.abs(got - f(pts))))
     slope = -fitted_slope(ns, errs)
     assert abs(slope - design) <= 0.75, (slope, errs)
 
@@ -164,63 +199,74 @@ def test_single_application_refinement_slopes(fn, design):
 # ---------------------------------------------------------------------------
 # plans, batching and input validation
 # ---------------------------------------------------------------------------
+def _identity(n_nodes, ncols):
+    """The source plane of a field's own (n_nodes, ncols) nodes."""
+    return np.arange(n_nodes * ncols).reshape(n_nodes, ncols)
+
+
 def test_plan_matches_one_shot_evaluation():
-    """A plan for rigidly shifted rows of points gives, bit for bit, the
-    one-shot pointwise values at those points (one kernel serves both), for
-    every component of a stacked field and on repeated application."""
+    """A plan for rigidly shifted rows of points gives, bit for bit, the values
+    of one-row plans at each row's cells (rows are independent), for every
+    component of a stacked field and on repeated application; and it matches
+    the independent reference at those points."""
     rng = np.random.default_rng(10)
     n_nodes, ncols, rows = 30, 7, 11
     data = rng.normal(size=(2, n_nodes, ncols))
+    source = _identity(n_nodes, ncols)
     cell = rng.integers(3, 15, ncols)
     t = rng.integers(0, 64, ncols) / 64.0  # dyadic: cell + t + i is exact
-    pts = cell[None, :] + t[None, :] + np.arange(rows)[:, None]
-    for kind in (Interp.LINEAR, Interp.WENO23, Interp.WENO35):
+    nodes = cell[None, :] + np.arange(rows)[:, None]  # (rows, ncols) anchor nodes
+    for kind in KINDS:
         interp = Interpolator(kind)
-        plan = interp.plan((n_nodes, ncols), cell, t, rows=rows)
+        plan = interp.plan((n_nodes, ncols), cell, t, rows=rows, source=source)
         got = plan.apply(data)
         assert got.shape == (2, rows, ncols)
-        for comp in range(2):
-            assert np.array_equal(got[comp], interp(data[comp], pts, x0=0.0, dx=1.0))
+        for i in range(rows):
+            one = interp.plan((n_nodes, ncols), cell + i, t, rows=1, source=source)
+            assert np.array_equal(got[:, i : i + 1], one.apply(data))
         assert np.array_equal(plan.apply(data), got)
-        assert np.array_equal(plan.apply(data[1]), got[1])
+        windows = data[:, nodes[..., None] + window_offsets(kind), np.arange(ncols)[:, None]]
+        expect = reference_interp(kind, windows, t, interp.eps)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(data))
 
 
 def test_batch_columns_match_single_columns():
+    """A plan whose columns read different data columns through its source
+    plane gives each data column's one-column values."""
     rng = np.random.default_rng(12)
     data = rng.normal(size=(20, 4))
     pts = rng.uniform(3.0, 16.0, size=(9, 4))
-    batched = weno35_interp(data, pts, 0.0, 1.0)
+    interp = Interpolator(Interp.WENO35)
+    col = np.broadcast_to(np.arange(4), pts.shape).ravel()  # data column of each point
+    source = np.arange(20)[:, None] * 4 + col[None, :]
+    plan = interp.plan((20, 4), *cells(pts.ravel()), rows=1, source=source)
+    batched = plan.apply(data[None])[0, 0].reshape(pts.shape)
     for c in range(4):
-        single = weno35_interp(data[:, c], pts[:, c], 0.0, 1.0)
+        single = interpolate_at(interp, data[:, c], *cells(pts[:, c]))
         assert np.allclose(batched[:, c], single, atol=1e-15)
 
 
 def test_plan_shape_validation():
     interp = Interpolator(Interp.WENO23)
-    plan = interp.plan((20, 2), np.array([10, 10]), np.array([0.5, 0.5]), rows=3)
+    source = _identity(20, 2)
+    half = np.array([0.5, 0.5])
+    plan = interp.plan((20, 2), np.array([10, 10]), half, rows=3, source=source)
     with pytest.raises(ValueError):
-        plan.apply(np.zeros((20, 3)))  # wrong column count
+        plan.apply(np.zeros((1, 20, 3)))  # wrong column count
     with pytest.raises(ValueError):
-        interp.plan((20, 2), np.array([10, 16]), np.array([0.5, 0.5]), rows=3)  # past the end
+        plan.apply(np.zeros((20, 2)))  # no component axis
     with pytest.raises(ValueError):
-        interp.plan((20, 2), np.array([0, 10]), np.array([0.5, 0.5]))  # before the start
+        interp.plan((20, 2), np.array([10, 16]), half, rows=3, source=source)  # past the end
     with pytest.raises(ValueError):
-        interp.plan((20, 2), np.array([10, 10]), np.array([0.5]))  # rows of unequal length
-    source = np.arange(40).reshape(20, 2)
+        interp.plan((20, 2), np.array([0, 10]), half, rows=1, source=source)  # before the start
+    with pytest.raises(ValueError):
+        interp.plan((20, 2), np.array([10, 10]), np.array([0.5]), rows=3, source=source)  # unequal
+    with pytest.raises(ValueError):  # fewer row entries than source columns
+        interp.plan((20, 2), np.array([10]), np.array([0.5]), rows=3, source=source)
     with pytest.raises(ValueError):  # a source index past the data
-        interp.plan((20, 2), np.array([10, 10]), np.array([0.5, 0.5]), rows=3, source=source + 1)
-    with pytest.raises(ValueError):  # windows past the source plane's nodes
-        interp.plan((20, 2), np.array([10, 16]), np.array([0.5, 0.5]), rows=3, source=source)
-
-
-def test_out_of_range_points_rejected():
-    vals = np.zeros(10)
-    for fn in (linear_interp, weno23_interp, weno35_interp):
-        # beyond the last stencil-reachable cell
-        with pytest.raises(ValueError):
-            fn(vals, np.array([11.0]), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            fn(vals, np.array([-2.0]), 0.0, 1.0)
+        interp.plan((20, 2), np.array([10, 10]), half, rows=3, source=source + 1)
+    with pytest.raises(ValueError):  # windows past the source plane's nodes, not the data's
+        interp.plan((20, 2), np.array([10, 14]), half, rows=3, source=source[:18])
 
 
 def test_ghost_width_per_kind():
