@@ -120,15 +120,12 @@ class SchemeConfig:
     boundary: Boundary
     eps: float  # relaxation time (Knudsen number); math.inf disables collisions
     cfl: float = 4.0
-    weno_eps: float = 1e-6
 
     def __post_init__(self):
         if not (self.eps > 0.0):  # also rejects NaN
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if not (0.0 < self.cfl < math.inf) and not self.integrator.is_lattice:
             raise ConfigError(f"cfl must be positive and finite, got {self.cfl}")
-        if not (self.weno_eps > 0.0):
-            raise ConfigError(f"weno_eps must be positive, got {self.weno_eps}")
         if self.integrator.is_lattice:
             if self.interp is not Interp.NONE:
                 raise ConfigError(

@@ -76,6 +76,17 @@ class PhaseGrid:
         return cfl * self.dx / self.vmax
 
 
+# Refusal bound on t_final/dt: far above any run of the tests, the bench or the
+# README (the largest takes about 1e4 steps), far below a march without end.
+MAX_STEPS = 10**7
+
+
+def check_step_count(ratio: float) -> None:
+    """Refuse a step count t_final/dt that is not finite or above MAX_STEPS."""
+    if not ratio <= MAX_STEPS:  # also refuses NaN
+        raise ConfigError(f"t_final/dt = {ratio:.6g} steps; at most {MAX_STEPS} are allowed")
+
+
 @dataclass(frozen=True)
 class TimeControl:
     """Splits [0, t_final] into n_full steps of dt plus an optional shorter last step.
@@ -97,6 +108,7 @@ class TimeControl:
         if not (0.0 <= self.t_final < np.inf):
             raise ConfigError(f"t_final must be >= 0 and finite, got {self.t_final}")
         ratio = self.t_final / self.dt
+        check_step_count(ratio)
         n_round = int(round(ratio))
         if n_round >= 1 and abs(self.t_final - n_round * self.dt) <= self._REL_TOL * self.dt:
             n_full, dt_last = n_round, 0.0

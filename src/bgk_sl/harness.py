@@ -25,7 +25,7 @@ from .config import (
     parse_interp,
 )
 from .errors import ConfigError, NumericalError
-from .grid import PhaseGrid, TimeControl
+from .grid import PhaseGrid, TimeControl, check_step_count
 from .integrators import TimeStepper
 from .lattice import lattice_cfl, lattice_dt
 from .scenarios import load_scenario, make_system
@@ -46,7 +46,6 @@ class RunResult:
     T: np.ndarray
     E: np.ndarray
     meta: dict
-    field: np.ndarray | None = None
 
     def rows(self):
         for i in range(self.x.size):
@@ -72,8 +71,6 @@ def run_case(
     vmax: float | None = None,
     cfl: float | None = None,
     t_final: float | None = None,
-    weno_eps: float = 1e-6,
-    keep_field: bool = False,
 ) -> RunResult:
     """March one configuration to its final time and report the moments."""
     scen = load_scenario(scenario)
@@ -91,7 +88,6 @@ def run_case(
         boundary=boundary,
         eps=eps,
         cfl=cfl_requested,
-        weno_eps=weno_eps,
     )
     if integrator.is_lattice:
         dt = lattice_dt(grid, integrator.lattice_stride)
@@ -125,7 +121,6 @@ def run_case(
         "t_final": t_final,
         "n_steps": control.n_steps,
         "shortened_final_step": control.has_short_step,
-        "weno_eps": weno_eps,
     }
     start = time.perf_counter()
     try:
@@ -151,15 +146,7 @@ def run_case(
             "offlattice_steps": stepper.offlattice_steps,
         }
     )
-    return RunResult(
-        x=grid.x,
-        rho=mom.rho,
-        u=mom.u,
-        T=mom.T,
-        E=mom.E,
-        meta=meta,
-        field=stepper.f if keep_field else None,
-    )
+    return RunResult(x=grid.x, rho=mom.rho, u=mom.u, T=mom.T, E=mom.E, meta=meta)
 
 
 # --------------------------------------------------------------------------
@@ -249,6 +236,7 @@ def convergence_study(
 def admissible_cfl(cfl_requested: float, grid: PhaseGrid, t_final: float) -> tuple[float, int]:
     """Closest CFL to the request for which dt divides t_final exactly."""
     steps_exact = t_final * grid.vmax / (cfl_requested * grid.dx)
+    check_step_count(steps_exact)
     n = max(1, int(round(steps_exact)))
     return t_final * grid.vmax / (n * grid.dx), n
 
@@ -278,12 +266,14 @@ def cfl_sweep(
         raise ConfigError(f"t_final must be >= 0 and finite, got {t_final}")
     # the runs' own grid: dt then divides t_final under an nv or vmax override too
     probe = _phase_grid(scen, nx, run_kwargs.get("nv"), run_kwargs.get("vmax"))
+    cfl_pairs = []
+    for cfl_req in cfl_list:  # every request is refused or adjusted before any run
+        if not (0.0 < cfl_req < math.inf):
+            raise ConfigError(f"CFL values must be positive and finite, got {cfl_req}")
+        cfl_pairs.append((float(cfl_req), admissible_cfl(float(cfl_req), probe, t_final)[0]))
     rows: list[dict] = []
     with _keeping_rows(rows):
-        for cfl_req in cfl_list:
-            if not (0.0 < cfl_req < math.inf):
-                raise ConfigError(f"CFL values must be positive and finite, got {cfl_req}")
-            cfl_act, _ = admissible_cfl(float(cfl_req), probe, t_final)
+        for cfl_req, cfl_act in cfl_pairs:
             coarse, fine = (
                 run_case(
                     scenario,
@@ -297,7 +287,7 @@ def cfl_sweep(
                 for n in (nx, 2 * nx)
             )
             err = refinement_error(coarse, fine, l2_norm)
-            rows.append({"cfl_requested": float(cfl_req), "cfl_actual": cfl_act, "err_l2_rho": err})
+            rows.append({"cfl_requested": cfl_req, "cfl_actual": cfl_act, "err_l2_rho": err})
     return rows
 
 

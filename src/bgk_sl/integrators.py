@@ -19,8 +19,9 @@ in how they form g:
   1, 2(, 3) characteristic lengths upstream; the history is started, and
   restarted after a change of step size, with the DIRK of the same order.
 
-All steps are parameterized over a transport operator (interpolated or
-lattice) and a kinetic system (plain 1V or the reduced 3V pair).
+All steps are parameterized over one transport operator, which gathers
+node-aligned feet exactly and interpolates the others, and a kinetic system
+(plain 1V or the reduced 3V pair).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import numpy as np
 from .config import Integrator, Interp, SchemeConfig
 from .errors import ConfigError, DegenerateStateError, NumericalError
 from .grid import PhaseGrid
-from .lattice import LatticeTransport, conforming_dt
+from .lattice import conforming_dt
 from .moments import relaxation_solve
 from .systems import KineticSystem
 from .transport import InterpolatedTransport
@@ -130,7 +131,7 @@ class StepContext:
 
     grid: PhaseGrid
     system: KineticSystem
-    transport: object  # InterpolatedTransport | LatticeTransport
+    transport: InterpolatedTransport
     eps: float
 
     def foot(self, field, tau):
@@ -206,9 +207,9 @@ def bdf_step(ctx: StepContext, states, dt, order: int):
 # --------------------------------------------------------------------------
 # Time marching with history / lattice bookkeeping
 # --------------------------------------------------------------------------
-# Interpolation used when a lattice scheme must take an off-lattice step
-# (shortened final step) or start a BDF history: order-matched DIRK with a
-# high-order interpolation.
+# Interpolation of a lattice scheme's feet that are not node-aligned: those of
+# an off-lattice step (shortened final step) and of a BDF history's startup,
+# both order-matched DIRKs.
 _OFFLATTICE_INTERP = {1: Interp.LINEAR, 2: Interp.WENO23, 3: Interp.WENO35}
 
 
@@ -216,25 +217,22 @@ class TimeStepper:
     """Advance a distribution field one step at a time.
 
     Owns the running field, the BDF history (invalidated whenever the step
-    size changes, since the multistep feet assume equal spacing) and, for
-    lattice schemes, an interpolated fallback used for any step that is not
-    node-aligned.  Counters expose how many predictor / off-lattice steps
-    were taken.
+    size changes, since the multistep feet assume equal spacing) and one
+    transport, which takes node-aligned feet by exact gather for every
+    scheme.  Counters expose how many predictor / off-lattice steps were
+    taken.
     """
 
     def __init__(self, field0, grid: PhaseGrid, system: KineticSystem, scheme: SchemeConfig):
         self.grid = grid
-        self.system = system
         self.scheme = scheme
         self.f = system.check_field(np.array(field0, dtype=float, copy=True), grid)
         if not np.all(np.isfinite(self.f)):
             raise NumericalError("initial field contains non-finite values")
 
-        if scheme.integrator.is_lattice:
-            transport = LatticeTransport(grid, scheme.boundary)
-        else:
-            interpolator = Interpolator(scheme.interp, scheme.weno_eps)
-            transport = InterpolatedTransport(grid, interpolator, scheme.boundary)
+        integrator = scheme.integrator
+        kind = _OFFLATTICE_INTERP[integrator.order] if integrator.is_lattice else scheme.interp
+        transport = InterpolatedTransport(grid, Interpolator(kind), scheme.boundary)
         self.ctx = StepContext(grid=grid, system=system, transport=transport, eps=scheme.eps)
 
         self.t = 0.0
@@ -243,7 +241,6 @@ class TimeStepper:
         self.offlattice_steps = 0
         self._history: list[np.ndarray] = []
         self._history_dt: float | None = None
-        self._fallback_ctx: StepContext | None = None
 
     # -- public ------------------------------------------------------------
     def step(self, dt: float) -> None:
@@ -278,31 +275,16 @@ class TimeStepper:
         integrator = self.scheme.integrator
         order = integrator.order
         if integrator.is_lattice and not conforming_dt(self.grid, dt, integrator.lattice_stride):
-            # Not node-aligned: order-matched interpolated step, history dropped.
+            # Not node-aligned: the order-matched DIRK on interpolated feet.
             self.offlattice_steps += 1
-            self._history = []
-            self._history_dt = None
-            return dirk_step(self._fallback(), self.f, dt, DIRK_BY_ORDER[order])
+            return dirk_step(self.ctx, self.f, dt, DIRK_BY_ORDER[order])
         if integrator is Integrator.LATTICE_RK2:
             return dirk_step(self.ctx, self.f, dt, LATTICE_RK2_TABLEAU)
         if not integrator.is_multistep:
             return dirk_step(self.ctx, self.f, dt, DIRK_BY_ORDER[order])
         if self._history_dt == dt and len(self._history) >= order - 1:
             return bdf_step(self.ctx, [self.f] + self._history, dt, order)
-        # Same-order DIRK predictor; lattice schemes borrow interpolation.
+        # Same-order DIRK predictor; a lattice scheme interpolates its
+        # stage feet that are not node-aligned.
         self.predictor_steps += 1
-        ctx = self._fallback() if integrator.is_lattice else self.ctx
-        return dirk_step(ctx, self.f, dt, DIRK_BY_ORDER[order])
-
-    def _fallback(self) -> StepContext:
-        if self._fallback_ctx is None:
-            kind = _OFFLATTICE_INTERP[self.scheme.integrator.order]
-            transport = InterpolatedTransport(
-                self.grid,
-                Interpolator(kind, self.scheme.weno_eps),
-                self.scheme.boundary,
-            )
-            self._fallback_ctx = StepContext(
-                grid=self.grid, system=self.system, transport=transport, eps=self.scheme.eps
-            )
-        return self._fallback_ctx
+        return dirk_step(self.ctx, self.f, dt, DIRK_BY_ORDER[order])

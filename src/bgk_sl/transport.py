@@ -1,18 +1,22 @@
-"""Characteristic transport by interpolation at the departure points.
+"""Characteristic transport: the field at the departure points.
 
 One transport application evaluates every component of the field at the
-characteristic feet x_i - v_j * tau.  The stencils reach past the domain by
-the interpolation width plus the largest characteristic overhang (large CFL
+characteristic feet x_i - v_j * tau.  It is the one transport of every time
+stepper, lattice schemes included.  When dv*tau/dx is an integer every foot
+is a grid node, and the call is the exact gather of `LatticeTransport`.  Any
+other tau interpolates; the stencils reach past the domain by the
+interpolation width plus the largest characteristic overhang (large CFL
 steps may sweep past several domain widths; the boundary maps fold
 arbitrarily deep extensions back).
 
 On the uniform grid the feet of velocity column j are the nodes shifted
 rigidly upstream by r_j = j * (dv*tau/dx) nodes: an integer part floor(-r_j)
 and a fraction t_j common to the whole column.  A shift within the lattice
-tolerance of an integer is snapped to it, so node-aligned feet return node
-values exactly.  The plan (per-column shift, fraction and one window index)
-is built once per distinct tau and reused.  To build it, `extend_field`
-extends the field's flat index plane, not the field: the result maps every
+tolerance of an integer is snapped to it, so node-aligned columns return
+node values exactly.  Which of the two serves a tau, and the plan
+(per-column shift, fraction and one window index), are settled once per
+distinct tau and reused.  To build the plan, `extend_field` extends the
+field's flat index plane, not the field: the result maps every
 ghost-extended node onto the field value it copies, boundary map and
 reflective velocity flip included, and is folded into the window index.  A
 call then gathers every window of every component straight from the field,
@@ -27,12 +31,13 @@ import numpy as np
 from .boundaries import extend_field
 from .config import Boundary
 from .grid import PhaseGrid
-from .lattice import snap_to_integers
+from .lattice import LatticeTransport, node_shift, snap_to_integers
 from .weno import Interpolator, InterpPlan
 
 
 class InterpolatedTransport:
-    """Shift fields along characteristics using WENO or linear interpolation."""
+    """Shift fields along characteristics: a node gather on node-aligned feet,
+    WENO or linear interpolation elsewhere."""
 
     _PLAN_CACHE_MAX = 16
 
@@ -40,19 +45,23 @@ class InterpolatedTransport:
         self.grid = grid
         self.interpolator = interpolator
         self.bc = bc
-        self._plans: dict[float, InterpPlan] = {}
+        self._lattice = LatticeTransport(grid, bc)
+        # None marks a node-aligned tau, served by the lattice gather
+        self._plans: dict[float, InterpPlan | None] = {}
 
     def shifted(self, field: np.ndarray, tau: float) -> np.ndarray:
         """Field values at the feet x_i - v_j*tau, shape preserved; a new array."""
-        field = np.asarray(field)
-        if tau == 0.0:
-            return field.copy()
-        return self._plan_for(float(tau)).apply(field)
+        plan = self._plan_for(float(tau))
+        if plan is None:
+            return self._lattice.shifted(field, tau)
+        return plan.apply(np.asarray(field))
 
     # -- internals ---------------------------------------------------------
-    def _plan_for(self, tau: float) -> InterpPlan:
-        plan = self._plans.get(tau)
-        if plan is None:
+    def _plan_for(self, tau: float) -> InterpPlan | None:
+        if tau in self._plans:
+            return self._plans[tau]
+        plan = None
+        if node_shift(self.grid, tau) is None:
             grid = self.grid
             overhang = int(math.ceil(abs(tau) * grid.vmax / grid.dx))
             nghost = self.interpolator.ghost + overhang + 1
@@ -69,7 +78,7 @@ class InterpolatedTransport:
                 rows=grid.n_space,
                 source=source,
             )
-            if len(self._plans) >= self._PLAN_CACHE_MAX:
-                self._plans.pop(next(iter(self._plans)))
-            self._plans[tau] = plan
+        if len(self._plans) >= self._PLAN_CACHE_MAX:
+            self._plans.pop(next(iter(self._plans)))
+        self._plans[tau] = plan
         return plan

@@ -216,16 +216,26 @@ def test_failed_study_flushes_its_own_table(tmp_path, capsys, args, header, n_ro
     assert lines[-1].startswith("# FAILED:")
 
 
+RUN_SMOOTH = ["run", "--scenario", "smooth", "--scheme", "RK2", "--eps", "1", "--nx", "16"]
+RK3_SMOOTH = ["--scenario", "smooth", "--scheme", "RK3", "--eps", "1e-4"]
+
+
 @pytest.mark.parametrize(
-    "flag, value, message",
-    [("--cfl", "inf", "cfl"), ("--tfinal", "inf", "t_final"), ("--tfinal", "nan", "t_final")],
+    "args, message",
+    [
+        pytest.param([*RUN_SMOOTH, "--cfl", "inf"], "cfl", id="--cfl-inf-cfl"),
+        pytest.param([*RUN_SMOOTH, "--tfinal", "inf"], "t_final", id="--tfinal-inf-t_final"),
+        pytest.param([*RUN_SMOOTH, "--tfinal", "nan"], "t_final", id="--tfinal-nan-t_final"),
+        # t_final/dt overflows to inf, or is finite but a march without end
+        pytest.param(["run", *RK3_SMOOTH, "--nx", "10", "--tfinal", "1e300", "--cfl", "1e-300"],
+                     "steps", id="run-overflowing-step-count"),
+        pytest.param([*RUN_SMOOTH, "--tfinal", "1e300"], "steps", id="run-endless-march"),
+        pytest.param(["cfl-sweep", *RK3_SMOOTH, "--cfl", "1e-300", "--tfinal", "0.01"],
+                     "steps", id="cfl-sweep-endless-march"),
+    ],
 )
-def test_nonfinite_cfl_or_final_time_is_config_error(capsys, flag, value, message):
-    code, out, err = _run_inprocess(
-        ["run", "--scenario", "smooth", "--scheme", "RK2", "--eps", "1", "--nx", "16",
-         flag, value],
-        capsys,
-    )
+def test_nonfinite_cfl_or_final_time_is_config_error(capsys, args, message):
+    code, out, err = _run_inprocess(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("config error:") and message in err
     assert len(err.strip().splitlines()) == 1

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from bgk_sl import ConfigError, PhaseGrid, TimeControl
+from bgk_sl.grid import MAX_STEPS
 
 
 def test_space_nodes_span_domain():
@@ -80,3 +81,21 @@ def test_time_control_validation():
     for dt, t_final in ((np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf), (0.1, np.nan)):
         with pytest.raises(ConfigError):
             TimeControl(dt=dt, t_final=t_final)
+
+
+@pytest.mark.parametrize(
+    "dt, t_final",
+    [
+        (1e-300, 1e300),  # t_final/dt overflows to inf: int(round(inf)) would raise
+        (1e-3, 1e300),  # finite, but a march without end
+        (1.0, 2.0 * MAX_STEPS),
+    ],
+)
+def test_time_control_refuses_step_counts_above_the_bound(dt, t_final):
+    with pytest.raises(ConfigError, match="steps"):
+        TimeControl(dt=dt, t_final=t_final)
+
+
+def test_time_control_accepts_the_step_bound_itself():
+    tc = TimeControl(dt=1.0, t_final=float(MAX_STEPS))
+    assert tc.n_steps == MAX_STEPS and not tc.has_short_step

@@ -17,7 +17,6 @@ from bgk_sl import (
     Interp,
     Interpolator,
     LATTICE_RK2_TABLEAU,
-    LatticeTransport,
     Monatomic1V,
     NumericalError,
     PhaseGrid,
@@ -163,12 +162,8 @@ def test_euler_tableau_is_foot_then_relaxation_bitwise(lattice):
     one relaxation over dt, on interpolated and node-aligned transport."""
     rng = np.random.default_rng(35)
     f = _maxwellian_field(1.1, 0.2, 0.9) * rng.uniform(0.9, 1.1, (1, GRID.n_space, GRID.n_vel))
-    if lattice:
-        transport = LatticeTransport(GRID, Boundary.PERIODIC)
-        ctx = StepContext(grid=GRID, system=SYSTEM, transport=transport, eps=0.05)
-        dt = lattice_dt(GRID)
-    else:
-        ctx, dt = _ctx(0.05, kind=Interp.WENO35), 0.03
+    ctx = _ctx(0.05, kind=Interp.WENO35)
+    dt = lattice_dt(GRID) if lattice else 0.03
     assert np.array_equal(dirk_step(ctx, f, dt, EULER_TABLEAU), ctx.relax(ctx.foot(f, dt), dt))
 
 

@@ -219,15 +219,42 @@ def test_pool_scratch_is_sized_by_the_block():
 @pytest.mark.parametrize("bc", BOUNDARIES)
 @pytest.mark.parametrize("kind", KINDS)
 def test_node_aligned_shift_reproduces_node_values_bitwise(kind, bc):
-    """With dv*tau/dx an integer every foot is a node, and every kind returns
-    the node values exactly: the lattice gather's values, bit for bit."""
+    """With dv*tau/dx = m + 1/2 the interpolation plan runs, and the feet of
+    every even velocity column j are nodes, j*(m + 1/2) nodes upstream: every
+    kind returns those node values of the ghost-extended field exactly."""
     grid = PhaseGrid(-1.0, 1.0, 40, 10, 5.0)
     f = _field(grid, ncomp=2, seed=7)
     tr = _transport(grid, kind, bc)
+    even = np.flatnonzero(grid.jv % 2 == 0)
+    for m in (0, 1, -1, 2, 7, -13):
+        nodes = m + 0.5
+        shift = (grid.jv[even] * nodes).astype(np.int64)  # exact: j is even
+        nghost = int(np.abs(shift).max())
+        ext = extend_field(f, bc, nghost)
+        rows = nghost + np.arange(grid.n_space)[:, None] - shift[None, :]
+        got = tr.shifted(f, nodes * grid.dx / grid.dv)
+        assert np.array_equal(got[:, :, even], ext[:, rows, even[None, :]]), m
+
+
+@pytest.mark.parametrize("bc", BOUNDARIES)
+def test_node_aligned_tau_takes_the_lattice_gather(monkeypatch, bc):
+    """With dv*tau/dx an integer every foot is a node: the transport builds
+    no interpolation plan and returns the lattice gather, a fresh array each
+    call."""
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a node-aligned tau built an interpolation plan")
+
+    monkeypatch.setattr(weno.Interpolator, "plan", no_plan)
+    grid = PhaseGrid(-1.0, 1.0, 40, 10, 5.0)
+    f = _field(grid, ncomp=2, seed=7)
+    tr = _transport(grid, Interp.WENO35, bc)
     lattice = LatticeTransport(grid, bc)
-    for m in (1, -1, 2, 7, -13):
+    for m in (0, 1, -1, 2, 7, -13):
         tau = m * grid.dx / grid.dv
-        assert np.array_equal(tr.shifted(f, tau), lattice.shifted(f, tau)), m
+        first, second = tr.shifted(f, tau), tr.shifted(f, tau)
+        assert np.array_equal(first, lattice.shifted(f, tau)), m
+        assert not np.shares_memory(first, f) and not np.shares_memory(first, second)
 
 
 def test_periodic_shift_by_whole_domain_is_identity():
