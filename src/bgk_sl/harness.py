@@ -103,7 +103,7 @@ def run_case(
         f0[:, -1, :] = f0[:, 0, :]  # node nx is the same physical point as node 0
 
     stepper = TimeStepper(f0, grid, system, scheme)
-    del f0  # the stepper marches its own copy; do not hold a second field
+    del f0  # handed over: the stepper holds this array, not a copy
     meta = {
         "scenario": scen.name,
         "model": scen.model,
@@ -264,13 +264,19 @@ def cfl_sweep(
     t_final = float(t_final) if t_final is not None else scen.t_final
     if not (0.0 <= t_final < math.inf):
         raise ConfigError(f"t_final must be >= 0 and finite, got {t_final}")
-    # the runs' own grid: dt then divides t_final under an nv or vmax override too
-    probe = _phase_grid(scen, nx, run_kwargs.get("nv"), run_kwargs.get("vmax"))
+    # the runs' own grids: dt then divides t_final under an nv or vmax override too
+    probe, fine = (
+        _phase_grid(scen, n, run_kwargs.get("nv"), run_kwargs.get("vmax")) for n in (nx, 2 * nx)
+    )
     cfl_pairs = []
     for cfl_req in cfl_list:  # every request is refused or adjusted before any run
         if not (0.0 < cfl_req < math.inf):
             raise ConfigError(f"CFL values must be positive and finite, got {cfl_req}")
-        cfl_pairs.append((float(cfl_req), admissible_cfl(float(cfl_req), probe, t_final)[0]))
+        cfl_act = admissible_cfl(float(cfl_req), probe, t_final)[0]
+        # the fine run takes twice the steps; its TimeControl would refuse it
+        # only after the coarse run has marched
+        check_step_count(t_final / fine.dt_from_cfl(cfl_act))
+        cfl_pairs.append((float(cfl_req), cfl_act))
     rows: list[dict] = []
     with _keeping_rows(rows):
         for cfl_req, cfl_act in cfl_pairs:

@@ -168,13 +168,14 @@ def dirk_step(ctx: StepContext, f, dt, tab: Tableau):
     Stage l gathers the transported start value plus earlier stage fluxes,
     each evaluated at this stage's foot (offset (c_l - c_k)*dt upstream of
     where flux k lives).  The stage flux is recovered without dividing by
-    eps:  K_l = (F_l - g_l)/(a_ll*dt).
+    eps:  K_l = (F_l - g_l)/(a_ll*dt).  Once it is formed, the stage's g and
+    relaxed value are released, so that the next stage's transports run
+    with only f and the earlier fluxes alive.
     """
     nu = tab.stages
     a, c = tab.a, tab.c
     flux_needed = [any(a[m][l] != 0.0 for m in range(l + 1, nu)) for l in range(nu)]
     flux = [None] * nu
-    out = None
     for l in range(nu):
         g = ctx.foot(f, c[l] * dt)
         for k in range(l):
@@ -183,10 +184,12 @@ def dirk_step(ctx: StepContext, f, dt, tab: Tableau):
                 _add_scaled(g, ctx.foot(flux[k], (c[l] - c[k]) * dt), dt * a_lk)
         # With collisions off, relax returns g itself: neither is touched below.
         out = ctx.relax(g, a[l][l] * dt)
+        if l == nu - 1:
+            return out
         if flux_needed[l]:
             flux[l] = np.subtract(out, g)
             flux[l] /= a[l][l] * dt
-    return out
+        del g, out
 
 
 def bdf_step(ctx: StepContext, states, dt, order: int):
@@ -216,17 +219,22 @@ _OFFLATTICE_INTERP = {1: Interp.LINEAR, 2: Interp.WENO23, 3: Interp.WENO35}
 class TimeStepper:
     """Advance a distribution field one step at a time.
 
-    Owns the running field, the BDF history (invalidated whenever the step
-    size changes, since the multistep feet assume equal spacing) and one
-    transport, which takes node-aligned feet by exact gather for every
-    scheme.  Counters expose how many predictor / off-lattice steps were
-    taken.
+    Owns the running field, the BDF history and one transport, which takes
+    node-aligned feet by exact gather for every scheme.  A step of a new
+    size, for any scheme, first drops the history (the multistep feet assume
+    equal spacing) and the transport's plans of the old size, so the step
+    runs without them.  Counters expose how many predictor / off-lattice
+    steps were taken.
+
+    `field0` is taken as it is (`np.asarray`), not copied: the stepper never
+    writes into a field it was given or has returned, so a read-only field0
+    marches, and `f` stays valid after the next step.
     """
 
     def __init__(self, field0, grid: PhaseGrid, system: KineticSystem, scheme: SchemeConfig):
         self.grid = grid
         self.scheme = scheme
-        self.f = system.check_field(np.array(field0, dtype=float, copy=True), grid)
+        self.f = system.check_field(field0, grid)
         if not np.all(np.isfinite(self.f)):
             raise NumericalError("initial field contains non-finite values")
 
@@ -240,13 +248,17 @@ class TimeStepper:
         self.predictor_steps = 0
         self.offlattice_steps = 0
         self._history: list[np.ndarray] = []
-        self._history_dt: float | None = None
+        self._dt: float | None = None
 
     # -- public ------------------------------------------------------------
     def step(self, dt: float) -> None:
         if not (dt > 0.0):
             raise ConfigError(f"step size must be positive, got {dt}")
         integrator = self.scheme.integrator
+        if dt != self._dt:
+            self._history = []
+            self.ctx.transport.clear()
+            self._dt = dt
         try:
             f_new = self._advance(dt)
         except DegenerateStateError as err:
@@ -260,11 +272,7 @@ class TimeStepper:
                 f"(t={self.t + dt:.8g})"
             )
         if integrator.is_multistep:
-            if self._history_dt == dt:
-                self._history = [self.f] + self._history[: integrator.order - 2]
-            else:
-                self._history = [self.f]
-            self._history_dt = dt
+            self._history = [self.f] + self._history[: integrator.order - 2]
         self.f = f_new
         self.t += dt
         self.steps_taken += 1
@@ -282,7 +290,7 @@ class TimeStepper:
             return dirk_step(self.ctx, self.f, dt, LATTICE_RK2_TABLEAU)
         if not integrator.is_multistep:
             return dirk_step(self.ctx, self.f, dt, DIRK_BY_ORDER[order])
-        if self._history_dt == dt and len(self._history) >= order - 1:
+        if len(self._history) >= order - 1:
             return bdf_step(self.ctx, [self.f] + self._history, dt, order)
         # Same-order DIRK predictor; a lattice scheme interpolates its
         # stage feet that are not node-aligned.

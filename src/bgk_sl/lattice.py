@@ -17,11 +17,12 @@ affine in (i, j).  The interior rows nv*|s| <= i < n_space - nv*|s|, whose
 feet all lie inside the domain, are therefore one read-only strided view of
 the C-contiguous field, copied into the result.  Only the 2*nv*|s| edge rows
 go through the boundary map: a scheme sweeps the same few shifts every step
-(1 and 2 for BDF2), so the transport keeps, per shift, one int64 index of the
-edge rows into the flat plane (source node times n_vel plus source column,
-reflective velocity flip folded in) and takes them with it.  When the edges
-cover the whole field that index covers every row and one take serves.  The
-result is a new array that shares no memory with the field or the index.
+(1 and 2 for BDF2), so the transport keeps, per shift and until `clear`, one
+int64 index of the edge rows into the flat plane (source node times n_vel
+plus source column, reflective velocity flip folded in) and takes them with
+it.  When the edges cover the whole field that index covers every row and
+one take serves.  The result is a new array that shares no memory with the
+field or the index.
 """
 from __future__ import annotations
 
@@ -110,6 +111,10 @@ class LatticeTransport:
         out[:, :edge] = edges[:, :edge]
         out[:, -edge:] = edges[:, edge:]
         return out
+
+    def clear(self) -> None:
+        """Forget every edge index built so far."""
+        self._indices.clear()
 
     def _index_for(self, shift: int) -> np.ndarray:
         """Flat source index src*n_vel + col of one shift's edge rows: the first

@@ -15,7 +15,10 @@ and a fraction t_j common to the whole column.  A shift within the lattice
 tolerance of an integer is snapped to it, so node-aligned columns return
 node values exactly.  Which of the two serves a tau, and the plan
 (per-column shift, fraction and one window index), are settled once per
-distinct tau and reused.  To build the plan, `extend_field` extends the
+distinct tau and reused.  Plans live for one step size: a time stepper
+calls `clear` when its step size changes, so a plan of the old size, as
+large as a field, is not held through the steps of the new one (the cache
+bound is only a backstop).  To build the plan, `extend_field` extends the
 field's flat index plane, not the field: the result maps every
 ghost-extended node onto the field value it copies, boundary map and
 reflective velocity flip included, and is folded into the window index.  A
@@ -55,6 +58,11 @@ class InterpolatedTransport:
         if plan is None:
             return self._lattice.shifted(field, tau)
         return plan.apply(np.asarray(field))
+
+    def clear(self) -> None:
+        """Forget every plan and lattice edge index built so far."""
+        self._plans.clear()
+        self._lattice.clear()
 
     # -- internals ---------------------------------------------------------
     def _plan_for(self, tau: float) -> InterpPlan | None:

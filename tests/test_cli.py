@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bgk_sl import harness
 from bgk_sl.cli import main
 
 
@@ -238,6 +239,17 @@ def test_nonfinite_cfl_or_final_time_is_config_error(capsys, args, message):
     code, out, err = _run_inprocess(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("config error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cfl_sweep_fine_run_above_the_step_bound_exits_2_before_any_run(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_case", lambda *a, **kw: calls.append(kw["nx"]))
+    # 6e6 steps at nx = 160, 1.2e7 at nx = 320
+    args = ["cfl-sweep", *RK3_SMOOTH, "--nx", "160", "--cfl", "2,4.2667e-5", "--tfinal", "0.32"]
+    code, out, err = _run_inprocess(args, capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("config error:") and "steps" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -235,6 +235,27 @@ def test_cfl_sweep_probes_the_grid_of_its_runs(monkeypatch):
         assert r.meta["cfl_actual"] == row["cfl_actual"]
 
 
+# smooth at nx = 160 and t_final = 0.32: 6e6 steps, under MAX_STEPS = 1e7 on
+# the coarse grid; the run at 2*nx takes 1.2e7
+FINE_RUN_TOO_LONG = 4.2667e-5
+
+
+def test_cfl_sweep_refuses_a_fine_run_above_the_step_bound_before_any_run(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["nx"])
+        raise AssertionError("run_case called")
+
+    monkeypatch.setattr(harness, "run_case", counting)
+    with pytest.raises(ConfigError, match="steps"):
+        cfl_sweep(
+            "smooth", integrator="RK3", eps=1e-4, cfl_list=[2.0, FINE_RUN_TOO_LONG],
+            nx=160, t_final=0.32,
+        )
+    assert calls == []
+
+
 def test_cost_study_rows():
     rows = cost_study(
         "smooth",

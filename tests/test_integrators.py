@@ -25,9 +25,12 @@ from bgk_sl import (
     SchemeConfig,
     StepContext,
     Tableau,
+    TimeControl,
     TimeStepper,
     bdf_step,
     dirk_step,
+    load_scenario,
+    make_system,
 )
 from bgk_sl import integrators
 from bgk_sl.integrators import RK2_ALPHA, RK3_GAMMA
@@ -277,6 +280,33 @@ def test_steps_equal_textbook_arithmetic_bitwise(eps):
     assert all(np.array_equal(s, k) for s, k in zip(states, saved))
 
 
+@pytest.mark.parametrize(
+    "integrator, interp",
+    [
+        (Integrator.EULER1, Interp.LINEAR),
+        (Integrator.RK3, Interp.WENO35),
+        (Integrator.BDF3, Interp.WENO35),
+        (Integrator.LATTICE_BDF2, Interp.NONE),
+    ],
+    ids=["Euler1", "RK3", "BDF3", "LatBDF2"],
+)
+def test_read_only_start_field_marches_and_is_never_written(integrator, interp):
+    """The stepper holds field0 without a copy, and no step, the shortened
+    last one included, writes into it or into a field it has returned."""
+    f = _maxwellian_field(rho=1.1, u=0.2, T=0.9)
+    f.flags.writeable = False
+    before = f.copy()
+    stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=interp))
+    assert stepper.f is f
+    dt = lattice_dt(GRID)
+    returned = []
+    for dt_k in [dt] * 4 + [0.4 * dt]:
+        stepper.step(dt_k)
+        returned.append((stepper.f, stepper.f.copy()))
+    assert np.array_equal(f, before)
+    assert all(np.array_equal(field, copy) for field, copy in returned)
+
+
 def test_lattice_stepper_counts_offlattice_fallbacks():
     f = _maxwellian_field()
     scheme = _scheme(Integrator.LATTICE_EULER, interp=Interp.NONE)
@@ -408,6 +438,48 @@ def test_relax_allocates_one_field_and_solves_in_place(system):
         tracemalloc.stop()
     assert np.array_equal(out, expect)
     assert peak <= 1.25 * g.nbytes, f"peak {peak / g.nbytes:.2f} field-sizes"
+
+
+def _march_peak(scenario, integrator, interp, nx, t_final=None):
+    """Traced peak of building a TimeStepper on a scenario's start field and
+    marching it to t_final at eps = 1e-6, in sizes of that field."""
+    scen = load_scenario(scenario)
+    system = make_system(scen.model)
+    grid = PhaseGrid(scen.x0, scen.x1, nx, scen.nv, scen.vmax)
+    scheme = SchemeConfig(integrator=integrator, interp=interp, boundary=scen.boundary, eps=1e-6)
+    dt = lattice_dt(grid) if integrator.is_lattice else grid.dt_from_cfl(scen.cfl)
+    control = TimeControl(dt=dt, t_final=scen.t_final if t_final is None else t_final)
+    assert control.has_short_step
+    f0 = system.from_macro(*scen.initial_moments(grid.x, system.dof), grid)
+    size = f0.nbytes
+    tracemalloc.start()
+    try:
+        stepper = TimeStepper(f0, grid, system, scheme)
+        del f0
+        for dt_k in control.steps():
+            stepper.step(dt_k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / size
+
+
+@pytest.mark.parametrize(
+    "scenario, integrator, interp, nx, t_final, bound",
+    [
+        # Measured 8.32 (12.57 when the stepper copied field0 and kept the
+        # history and plans of the old dt through the shortened last step)
+        ("riemann", Integrator.LATTICE_BDF2, Interp.NONE, 800, None, 8.75),
+        # Measured 9.67 (14.11 when it also held each DIRK stage's g and
+        # relaxed value through the next stage's transports)
+        ("riemann-chu", Integrator.RK3, Interp.WENO35, 100, 0.0251, 10.25),
+    ],
+    ids=["LatBDF2", "RK3-weno35"],
+)
+def test_march_peak_holds_only_the_live_fields(scenario, integrator, interp, nx, t_final, bound):
+    """Whole-march traced peak, shortened last step included, in field-sizes."""
+    peak = _march_peak(scenario, integrator, interp, nx, t_final)
+    assert peak <= bound, f"march peak {peak:.2f} field-sizes > {bound}"
 
 
 def test_relax_solves_through_the_module_binding(monkeypatch):
