@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import PhaseGrid
-from .moments import Moments, maxwellian, validate_positive, velocity_moments
+from .moments import Moments, maxwellian_rows, validate_positive, velocity_moments
 from .systems import KineticSystem
 
 
@@ -57,9 +57,8 @@ class ChuReduced3V(KineticSystem):
         return Moments(rho=rho, u=u, T=T, E=E)
 
     def equilibrium(self, mom: Moments, grid: PhaseGrid) -> np.ndarray:
+        """(M1, 2 R T M1): the 1D Maxwellian rows (`maxwellian_rows`), then one scaling."""
         eq = np.empty((2, grid.n_space, grid.n_vel))
-        m1 = maxwellian(
-            mom.rho[:, None], mom.u[:, None], mom.T[:, None], grid.v[None, :], self.R, out=eq[0]
-        )
+        m1 = maxwellian_rows(mom.rho, mom.u, mom.T, grid.velocity_basis, self.R, out=eq[0])
         np.multiply(2.0 * self.R * mom.T[:, None], m1, out=eq[1])
         return eq

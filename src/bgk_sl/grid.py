@@ -11,6 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
+from .moments import velocity_basis
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,15 @@ class PhaseGrid:
         """
         v = self.v
         return np.stack([np.ones_like(v), v, 0.5 * v * v], axis=-1) * self.dv
+
+    @cached_property
+    def velocity_basis(self) -> np.ndarray:
+        """Quadratic basis [1; v; v^2], shape (3, 2*nv+1), C-contiguous.
+
+        One product C @ velocity_basis gives the Maxwellian exponent of every
+        node from its coefficients (see `moments.maxwellian_rows`).
+        """
+        return velocity_basis(self.v)
 
     @property
     def n_space(self) -> int:

@@ -11,6 +11,21 @@ the dot-product bound n * 2^-53 * sum_j |f_j W_j| of the exact sum.
 The midpoint rule is spectrally accurate for velocity profiles that decay
 within [-vmax, vmax], so Maxwellian moments round-trip to machine precision
 on an adequately resolved grid.
+
+The Maxwellian goes the other way on the same idea.  Its logarithm is a
+quadratic in v,
+    ln(rho/sqrt(2 pi R T)) - (v-u)^2/(2 R T) = a + b*v + c*v^2,
+so the rows of every node are exp(C @ B): one product of the per-node
+coefficients C = [a, b, c] with the per-grid basis B = [1; v; v^2]
+(`PhaseGrid.velocity_basis`), then one exp over the contiguous result.
+This is not the textbook expression's operation order, so values differ
+from it at round-off.  Near the peak v = u the three terms are each as large
+as u^2/(2 R T) while their sum is O(1), so a value's relative error grows
+like ulp * (1 + u^2/(R T)): the textbook expression's accuracy at low Mach,
+and at high Mach the digit loss that a raw-moment temperature has (see
+`chu.py`).  Where a value is above 1e-6 of its row's peak, the error stays
+within 32 ulp * (1 + u^2/(R T)) of an extended-precision evaluation
+(tests/test_moments.py); measured 6e-14 over |u| <= 5, R T >= 0.035.
 """
 from __future__ import annotations
 
@@ -48,25 +63,57 @@ def validate_positive(rho: np.ndarray, T: np.ndarray) -> None:
         )
 
 
-def maxwellian(rho, u, T, v, R: float = GAS_CONSTANT, out=None) -> np.ndarray:
-    """Pointwise 1D Maxwellian rho/sqrt(2 pi R T) * exp(-(v-u)^2/(2 R T)).
+def velocity_basis(v) -> np.ndarray:
+    """Quadratic basis [1; v; v^2] of velocity nodes v, shape (3, nv), C-contiguous."""
+    v = np.asarray(v, dtype=float)
+    return np.stack([np.ones_like(v), v, v * v])
 
-    rho, u, T broadcast against v; pass shapes (..., 1) and (nv,) to build
-    rows over a velocity grid.  The result is built in one buffer of the
-    broadcast shape, `out` if given, in the textbook expression's order.
+
+def maxwellian_rows(rho, u, T, basis, R: float = GAS_CONSTANT, out=None) -> np.ndarray:
+    """Maxwellian rows exp(C @ basis) of nodes with parameters rho, u, T.
+
+    rho, u, T are float arrays of one shape S; basis is `velocity_basis` of
+    the nodes (`PhaseGrid.velocity_basis`).  C, of shape S + (3,), holds each node's
+    exponent coefficients a = ln(rho/sqrt(2 pi R T)) - u^2/(2 R T),
+    b = u/(R T) and c = -1/(2 R T).  The result, of shape S + (nv,), goes to
+    `out` if given.  A value's relative error grows like
+    ulp * (1 + u^2/(R T)); see the module docstring.
     """
-    rho = np.asarray(rho, dtype=float)
-    u = np.asarray(u, dtype=float)
-    T = np.asarray(T, dtype=float)
     theta = R * T
-    if out is None:
-        out = np.empty(np.broadcast_shapes(rho.shape, u.shape, T.shape, np.shape(v)))
-    np.subtract(v, u, out=out)
-    np.square(out, out=out)
-    out /= -(2.0 * theta)  # negation is exact: the bits of -(x^2)/(2 theta)
+    coeffs = np.empty(theta.shape + (3,))
+    a, b, c = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
+    np.divide(u, theta, out=b)
+    np.divide(-0.5, theta, out=c)
+    np.multiply(b, u, out=a)
+    a *= -0.5
+    a += np.log(rho / np.sqrt(2.0 * np.pi * theta))
+    out = np.matmul(coeffs, basis, out=out)
     np.exp(out, out=out)
-    out *= rho / np.sqrt(2.0 * np.pi * theta)
     return out
+
+
+def maxwellian(rho, u, T, v, R: float = GAS_CONSTANT, out=None) -> np.ndarray:
+    """1D Maxwellian rho/sqrt(2 pi R T) * exp(-(v-u)^2/(2 R T)) on velocity rows.
+
+    v holds the velocity nodes on its last axis, for example shape (nv,) or
+    (1, nv).  rho, u, T broadcast against v and are constant along that axis:
+    scalars, or shapes (..., 1).  The result has the broadcast shape and is
+    built in one buffer, `out` if given, as `maxwellian_rows` of the
+    parameters, so it carries that function's round-off, which grows like
+    ulp * (1 + u^2/(R T)).  Parameters that vary along v (a Maxwellian at
+    moving feet) raise ValueError; write the pointwise expression there.
+    """
+    v = np.asarray(v, dtype=float)
+    rho, u, T = (np.asarray(p, dtype=float) for p in (rho, u, T))
+    nodes = np.broadcast_shapes(rho.shape, u.shape, T.shape)
+    if v.ndim == 0 or v.size != v.shape[-1] or (nodes and nodes[-1] != 1):
+        raise ValueError(
+            "maxwellian needs velocity nodes on the last axis of v and parameters "
+            f"constant along it; got parameter shape {nodes} and v shape {v.shape}"
+        )
+    rows = np.broadcast_shapes(nodes, v.shape)[:-1]
+    rho, u, T = (np.broadcast_to(p, rows + (1,))[..., 0] for p in (rho, u, T))
+    return maxwellian_rows(rho, u, T, velocity_basis(v.reshape(-1)), R, out=out)
 
 
 def velocity_moments(f, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -305,6 +305,8 @@ def _parse_initial(initial: dict, x0: float, x1: float):
         raise ConfigError("riemann states must be [rho, u, T] triples")
     _check_state("riemann", *left)
     _check_state("riemann", *right)
+    if not math.isfinite(x_jump):
+        raise ConfigError(f"initial 'riemann' block needs a finite x_jump, got x_jump={x_jump}")
     return _riemann_scenario_profile(left, right, x_jump), (left, right, x_jump)
 
 

@@ -15,7 +15,7 @@ from .grid import PhaseGrid
 from .moments import (
     GAS_CONSTANT,
     Moments,
-    maxwellian,
+    maxwellian_rows,
     validate_positive,
     velocity_moments,
 )
@@ -83,7 +83,5 @@ class Monatomic1V(KineticSystem):
         return Moments(rho=rho, u=u, T=T, E=energy)
 
     def equilibrium(self, mom: Moments, grid: PhaseGrid) -> np.ndarray:
-        m = maxwellian(
-            mom.rho[:, None], mom.u[:, None], mom.T[:, None], grid.v[None, :], self.R
-        )
-        return m[None, :, :]
+        """Maxwellian rows of every node: one product and one exp (`maxwellian_rows`)."""
+        return maxwellian_rows(mom.rho, mom.u, mom.T, grid.velocity_basis, self.R)[None]

@@ -333,7 +333,9 @@ def test_weno35_transport_refinement_slope():
             stepper.step(dt)
         foot = grid.x[:, None] - grid.v[None, :] * scen.t_final
         foot = scen.x0 + np.mod(foot - scen.x0, scen.x1 - scen.x0)
-        f_exact = maxwellian(1.0, u0(foot), 1.0, grid.v[None, :])
+        # rho = T = 1 Maxwellian at the feet: its u varies along v, so it is
+        # written pointwise rather than as `maxwellian`'s rows
+        f_exact = np.exp(-((grid.v[None, :] - u0(foot)) ** 2) / 2.0) * (1.0 / np.sqrt(2.0 * np.pi))
         diff = stepper.f[0] - f_exact
         errs.append(float(np.abs(diff[:-1]).sum() * grid.dx * grid.dv))
     slope = -fitted_slope(ns, errs)

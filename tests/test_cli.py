@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config files, CSV output, exit codes."""
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -400,6 +401,9 @@ UNIFORM_SCENARIO = {
                                          "right": [1, 0, 1]}}, "rho > 0"),
         ({**VACUUM_SCENARIO, "initial": {"kind": "riemann", "left": [1, 0, 1],
                                          "right": [1, 0, 0]}}, "riemann"),
+        # json writes NaN, which Python's json reads back
+        ({**VACUUM_SCENARIO, "initial": {**VACUUM_SCENARIO["initial"], "x_jump": math.nan}},
+         "x_jump"),
     ],
 )
 def test_mistyped_scenario_json_is_config_error(tmp_path, capsys, scenario, message):

@@ -1,5 +1,6 @@
 """Bundled scenarios and the custom-scenario loader."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -177,6 +178,25 @@ def test_load_scenario_standalone_validation():
         load_scenario(bad_domain)
     with pytest.raises(ConfigError, match="initial"):
         load_scenario(dict(good, initial="maxwellian"))
+
+
+@pytest.mark.parametrize("x_jump", [math.nan, math.inf, -math.inf])
+def test_load_scenario_refuses_a_non_finite_jump(x_jump):
+    """A NaN jump would put the right state at every node (x < NaN is False)."""
+    initial = {"kind": "riemann", "left": [1.0, 0.0, 1.0], "right": [0.5, 0.0, 0.8]}
+    spec = {
+        "name": "bad-jump",
+        "model": "1v",
+        "domain": [0.0, 1.0],
+        "boundary": "freeflow",
+        "nv": 8,
+        "vmax": 6.0,
+        "cfl": 1.0,
+        "t_final": 0.1,
+        "initial": dict(initial, x_jump=x_jump),
+    }
+    with pytest.raises(ConfigError, match="finite x_jump"):
+        load_scenario(spec)
 
 
 def test_load_scenario_bad_json_file(tmp_path):

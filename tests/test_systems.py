@@ -91,7 +91,7 @@ def _exact_chu_field(grid, seed):
 def test_chu_moments_and_equilibrium_equal_textbook_expressions_bitwise(grid):
     """On exact data the one-product Chu moments equal the textbook
     expressions bit for bit in any summation order, and the equilibrium pair
-    follows the textbook expression's operation order."""
+    is the 1D Maxwellian rows g1 and g2 = 2 R T g1, bit for bit."""
     system = ChuReduced3V()
     f = _exact_chu_field(grid, 44)
     g1, g2 = f
