@@ -1,13 +1,14 @@
 """Semi-Lagrangian discrete-velocity solver for the BGK kinetic equation.
 
 High-order characteristic schemes (implicit Euler, DIRK2/3, BDF2/3) with
-WENO interpolation at the characteristic feet, interpolation-free lattice
-variants, a reduced two-distribution formulation for 3D velocity spaces in
-slab symmetry, and an exact Euler Riemann solver for fluid-limit reference.
+WENO interpolation at the characteristic feet and an exact node gather where
+the feet land on nodes, a reduced two-distribution formulation for 3D
+velocity spaces in slab symmetry, and an exact Euler Riemann solver for
+fluid-limit reference.
 """
 from .boundaries import extend_field, map_nodes
 from .chu import ChuReduced3V
-from .config import Boundary, Integrator, Interp, SchemeConfig, default_interp
+from .config import SCHEMES, Boundary, Integrator, Interp, SchemeConfig
 from .errors import ConfigError, DegenerateStateError, NumericalError
 from .grid import PhaseGrid, TimeControl
 from .harness import (
@@ -35,7 +36,7 @@ from .integrators import (
     dirk_step,
 )
 from .lattice import LatticeTransport, lattice_cfl, lattice_dt
-from .moments import Moments, maxwellian, relaxation_solve, velocity_moments
+from .moments import Moments, relaxation_solve, velocity_moments
 from .riemann import GasState, RiemannSolution, riemann_profile
 from .scenarios import SCENARIOS, Scenario, load_scenario, make_system
 from .systems import KineticSystem, Monatomic1V

@@ -24,6 +24,7 @@ import sys
 
 import numpy as np
 
+from .config import SCHEMES, Boundary, Interp
 from .errors import ConfigError, NumericalError
 from .harness import (
     DEFAULT_CFL_SWEEP,
@@ -78,11 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="bundled scenario name or scenario JSON file")
         p.add_argument(
             "--scheme",
-            help="integrator: Euler1|RK2|RK3|BDF2|BDF3|LatEuler|LatBDF2|LatBDF3|LatRK2"
+            help="integrator: " + "|".join(SCHEMES)
             + (" (comma-separated list)" if name == "cost" else ""),
         )
-        p.add_argument("--interp", help="interpolation: linear|weno23|weno35|none")
-        p.add_argument("--bc", help="boundary: periodic|reflective|freeflow")
+        p.add_argument("--interp", help="interpolation: " + "|".join(m.value for m in Interp))
+        p.add_argument("--bc", help="boundary: " + "|".join(m.value for m in Boundary))
         p.add_argument("--eps", help="relaxation time (Knudsen number)"
                        + (", comma-separated list" if name == "converge" else ""))
         p.add_argument("--nx", help="space intervals" + (

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    SCHEMES,
     Boundary,
     Integrator,
     Interp,
     SchemeConfig,
-    default_interp,
     parse_boundary,
-    parse_integrator,
     parse_interp,
+    parse_scheme,
 )
 from .errors import ConfigError, NumericalError
 from .grid import PhaseGrid, TimeControl, check_step_count
@@ -31,9 +31,15 @@ from .lattice import lattice_cfl, lattice_dt
 from .scenarios import load_scenario, make_system
 
 
-def scheme_label(integrator: Integrator, interp: Interp) -> str:
-    suffix = {Interp.LINEAR: "Lin", Interp.WENO23: "W23", Interp.WENO35: "W35", Interp.NONE: ""}
-    return f"{integrator.value}{suffix[interp]}"
+def scheme_label(scheme: str | Integrator, interp: Interp) -> str:
+    """The scheme token with an interpolation suffix; a lattice token run with
+    its own interpolation is named by the token alone."""
+    token = parse_scheme(scheme)
+    _, default, stride = SCHEMES[token]
+    if stride is not None and interp is default:
+        return token
+    suffix = {Interp.LINEAR: "Lin", Interp.WENO23: "W23", Interp.WENO35: "W35"}
+    return f"{token}{suffix[interp]}"
 
 
 @dataclass
@@ -72,29 +78,30 @@ def run_case(
     cfl: float | None = None,
     t_final: float | None = None,
 ) -> RunResult:
-    """March one configuration to its final time and report the moments."""
+    """March one configuration to its final time and report the moments.
+
+    `integrator` is a `SCHEMES` token: a lattice token marches at its lattice
+    step and ignores `cfl`.
+    """
     scen = load_scenario(scenario)
-    integrator = parse_integrator(integrator)
-    interp = parse_interp(interp) if interp is not None else default_interp(integrator)
+    token = parse_scheme(integrator)
+    base, default, stride = SCHEMES[token]
+    interp = parse_interp(interp) if interp is not None else default
     boundary = parse_boundary(boundary) if boundary is not None else scen.boundary
     cfl_requested = float(cfl) if cfl is not None else scen.cfl
     t_final = float(t_final) if t_final is not None else scen.t_final
 
     grid = _phase_grid(scen, nx, nv, vmax)
     system = make_system(scen.model)
-    scheme = SchemeConfig(
-        integrator=integrator,
-        interp=interp,
-        boundary=boundary,
-        eps=eps,
-        cfl=cfl_requested,
-    )
-    if integrator.is_lattice:
-        dt = lattice_dt(grid, integrator.lattice_stride)
-        cfl_actual = lattice_cfl(grid, integrator.lattice_stride)
-    else:
+    scheme = SchemeConfig(integrator=base, interp=interp, boundary=boundary, eps=eps)
+    if stride is None:
+        if not (0.0 < cfl_requested < math.inf):
+            raise ConfigError(f"cfl must be positive and finite, got {cfl_requested}")
         dt = grid.dt_from_cfl(cfl_requested)
         cfl_actual = cfl_requested
+    else:
+        dt = lattice_dt(grid, stride)
+        cfl_actual = lattice_cfl(grid, stride)
     control = TimeControl(dt=dt, t_final=t_final)
 
     rho0, u0, T0 = scen.initial_moments(grid.x, system.dof)
@@ -107,8 +114,8 @@ def run_case(
     meta = {
         "scenario": scen.name,
         "model": scen.model,
-        "scheme": scheme_label(integrator, interp),
-        "integrator": integrator.value,
+        "scheme": scheme_label(token, interp),
+        "integrator": token,
         "interp": interp.value,
         "boundary": boundary.value,
         "eps": eps,
@@ -143,7 +150,8 @@ def run_case(
             "wall_seconds": wall,
             "steps_taken": stepper.steps_taken,
             "predictor_steps": stepper.predictor_steps,
-            "offlattice_steps": stepper.offlattice_steps,
+            # a lattice run's shortened last step is its one step off the lattice
+            "offlattice_steps": int(stride is not None and control.has_short_step),
         }
     )
     return RunResult(x=grid.x, rho=mom.rho, u=mom.u, T=mom.T, E=mom.E, meta=meta)
@@ -257,8 +265,8 @@ def cfl_sweep(
     divides the final time exactly (the published cfl_actual column), so
     every run finishes with uniform steps on both grids.
     """
-    integrator = parse_integrator(integrator)
-    if integrator.is_lattice:
+    token = parse_scheme(integrator)
+    if SCHEMES[token][2] is not None:
         raise ConfigError("the CFL of a lattice scheme is fixed; sweep needs interpolation")
     scen = load_scenario(scenario)
     t_final = float(t_final) if t_final is not None else scen.t_final
@@ -283,7 +291,7 @@ def cfl_sweep(
             coarse, fine = (
                 run_case(
                     scenario,
-                    integrator=integrator,
+                    integrator=token,
                     eps=eps,
                     nx=n,
                     cfl=cfl_act,

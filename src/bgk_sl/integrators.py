@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Integrator, Interp, SchemeConfig
+from .config import Integrator, SchemeConfig
 from .errors import ConfigError, DegenerateStateError, NumericalError
 from .grid import PhaseGrid
-from .lattice import conforming_dt
 from .moments import relaxation_solve
 from .systems import KineticSystem
 from .transport import InterpolatedTransport
@@ -104,15 +103,21 @@ RK3_TABLEAU = Tableau(
 )
 
 # A-stable 2-stage method whose abscissas are thirds: on a lattice with
-# dv*dt = 3*dx all its stage offsets are node-aligned.
+# dv*dt = 3*dx all its stage offsets are node-aligned.  Second order at any dt.
 LATTICE_RK2_TABLEAU = Tableau(
     a=((1.0 / 3.0, 0.0), (3.0 / 4.0, 1.0 / 4.0)),
     c=(1.0 / 3.0, 1.0),
 )
 
-# The DIRK of each order: the step of Euler1, RK2 and RK3, the startup of a BDF
-# history, and a lattice scheme's off-lattice step.
-DIRK_BY_ORDER = {1: EULER_TABLEAU, 2: RK2_TABLEAU, 3: RK3_TABLEAU}
+# The DIRK of each integrator: its step, or the same-order startup of a BDF history.
+DIRK_TABLEAU = {
+    Integrator.EULER1: EULER_TABLEAU,
+    Integrator.RK2: RK2_TABLEAU,
+    Integrator.RK3: RK3_TABLEAU,
+    Integrator.BDF2: RK2_TABLEAU,
+    Integrator.BDF3: RK3_TABLEAU,
+    Integrator.LATTICE_RK2: LATTICE_RK2_TABLEAU,
+}
 
 # BDF history weights (feet at 1, 2(, 3) characteristic lengths upstream)
 # and the relaxation coefficient of the implicit current-time term.
@@ -208,14 +213,8 @@ def bdf_step(ctx: StepContext, states, dt, order: int):
 
 
 # --------------------------------------------------------------------------
-# Time marching with history / lattice bookkeeping
+# Time marching with history bookkeeping
 # --------------------------------------------------------------------------
-# Interpolation of a lattice scheme's feet that are not node-aligned: those of
-# an off-lattice step (shortened final step) and of a BDF history's startup,
-# both order-matched DIRKs.
-_OFFLATTICE_INTERP = {1: Interp.LINEAR, 2: Interp.WENO23, 3: Interp.WENO35}
-
-
 class TimeStepper:
     """Advance a distribution field one step at a time.
 
@@ -223,8 +222,8 @@ class TimeStepper:
     node-aligned feet by exact gather for every scheme.  A step of a new
     size, for any scheme, first drops the history (the multistep feet assume
     equal spacing) and the transport's plans of the old size, so the step
-    runs without them.  Counters expose how many predictor / off-lattice
-    steps were taken.
+    runs without them.  A counter exposes how many BDF predictor steps were
+    taken.
 
     `field0` is taken as it is (`np.asarray`), not copied: the stepper never
     writes into a field it was given or has returned, so a read-only field0
@@ -238,15 +237,12 @@ class TimeStepper:
         if not np.all(np.isfinite(self.f)):
             raise NumericalError("initial field contains non-finite values")
 
-        integrator = scheme.integrator
-        kind = _OFFLATTICE_INTERP[integrator.order] if integrator.is_lattice else scheme.interp
-        transport = InterpolatedTransport(grid, Interpolator(kind), scheme.boundary)
+        transport = InterpolatedTransport(grid, Interpolator(scheme.interp), scheme.boundary)
         self.ctx = StepContext(grid=grid, system=system, transport=transport, eps=scheme.eps)
 
         self.t = 0.0
         self.steps_taken = 0
         self.predictor_steps = 0
-        self.offlattice_steps = 0
         self._history: list[np.ndarray] = []
         self._dt: float | None = None
 
@@ -279,20 +275,12 @@ class TimeStepper:
 
     # -- internals -----------------------------------------------------------
     def _advance(self, dt):
-        """The new field after one step of dt from self.f."""
+        """The new field after one step of dt from self.f: a one-step DIRK, or a
+        BDF step, with the same-order DIRK as predictor until the history
+        holds order - 1 equally spaced states."""
         integrator = self.scheme.integrator
-        order = integrator.order
-        if integrator.is_lattice and not conforming_dt(self.grid, dt, integrator.lattice_stride):
-            # Not node-aligned: the order-matched DIRK on interpolated feet.
-            self.offlattice_steps += 1
-            return dirk_step(self.ctx, self.f, dt, DIRK_BY_ORDER[order])
-        if integrator is Integrator.LATTICE_RK2:
-            return dirk_step(self.ctx, self.f, dt, LATTICE_RK2_TABLEAU)
-        if not integrator.is_multistep:
-            return dirk_step(self.ctx, self.f, dt, DIRK_BY_ORDER[order])
-        if len(self._history) >= order - 1:
-            return bdf_step(self.ctx, [self.f] + self._history, dt, order)
-        # Same-order DIRK predictor; a lattice scheme interpolates its
-        # stage feet that are not node-aligned.
-        self.predictor_steps += 1
-        return dirk_step(self.ctx, self.f, dt, DIRK_BY_ORDER[order])
+        if integrator.is_multistep:
+            if len(self._history) >= integrator.order - 1:
+                return bdf_step(self.ctx, [self.f] + self._history, dt, integrator.order)
+            self.predictor_steps += 1
+        return dirk_step(self.ctx, self.f, dt, DIRK_TABLEAU[integrator])

@@ -1,14 +1,12 @@
-"""Interpolation-free (lattice) transport.
+"""Exact transport of node-aligned characteristic feet: an integer gather.
 
 When the time step satisfies dv*dt = stride*dx for an integer stride, every
 characteristic foot x_i - v_j*(m*dt/stride) with integer m lands exactly on a
 grid node: the foot of velocity index j is j*m nodes away.  Transport then
 becomes an exact integer gather (no interpolation, no numerical diffusion),
 at the price of tying the time step to the grids: the effective CFL number is
-stride*nv.
-
-stride = 1 serves the first-order and BDF lattice schemes; the lattice RK2
-scheme uses stride = 3 so that its stage offsets dt/3 and 2*dt/3 are also
+stride*nv.  The Lat* scheme tokens march at this step (`config.SCHEMES`):
+stride 1, or 3 for LatRK2, whose stage offsets dt/3 and 2*dt/3 are then also
 node-aligned.
 
 Under a shift s, row i of velocity column j reads node i - jv_j*s, whose
@@ -60,11 +58,6 @@ def node_shift(grid: PhaseGrid, tau: float) -> int | None:
     """Nodes per unit velocity index swept in time tau, or None if off-lattice."""
     r = float(snap_to_integers(tau * grid.dv / grid.dx))
     return int(r) if r.is_integer() else None
-
-
-def conforming_dt(grid: PhaseGrid, dt: float, stride: int = 1) -> bool:
-    """True when all stage offsets (multiples of dt/stride) are node-aligned."""
-    return node_shift(grid, dt / stride) is not None
 
 
 class LatticeTransport:

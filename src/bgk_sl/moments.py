@@ -92,30 +92,6 @@ def maxwellian_rows(rho, u, T, basis, R: float = GAS_CONSTANT, out=None) -> np.n
     return out
 
 
-def maxwellian(rho, u, T, v, R: float = GAS_CONSTANT, out=None) -> np.ndarray:
-    """1D Maxwellian rho/sqrt(2 pi R T) * exp(-(v-u)^2/(2 R T)) on velocity rows.
-
-    v holds the velocity nodes on its last axis, for example shape (nv,) or
-    (1, nv).  rho, u, T broadcast against v and are constant along that axis:
-    scalars, or shapes (..., 1).  The result has the broadcast shape and is
-    built in one buffer, `out` if given, as `maxwellian_rows` of the
-    parameters, so it carries that function's round-off, which grows like
-    ulp * (1 + u^2/(R T)).  Parameters that vary along v (a Maxwellian at
-    moving feet) raise ValueError; write the pointwise expression there.
-    """
-    v = np.asarray(v, dtype=float)
-    rho, u, T = (np.asarray(p, dtype=float) for p in (rho, u, T))
-    nodes = np.broadcast_shapes(rho.shape, u.shape, T.shape)
-    if v.ndim == 0 or v.size != v.shape[-1] or (nodes and nodes[-1] != 1):
-        raise ValueError(
-            "maxwellian needs velocity nodes on the last axis of v and parameters "
-            f"constant along it; got parameter shape {nodes} and v shape {v.shape}"
-        )
-    rows = np.broadcast_shapes(nodes, v.shape)[:-1]
-    rho, u, T = (np.broadcast_to(p, rows + (1,))[..., 0] for p in (rho, u, T))
-    return maxwellian_rows(rho, u, T, velocity_basis(v.reshape(-1)), R, out=out)
-
-
 def velocity_moments(f, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Midpoint-rule (rho, momentum, energy) over the trailing velocity axis.
 

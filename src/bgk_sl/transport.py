@@ -2,8 +2,8 @@
 
 One transport application evaluates every component of the field at the
 characteristic feet x_i - v_j * tau.  It is the one transport of every time
-stepper, lattice schemes included.  When dv*tau/dx is an integer every foot
-is a grid node, and the call is the exact gather of `LatticeTransport`.  Any
+stepper, at any step size.  When dv*tau/dx is an integer every foot is a
+grid node, and the call is the exact gather of `LatticeTransport`.  Any
 other tau interpolates; the stencils reach past the domain by the
 interpolation width plus the largest characteristic overhang (large CFL
 steps may sweep past several domain widths; the boundary maps fold

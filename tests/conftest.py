@@ -5,7 +5,7 @@ import numpy as np
 from numpy.polynomial import legendre, polynomial
 
 from bgk_sl import ChuReduced3V, Interp, Monatomic1V, PhaseGrid
-from bgk_sl.moments import maxwellian
+from bgk_sl.moments import maxwellian_rows, velocity_basis
 from bgk_sl.weno import GHOST_WIDTH, Workspace, _differences, _indicators
 
 
@@ -130,8 +130,9 @@ def mixture_row(v: np.ndarray, parts) -> np.ndarray:
     single Maxwellian unless only one part is given.
     """
     row = np.zeros_like(v)
+    basis = velocity_basis(v)
     for w, rho, u, T in parts:
-        row = row + w * maxwellian(rho, u, T, v)
+        row = row + w * maxwellian_rows(*np.array([rho, u, T]), basis)
     return row
 
 
@@ -147,8 +148,9 @@ def uniform_mixture_field(system, grid: PhaseGrid, parts) -> np.ndarray:
     f[0] = row
     if system.n_components == 2:
         row2 = np.zeros_like(grid.v)
+        basis = velocity_basis(grid.v)
         for w, rho, u, T in parts:
-            row2 = row2 + w * 2.0 * system.R * T * maxwellian(rho, u, T, grid.v)
+            row2 = row2 + w * 2.0 * system.R * T * maxwellian_rows(*np.array([rho, u, T]), basis)
         f[1] = row2
     return f
 

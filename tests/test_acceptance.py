@@ -23,6 +23,7 @@ from bgk_sl import (
     Interpolator,
     Monatomic1V,
     PhaseGrid,
+    SCHEMES,
     SchemeConfig,
     TimeControl,
     TimeStepper,
@@ -30,10 +31,14 @@ from bgk_sl import (
     convergence_study,
     l1_norm,
     lattice_dt,
+    load_scenario,
+    make_system,
     riemann_profile,
     run_case,
 )
-from bgk_sl.moments import maxwellian, relaxation_solve
+from bgk_sl import harness
+from bgk_sl import transport as transport_module
+from bgk_sl.moments import maxwellian_rows, relaxation_solve, velocity_basis
 
 from conftest import (
     cells,
@@ -46,14 +51,16 @@ from conftest import (
 MACHINE_EPS = np.finfo(float).eps
 
 
-def _all_scheme_combos():
-    """Every integrator with every interpolation it accepts."""
+def _all_scheme_combos(grid):
+    """(integrator, interpolation, dt) of every scheme token: a lattice token
+    with its own interpolation at its lattice step, every other token with
+    every interpolation at CFL 4."""
     combos = []
-    for integ in Integrator:
-        if integ.is_lattice:
-            combos.append((integ, Interp.NONE))
+    for integ, default, stride in SCHEMES.values():
+        if stride is not None:
+            combos.append((integ, default, lattice_dt(grid, stride)))
         else:
-            combos.extend((integ, ip) for ip in (Interp.LINEAR, Interp.WENO23, Interp.WENO35))
+            combos.extend((integ, ip, grid.dt_from_cfl(4.0)) for ip in Interp)
     return combos
 
 
@@ -62,17 +69,16 @@ def _all_scheme_combos():
 # ---------------------------------------------------------------------------
 def test_equilibrium_preservation():
     """100 steps on a uniform global Maxwellian leave (rho, u, T) unchanged
-    to 1e-12, for every integrator x interpolation x kinetic system and for
+    to 1e-12, for every scheme token x interpolation x kinetic system and for
     eps in {1, 1e-6}."""
     grid = PhaseGrid(-1.0, 1.0, 16, 20, 10.0)
     worst = 0.0
-    for (integ, ip), eps, system in itertools.product(
-        _all_scheme_combos(), (1.0, 1e-6), (Monatomic1V(), ChuReduced3V())
+    for (integ, ip, dt), eps, system in itertools.product(
+        _all_scheme_combos(grid), (1.0, 1e-6), (Monatomic1V(), ChuReduced3V())
     ):
         scheme = SchemeConfig(integrator=integ, interp=ip, boundary=Boundary.PERIODIC, eps=eps)
         f0 = system.from_macro(1.0, 0.0, 1.0, grid)
         stepper = TimeStepper(f0, grid, system, scheme)
-        dt = lattice_dt(grid, integ.lattice_stride) if integ.is_lattice else grid.dt_from_cfl(4.0)
         for _ in range(100):
             stepper.step(dt)
         mom = system.moments(stepper.f, grid)
@@ -102,13 +108,13 @@ def test_relaxation_solve_conserves_moments():
     for system in (Monatomic1V(), ChuReduced3V()):
         f = np.zeros((system.n_components, grid.n_space, grid.n_vel))
         for _ in range(3):
-            rho = rng.uniform(0.5, 2.0, grid.n_space)[:, None]
-            u = rng.uniform(-0.3, 0.3, grid.n_space)[:, None]
-            T = rng.uniform(0.75, 1.1, grid.n_space)[:, None]
-            m1 = maxwellian(rho, u, T, grid.v[None, :])
+            rho = rng.uniform(0.5, 2.0, grid.n_space)
+            u = rng.uniform(-0.3, 0.3, grid.n_space)
+            T = rng.uniform(0.75, 1.1, grid.n_space)
+            m1 = maxwellian_rows(rho, u, T, velocity_basis(grid.v))
             f[0] += m1
             if system.n_components == 2:
-                f[1] += 2.0 * system.R * T * m1
+                f[1] += 2.0 * system.R * T[:, None] * m1
         for tau in (0.0, 1.0, 1e6):
             before = system.moments(f, grid)
             m_eq = system.equilibrium(before, grid)
@@ -146,8 +152,7 @@ def test_time_integrator_ode_orders():
         m_eq = system.equilibrium(system.moments(f0, grid), grid)
         errs = []
         for dt in dts:
-            ip = Interp.NONE if integrator.is_lattice else Interp.WENO23
-            scheme = SchemeConfig(integrator=integrator, interp=ip,
+            scheme = SchemeConfig(integrator=integrator, interp=Interp.WENO23,
                                   boundary=Boundary.PERIODIC, eps=eps)
             stepper = TimeStepper(f0, grid, system, scheme)
             for _ in range(int(round(t_final / dt))):
@@ -165,12 +170,13 @@ def test_time_integrator_ode_orders():
         (Integrator.BDF2, 2),
         (Integrator.RK3, 3),
         (Integrator.BDF3, 3),
+        (Integrator.LATTICE_RK2, 2),  # the thirds tableau, off the lattice
     ):
         slope, errs = slope_for(integrator, grid, dts, t_final)
         assert abs(slope - design) <= 0.2, f"{integrator.value}: slope {slope:.3f}, errs {errs}"
 
-    # the interpolation-free RK2 variant needs node-aligned steps:
-    # dt = 3 m dx/dv, halving m keeps every stage offset on the lattice
+    # LatRK2 at its lattice steps dt = 3 m dx/dv: halving m keeps every
+    # stage offset on the lattice
     grid_lat = PhaseGrid(0.0, 1.0, 600, 20, 10.0)  # 3*dx/dv = 0.01
     dts_lat = [0.01 * m for m in (16, 8, 4, 2, 1)]
     slope, errs = slope_for(Integrator.LATTICE_RK2, grid_lat, dts_lat, t_final=0.8)
@@ -334,7 +340,7 @@ def test_weno35_transport_refinement_slope():
         foot = grid.x[:, None] - grid.v[None, :] * scen.t_final
         foot = scen.x0 + np.mod(foot - scen.x0, scen.x1 - scen.x0)
         # rho = T = 1 Maxwellian at the feet: its u varies along v, so it is
-        # written pointwise rather than as `maxwellian`'s rows
+        # written pointwise rather than as `maxwellian_rows`
         f_exact = np.exp(-((grid.v[None, :] - u0(foot)) ** 2) / 2.0) * (1.0 / np.sqrt(2.0 * np.pi))
         diff = stepper.f[0] - f_exact
         errs.append(float(np.abs(diff[:-1]).sum() * grid.dx * grid.dv))
@@ -345,10 +351,24 @@ def test_weno35_transport_refinement_slope():
 # ---------------------------------------------------------------------------
 # 8. lattice transport is the exact limit of interpolated transport
 # ---------------------------------------------------------------------------
-def test_lattice_matches_interpolated_on_aligned_steps():
+# The base scheme each lattice token is at the lattice step dt = dx/dv.
+LATTICE_BASES = {
+    "LatEuler": (Integrator.EULER1, Interp.LINEAR),
+    "LatBDF2": (Integrator.BDF2, Interp.WENO23),
+    "LatBDF3": (Integrator.BDF3, Interp.WENO35),
+}
+
+
+def test_lattice_matches_interpolated_on_aligned_steps(monkeypatch):
     """When dv*dt = dx every characteristic foot is a grid node, so the
-    lattice first-order scheme and the interpolated one with linear
-    interpolation agree to 1e-13 at every step."""
+    lattice first-order scheme (exact gathers) and the same scheme with every
+    foot interpolated linearly agree to 1e-13 at every step.
+
+    And a lattice token is its base scheme at the lattice step: LatEuler,
+    LatBDF2 and LatBDF3 run by `run_case` end on the field of Euler1 + linear,
+    BDF2 + weno23 and BDF3 + weno35 marched at dt = lattice_dt(grid), bit for
+    bit, on the four non-trivial bundled scenarios at eps 1e-2 and 1e-6 and
+    nx = 80, shortened last steps included (24 cases)."""
     grid = PhaseGrid(-1.0, 1.0, 64, 12, 6.0)
     system = Monatomic1V()
     x = grid.x
@@ -356,16 +376,45 @@ def test_lattice_matches_interpolated_on_aligned_steps():
         1.0 + 0.2 * np.sin(np.pi * x), 0.3 * np.exp(-8 * x**2), 1.0 + 0.1 * np.cos(np.pi * x), grid
     )
     f0[:, -1, :] = f0[:, 0, :]
-    dt = lattice_dt(grid, 1)
-    steppers = []
-    for integ, ip in ((Integrator.LATTICE_EULER, Interp.NONE), (Integrator.EULER1, Interp.LINEAR)):
-        scheme = SchemeConfig(integrator=integ, interp=ip, boundary=Boundary.PERIODIC, eps=0.01)
-        steppers.append(TimeStepper(f0, grid, system, scheme))
+    integ, ip, stride = SCHEMES["LatEuler"]
+    dt = lattice_dt(grid, stride)
+    scheme = SchemeConfig(integrator=integ, interp=ip, boundary=Boundary.PERIODIC, eps=0.01)
+    lattice, interpolated = (TimeStepper(f0, grid, system, scheme) for _ in range(2))
     for _ in range(5):
-        for st in steppers:
-            st.step(dt)
-        diff = np.max(np.abs(steppers[0].f - steppers[1].f))
+        lattice.step(dt)
+        with monkeypatch.context() as patch:  # no foot counts as node-aligned
+            patch.setattr(transport_module, "node_shift", lambda grid, tau: None)
+            interpolated.step(dt)
+        diff = np.max(np.abs(lattice.f - interpolated.f))
         assert diff <= 1e-13, diff
+
+    marched = []
+
+    class Recording(TimeStepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            marched.append(self)
+
+    monkeypatch.setattr(harness, "TimeStepper", Recording)
+    shortened = 0
+    for name, eps, (token, (integ, ip)) in itertools.product(
+        ("smooth", "riemann", "riemann-chu", "smooth-chu"), (1e-2, 1e-6), LATTICE_BASES.items()
+    ):
+        res = run_case(name, integrator=token, eps=eps, nx=80)
+        scen = load_scenario(name)
+        system = make_system(scen.model)
+        grid = PhaseGrid(scen.x0, scen.x1, 80, scen.nv, scen.vmax)
+        f0 = system.from_macro(*scen.initial_moments(grid.x, system.dof), grid)
+        if scen.boundary is Boundary.PERIODIC:
+            f0[:, -1, :] = f0[:, 0, :]
+        scheme = SchemeConfig(integrator=integ, interp=ip, boundary=scen.boundary, eps=eps)
+        stepper = TimeStepper(f0, grid, system, scheme)
+        for dt in TimeControl(dt=lattice_dt(grid), t_final=scen.t_final).steps():
+            stepper.step(dt)
+        assert res.meta["dt"] == lattice_dt(grid)
+        assert np.array_equal(marched[-1].f, stepper.f), (name, eps, token)
+        shortened += res.meta["shortened_final_step"]
+    assert len(marched) == 24 and shortened > 0
 
 
 def test_lattice_pure_transport_is_exact_index_shift():
@@ -375,10 +424,10 @@ def test_lattice_pure_transport_is_exact_index_shift():
     rng = np.random.default_rng(7)
     f0 = rng.uniform(0.5, 2.0, size=(1, grid.n_space, grid.n_vel))
     f0[:, -1, :] = f0[:, 0, :]
-    scheme = SchemeConfig(integrator=Integrator.LATTICE_EULER, interp=Interp.NONE,
-                          boundary=Boundary.PERIODIC, eps=math.inf)
+    integ, ip, stride = SCHEMES["LatEuler"]
+    scheme = SchemeConfig(integrator=integ, interp=ip, boundary=Boundary.PERIODIC, eps=math.inf)
     stepper = TimeStepper(f0, grid, Monatomic1V(), scheme)
-    stepper.step(lattice_dt(grid, 1))
+    stepper.step(lattice_dt(grid, stride))
     expect = np.empty_like(f0)
     for j, jv in enumerate(grid.jv):
         src = (np.arange(grid.n_space) - jv) % grid.nx
@@ -424,7 +473,7 @@ def test_optimal_cfl_decreases_with_interpolation_order():
 def test_l_stability_probe():
     """One step with dt/eps = 1e6 from a far-from-equilibrium state ends
     within 1e-5 relative moment-weighted distance of the target Maxwellian,
-    for every integrator."""
+    for every scheme token."""
     grid = PhaseGrid(0.0, 1.0, 16, 20, 10.0)
     system = Monatomic1V()
     f0 = uniform_mixture_field(
@@ -433,15 +482,14 @@ def test_l_stability_probe():
     target = system.equilibrium(system.moments(f0, grid), grid)
     weight = 1.0 + grid.v**2
     wnorm = float((np.abs(target[0]) * weight).sum())
-    for integ in Integrator:
-        dt = lattice_dt(grid, integ.lattice_stride) if integ.is_lattice else 1.0
-        ip = Interp.NONE if integ.is_lattice else Interp.WENO23
+    for token, (integ, default, stride) in SCHEMES.items():
+        dt, ip = (lattice_dt(grid, stride), default) if stride else (1.0, Interp.WENO23)
         scheme = SchemeConfig(integrator=integ, interp=ip,
                               boundary=Boundary.PERIODIC, eps=dt / 1e6)
         stepper = TimeStepper(f0, grid, system, scheme)
         stepper.step(dt)
         dist = float((np.abs(stepper.f[0] - target[0]) * weight).sum()) / wnorm
-        assert dist <= 1e-5, f"{integ.value}: distance {dist:.3e}"
+        assert dist <= 1e-5, f"{token}: distance {dist:.3e}"
 
 
 # ---------------------------------------------------------------------------

@@ -116,15 +116,44 @@ def test_unknown_scheme_is_config_error(capsys):
     assert code == 2 and "config error:" in err
 
 
-def test_lattice_with_interp_is_config_error(capsys):
+def test_lattice_with_interp_runs_its_integrator_with_that_interp(tmp_path, capsys):
+    """--scheme LatEuler --interp weno23 is Euler1 + weno23 at the lattice step."""
+    out = tmp_path / "lat.csv"
     code, _, err = _run_inprocess(
         [
             "run", "--scenario", "smooth", "--scheme", "LatEuler", "--interp", "weno23",
-            "--eps", "1", "--nx", "16", "--tfinal", "0.02",
+            "--eps", "1", "--nx", "16", "--tfinal", "0.02", "--seed-meta", "--out", str(out),
         ],
         capsys,
     )
-    assert code == 2 and "interpolation-free" in err
+    assert code == 0, err
+    comments, header, rows = _read_csv(out)
+    assert "# interp=weno23" in comments and "# scheme=LatEulerW23" in comments
+    assert "# cfl_actual=20" in comments
+    assert header == ["x", "rho", "u", "T", "E"] and len(rows) == 17
+
+
+def test_interp_none_is_unknown(capsys):
+    code, _, err = _run_inprocess(
+        [
+            "run", "--scenario", "smooth", "--scheme", "LatEuler", "--interp", "none",
+            "--eps", "1", "--nx", "16",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err.splitlines() == [
+        "config error: unknown interpolation 'none' (choose one of linear|weno23|weno35)"
+    ]
+
+
+def test_help_lists_every_scheme_token_and_interpolation(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = capsys.readouterr().out
+    assert "Euler1|RK2|RK3|BDF2|BDF3|LatEuler|LatBDF2|LatBDF3|LatRK2" in out
+    assert "interpolation: linear|weno23|weno35\n" in out and "|none" not in out
 
 
 def test_config_file_fills_unset_flags(tmp_path, capsys):

@@ -18,6 +18,7 @@ from bgk_sl import (
     refinement_error,
     restrict,
     run_case,
+    lattice_dt,
     scheme_label,
 )
 from bgk_sl import harness
@@ -83,7 +84,11 @@ def test_scheme_labels():
     assert scheme_label(Integrator.RK2, Interp.WENO23) == "RK2W23"
     assert scheme_label(Integrator.BDF3, Interp.WENO35) == "BDF3W35"
     assert scheme_label(Integrator.EULER1, Interp.LINEAR) == "Euler1Lin"
-    assert scheme_label(Integrator.LATTICE_BDF2, Interp.NONE) == "LatBDF2"
+    assert scheme_label(Integrator.LATTICE_RK2, Interp.WENO23) == "LatRK2"
+    # a lattice token run with its own interpolation is named by the token alone
+    assert scheme_label("LatBDF2", Interp.WENO23) == "LatBDF2"
+    assert scheme_label("LatBDF3", Interp.WENO35) == "LatBDF3"
+    assert scheme_label("LatEuler", Interp.WENO23) == "LatEulerW23"
 
 
 def test_run_case_metadata_and_profiles():
@@ -119,7 +124,24 @@ def test_run_case_lattice_overrides_cfl():
     # lattice CFL is nv regardless of the scenario's requested CFL
     assert res.meta["cfl_actual"] == 20.0
     assert res.meta["dt"] == pytest.approx(res.meta["cfl_actual"] * 0.02 / 10.0)
-    assert res.meta["interp"] == "none"
+    assert res.meta["interp"] == "linear"  # the interpolation LatEuler runs with
+
+
+@pytest.mark.parametrize(
+    "token, t_final, steps",
+    [
+        ("LatEuler", 0.1, (0, 1)),  # dt = dx/dv = 0.04: two steps and a shortened one
+        ("LatBDF2", 0.1, (2, 1)),  # the shortened step is also a BDF restart
+        ("LatBDF2", 0.08, (1, 0)),
+        ("BDF2", 0.1, (2, 0)),  # dt = 4*dx/vmax = 0.008 at cfl 4: 12 steps and a short one
+    ],
+    ids=["LatEuler", "LatBDF2", "LatBDF2-aligned", "BDF2"],
+)
+def test_run_case_books_a_lattice_runs_shortened_step_as_offlattice(token, t_final, steps):
+    """meta counts (predictor_steps, offlattice_steps): a lattice token's
+    shortened last step is its one step off the lattice."""
+    res = run_case("smooth", integrator=token, eps=1e-2, nx=100, t_final=t_final)
+    assert (res.meta["predictor_steps"], res.meta["offlattice_steps"]) == steps
 
 
 def test_run_case_rejects_bad_tokens():
@@ -129,8 +151,20 @@ def test_run_case_rejects_bad_tokens():
         run_case("smooth", integrator="RK2", interp="cubic", eps=1e-2, nx=16)
     with pytest.raises(ConfigError):
         run_case("nowhere", integrator="RK2", eps=1e-2, nx=16)
-    with pytest.raises(ConfigError):
-        run_case("smooth", integrator="LatEuler", interp="weno23", eps=1e-2, nx=16)
+    with pytest.raises(ConfigError, match="unknown interpolation"):
+        run_case("smooth", integrator="LatEuler", interp="none", eps=1e-2, nx=16)
+
+
+def test_lattice_token_with_interp_runs_its_integrator_at_the_lattice_step():
+    """An explicit interpolation on a lattice token serves the feet that are
+    not node-aligned: LatEuler + weno23 is Euler1 + weno23 at dt = dx/dv."""
+    res = run_case("smooth", integrator="LatEuler", interp="weno23", eps=1e-2, nx=16,
+                   t_final=0.3)
+    grid = PhaseGrid(-1.0, 1.0, 16, 20, 10.0)
+    assert res.meta["dt"] == lattice_dt(grid)
+    assert res.meta["interp"] == "weno23" and res.meta["scheme"] == "LatEulerW23"
+    assert res.meta["offlattice_steps"] == 1 and res.meta["shortened_final_step"]
+    assert np.all(res.rho > 0) and np.all(res.T > 0)
 
 
 def test_convergence_study_row_structure():

@@ -22,6 +22,7 @@ from bgk_sl import (
     PhaseGrid,
     RK2_TABLEAU,
     RK3_TABLEAU,
+    SCHEMES,
     SchemeConfig,
     StepContext,
     Tableau,
@@ -286,7 +287,7 @@ def test_steps_equal_textbook_arithmetic_bitwise(eps):
         (Integrator.EULER1, Interp.LINEAR),
         (Integrator.RK3, Interp.WENO35),
         (Integrator.BDF3, Interp.WENO35),
-        (Integrator.LATTICE_BDF2, Interp.NONE),
+        SCHEMES["LatBDF2"][:2],
     ],
     ids=["Euler1", "RK3", "BDF3", "LatBDF2"],
 )
@@ -307,52 +308,40 @@ def test_read_only_start_field_marches_and_is_never_written(integrator, interp):
     assert all(np.array_equal(field, copy) for field, copy in returned)
 
 
-def test_lattice_stepper_counts_offlattice_fallbacks():
-    f = _maxwellian_field()
-    scheme = _scheme(Integrator.LATTICE_EULER, interp=Interp.NONE)
-    stepper = TimeStepper(f, GRID, SYSTEM, scheme)
-    dt = lattice_dt(GRID)
-    stepper.step(dt)
-    assert stepper.offlattice_steps == 0
-    stepper.step(0.37 * dt)  # node-misaligned: interpolated fallback
-    assert stepper.offlattice_steps == 1
-    stepper.step(dt)
-    assert stepper.offlattice_steps == 1
-    assert stepper.steps_taken == 3
-
-
 @pytest.mark.parametrize(
-    "integrator, kind, tab",
+    "token, kind, tab",
     [
-        (Integrator.LATTICE_EULER, Interp.LINEAR, EULER_TABLEAU),
-        (Integrator.LATTICE_BDF2, Interp.WENO23, RK2_TABLEAU),
-        (Integrator.LATTICE_BDF3, Interp.WENO35, RK3_TABLEAU),
-        (Integrator.LATTICE_RK2, Interp.WENO23, RK2_TABLEAU),
+        ("LatEuler", Interp.LINEAR, EULER_TABLEAU),
+        ("LatBDF2", Interp.WENO23, RK2_TABLEAU),
+        ("LatBDF3", Interp.WENO35, RK3_TABLEAU),
+        ("LatRK2", Interp.WENO23, LATTICE_RK2_TABLEAU),
     ],
     ids=["LatEuler", "LatBDF2", "LatBDF3", "LatRK2"],
 )
-def test_offlattice_step_is_order_matched_interpolated_dirk(integrator, kind, tab):
-    """A step that is not node-aligned is the DIRK of the scheme's order on
-    an interpolation of matching order, bit for bit."""
+def test_offlattice_step_is_order_matched_interpolated_dirk(token, kind, tab):
+    """A lattice token's step that is not node-aligned is the DIRK of its
+    integrator (a BDF history's same-order startup; LatRK2's thirds tableau)
+    on the interpolation of matching order, bit for bit."""
+    integrator, interp, stride = SCHEMES[token]
+    assert interp is kind
     rng = np.random.default_rng(36)
     f = _maxwellian_field(1.1, 0.05, 1.0) * rng.uniform(0.9, 1.1, (1, GRID.n_space, GRID.n_vel))
-    stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=Interp.NONE, eps=0.2))
-    dt = 0.37 * lattice_dt(GRID, integrator.lattice_stride)
+    stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=interp, eps=0.2))
+    dt = 0.37 * lattice_dt(GRID, stride)
     stepper.step(dt)
-    assert stepper.offlattice_steps == 1 and stepper.predictor_steps == 0
+    assert stepper.predictor_steps == int(integrator.is_multistep)
     assert np.array_equal(stepper.f, dirk_step(_ctx(0.2, kind=kind), f, dt, tab))
 
 
 def test_lattice_bdf_startup_borrows_interpolation():
     f = _maxwellian_field(rho=1.1, u=0.05, T=1.0)
-    scheme = _scheme(Integrator.LATTICE_BDF2, interp=Interp.NONE)
-    stepper = TimeStepper(f, GRID, SYSTEM, scheme)
-    dt = lattice_dt(GRID)
+    integrator, interp, stride = SCHEMES["LatBDF2"]
+    stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=interp))
+    dt = lattice_dt(GRID, stride)
     stepper.step(dt)  # startup predictor (interpolated DIRK2)
     assert stepper.predictor_steps == 1
     stepper.step(dt)  # true lattice BDF2 step
     assert stepper.predictor_steps == 1
-    assert stepper.offlattice_steps == 0
 
 
 def test_degenerate_state_reports_step_context():
@@ -440,14 +429,15 @@ def test_relax_allocates_one_field_and_solves_in_place(system):
     assert peak <= 1.25 * g.nbytes, f"peak {peak / g.nbytes:.2f} field-sizes"
 
 
-def _march_peak(scenario, integrator, interp, nx, t_final=None):
+def _march_peak(scenario, integrator, interp, stride, nx, t_final=None):
     """Traced peak of building a TimeStepper on a scenario's start field and
-    marching it to t_final at eps = 1e-6, in sizes of that field."""
+    marching it to t_final at eps = 1e-6, in sizes of that field; a lattice
+    stride marches at the lattice step."""
     scen = load_scenario(scenario)
     system = make_system(scen.model)
     grid = PhaseGrid(scen.x0, scen.x1, nx, scen.nv, scen.vmax)
     scheme = SchemeConfig(integrator=integrator, interp=interp, boundary=scen.boundary, eps=1e-6)
-    dt = lattice_dt(grid) if integrator.is_lattice else grid.dt_from_cfl(scen.cfl)
+    dt = lattice_dt(grid, stride) if stride else grid.dt_from_cfl(scen.cfl)
     control = TimeControl(dt=dt, t_final=scen.t_final if t_final is None else t_final)
     assert control.has_short_step
     f0 = system.from_macro(*scen.initial_moments(grid.x, system.dof), grid)
@@ -465,20 +455,22 @@ def _march_peak(scenario, integrator, interp, nx, t_final=None):
 
 
 @pytest.mark.parametrize(
-    "scenario, integrator, interp, nx, t_final, bound",
+    "scenario, integrator, interp, stride, nx, t_final, bound",
     [
         # Measured 8.32 (12.57 when the stepper copied field0 and kept the
         # history and plans of the old dt through the shortened last step)
-        ("riemann", Integrator.LATTICE_BDF2, Interp.NONE, 800, None, 8.75),
+        ("riemann", *SCHEMES["LatBDF2"], 800, None, 8.75),
         # Measured 9.67 (14.11 when it also held each DIRK stage's g and
         # relaxed value through the next stage's transports)
-        ("riemann-chu", Integrator.RK3, Interp.WENO35, 100, 0.0251, 10.25),
+        ("riemann-chu", Integrator.RK3, Interp.WENO35, None, 100, 0.0251, 10.25),
     ],
     ids=["LatBDF2", "RK3-weno35"],
 )
-def test_march_peak_holds_only_the_live_fields(scenario, integrator, interp, nx, t_final, bound):
+def test_march_peak_holds_only_the_live_fields(
+    scenario, integrator, interp, stride, nx, t_final, bound
+):
     """Whole-march traced peak, shortened last step included, in field-sizes."""
-    peak = _march_peak(scenario, integrator, interp, nx, t_final)
+    peak = _march_peak(scenario, integrator, interp, stride, nx, t_final)
     assert peak <= bound, f"march peak {peak:.2f} field-sizes > {bound}"
 
 

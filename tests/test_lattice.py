@@ -1,10 +1,10 @@
-"""Node-aligned (interpolation-free) transport and its step arithmetic."""
+"""Node-aligned transport (the exact gather) and its step arithmetic."""
 import numpy as np
 import pytest
 
 from bgk_sl import Boundary, ConfigError, LatticeTransport, PhaseGrid, lattice_cfl, lattice_dt
 from bgk_sl.boundaries import map_nodes
-from bgk_sl.lattice import conforming_dt, node_shift
+from bgk_sl.lattice import node_shift
 
 
 GRID = PhaseGrid(0.0, 1.0, 20, 5, 2.5)  # dx = 0.05, dv = 0.5
@@ -37,14 +37,10 @@ def test_node_shift_detects_alignment():
     assert node_shift(GRID, dt * (1 + 1e-6)) is None
     # tiny float noise on an aligned step is forgiven
     assert node_shift(GRID, dt * (1 + 1e-12)) == 1
-
-
-def test_conforming_dt_checks_stage_offsets():
-    dt = lattice_dt(GRID)
-    assert conforming_dt(GRID, dt, stride=1)
-    assert not conforming_dt(GRID, dt, stride=3)  # dt/3 is off-lattice
-    assert conforming_dt(GRID, 3 * dt, stride=3)
-    assert conforming_dt(GRID, lattice_dt(GRID, 3), stride=3)
+    # the thirds stage offsets of the stride-3 lattice step are node-aligned
+    dt3 = lattice_dt(GRID, 3)
+    assert [node_shift(GRID, c * dt3) for c in (1 / 3, 2 / 3, 1)] == [1, 2, 3]
+    assert node_shift(GRID, dt / 3) is None
 
 
 def _rand_field(grid, seed):

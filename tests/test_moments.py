@@ -6,9 +6,10 @@ import pytest
 
 from bgk_sl import DegenerateStateError, PhaseGrid
 from bgk_sl.moments import (
-    maxwellian,
+    maxwellian_rows,
     relaxation_solve,
     validate_positive,
+    velocity_basis,
     velocity_moments,
 )
 
@@ -22,7 +23,7 @@ def test_maxwellian_moments_round_trip(grid):
     """Midpoint-rule moments of a resolved Maxwellian reproduce (rho, u, E)
     to near machine precision (spectral accuracy of the midpoint rule)."""
     rho0, u0, T0 = 1.3, 0.4, 0.9
-    f = maxwellian(rho0, u0, T0, grid.v)
+    f = maxwellian_rows(*np.array([rho0, u0, T0]), velocity_basis(grid.v))
     rho, mom, energy = velocity_moments(f, grid.moment_weights)
     assert rho == pytest.approx(rho0, abs=1e-14)
     assert mom == pytest.approx(rho0 * u0, abs=1e-14)
@@ -30,13 +31,14 @@ def test_maxwellian_moments_round_trip(grid):
 
 
 def test_maxwellian_broadcasting(grid):
-    rho = np.array([1.0, 2.0])[:, None]
-    u = np.array([0.0, 0.3])[:, None]
-    T = np.array([1.0, 0.8])[:, None]
-    rows = maxwellian(rho, u, T, grid.v[None, :])
+    rho = np.array([1.0, 2.0])
+    u = np.array([0.0, 0.3])
+    T = np.array([1.0, 0.8])
+    basis = velocity_basis(grid.v)
+    rows = maxwellian_rows(rho, u, T, basis)
     assert rows.shape == (2, grid.n_vel)
-    assert np.allclose(rows[0], maxwellian(1.0, 0.0, 1.0, grid.v))
-    assert np.allclose(rows[1], maxwellian(2.0, 0.3, 0.8, grid.v))
+    assert np.allclose(rows[0], maxwellian_rows(*np.array([1.0, 0.0, 1.0]), basis))
+    assert np.allclose(rows[1], maxwellian_rows(*np.array([2.0, 0.3, 0.8]), basis))
 
 
 def test_velocity_moments_constant_data():
@@ -113,26 +115,20 @@ def test_maxwellian_agrees_with_textbook_expression(grid):
     round-off."""
     rho, u, T, _ = _nonequilibrium_rows(grid, 41)
     v = grid.v[None, :]
+    basis = velocity_basis(grid.v)
     eps = np.finfo(float).eps
     for R in (1.0, 0.7):
         theta = R * T
         expect = rho / np.sqrt(2.0 * np.pi * theta) * np.exp(-((v - u) ** 2) / (2.0 * theta))
-        got = maxwellian(rho, u, T, v, R)
+        got = maxwellian_rows(rho[:, 0], u[:, 0], T[:, 0], basis, R)
         ulps = eps * (1.0 + u**2 / theta)
         peak = expect.max(axis=-1, keepdims=True)
         bulk = expect > 1e-6 * peak
         assert np.all((np.abs(got - expect) <= 32.0 * ulps * expect)[bulk])
         assert np.all(np.abs(got - expect) <= 4.0 * ulps * peak)
         out = np.empty(expect.shape)
-        assert maxwellian(rho, u, T, v, R, out=out) is out
+        assert maxwellian_rows(rho[:, 0], u[:, 0], T[:, 0], basis, R, out=out) is out
         assert np.array_equal(out, got)
-    # rho broadcasting wider than v - u still gets a buffer of the full shape
-    assert maxwellian(rho, 0.0, 1.0, grid.v).shape == (grid.n_space, grid.n_vel)
-
-
-def test_maxwellian_refuses_parameters_that_vary_along_v(grid):
-    with pytest.raises(ValueError, match="constant along"):
-        maxwellian(1.0, grid.v, 1.0, grid.v)
 
 
 @pytest.mark.skipif(
@@ -163,7 +159,7 @@ def test_maxwellian_round_off_against_extended_precision(umax, Tmin, Tmax, k_bul
     rho = rng.uniform(0.1, 2.0, (n, 1))
     u = rng.uniform(-umax, umax, (n, 1))
     T = rng.uniform(Tmin, Tmax, (n, 1))
-    got = maxwellian(rho, u, T, grid.v[None, :], R)
+    got = maxwellian_rows(rho[:, 0], u[:, 0], T[:, 0], velocity_basis(grid.v), R)
     L = np.longdouble
     theta = L(R) * T.astype(L)
     pec = grid.v.astype(L)[None, :] - u.astype(L)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from bgk_sl import ChuReduced3V, DegenerateStateError, Monatomic1V, PhaseGrid
-from bgk_sl.moments import maxwellian
+from bgk_sl.moments import maxwellian_rows, velocity_basis
 
 
 @pytest.fixture
@@ -103,7 +103,7 @@ def test_chu_moments_and_equilibrium_equal_textbook_expressions_bitwise(grid):
     mom = system.moments(f, grid)
     assert np.array_equal(mom.rho, rho) and np.array_equal(mom.u, u)
     assert np.array_equal(mom.T, T)
-    m1 = maxwellian(rho[:, None], u[:, None], T[:, None], v[None, :], system.R)
+    m1 = maxwellian_rows(rho, u, T, velocity_basis(v), system.R)
     eq = system.equilibrium(mom, grid)
     assert np.array_equal(eq, np.stack([m1, 2.0 * system.R * T[:, None] * m1]))
 

@@ -274,4 +274,4 @@ def test_ghost_width_per_kind():
     assert GHOST_WIDTH[Interp.WENO23] == 2
     assert GHOST_WIDTH[Interp.WENO35] == 3
     with pytest.raises(ConfigError):
-        Interpolator(Interp.NONE)
+        Interpolator("weno23")  # a token, not an Interp
