@@ -55,9 +55,16 @@ def snap_to_integers(r):
 
 
 def node_shift(grid: PhaseGrid, tau: float) -> int | None:
-    """Nodes per unit velocity index swept in time tau, or None if off-lattice."""
+    """Nodes per unit velocity index swept in time tau, or None if off-lattice.
+
+    Aligned means every column's shift jv*r snaps to an integer, not only r:
+    the absolute tolerance near zero would otherwise call a tiny tau aligned
+    while the fastest columns' shifts stay off-lattice."""
     r = float(snap_to_integers(tau * grid.dv / grid.dx))
-    return int(r) if r.is_integer() else None
+    if not r.is_integer():
+        return None
+    columns = snap_to_integers(grid.jv * (grid.dv * tau / grid.dx))
+    return int(r) if np.array_equal(columns, grid.jv * r) else None
 
 
 class LatticeTransport:

@@ -37,7 +37,15 @@ def test_node_shift_detects_alignment():
     assert node_shift(GRID, dt * (1 + 1e-6)) is None
     # tiny float noise on an aligned step is forgiven
     assert node_shift(GRID, dt * (1 + 1e-12)) == 1
-    # the thirds stage offsets of the stride-3 lattice step are node-aligned
+    # a shift inside the tolerance of zero at jv = 1 but not at jv = nv
+    assert node_shift(GRID, 1e-9 * dt) is None
+    assert node_shift(GRID, 1e-11 * dt) == 0
+
+
+def test_conforming_dt_checks_stage_offsets():
+    """The stage offsets dt/3 and 2*dt/3 of the stride-3 lattice step are
+    node-aligned; those of the stride-1 step are not."""
+    dt = lattice_dt(GRID)
     dt3 = lattice_dt(GRID, 3)
     assert [node_shift(GRID, c * dt3) for c in (1 / 3, 2 / 3, 1)] == [1, 2, 3]
     assert node_shift(GRID, dt / 3) is None
