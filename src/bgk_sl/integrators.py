@@ -132,16 +132,34 @@ BDF_WEIGHTS = {
 # --------------------------------------------------------------------------
 @dataclass
 class StepContext:
-    """Everything a single step needs: grids, physics, transport, stiffness."""
+    """Everything a single step needs: grids, physics, transport, stiffness,
+    and the transport buffers its steps gather into (see `foot`), which the
+    context owns until `clear`."""
 
     grid: PhaseGrid
     system: KineticSystem
     transport: InterpolatedTransport
     eps: float
 
-    def foot(self, field, tau):
-        """The field at the feet over tau: a new array the caller may modify."""
-        return self.transport.shifted(field, tau)
+    def __post_init__(self):
+        self._buffers: dict[int, np.ndarray] = {}
+
+    def foot(self, field, tau, slot: int):
+        """The field at the feet over tau, in the context's transport buffer
+        `slot`, allocated on first use and held until `clear`.
+
+        The caller may scale and add into the result until the next foot into
+        the same slot, but must never return it as a step's new field.
+        """
+        out = self._buffers.get(slot)
+        if out is None or out.shape != np.shape(field):
+            out = self._buffers[slot] = np.empty(np.shape(field))
+        return self.transport.shifted(field, tau, out=out)
+
+    def clear(self) -> None:
+        """Drop the transport buffers and the transport's plans."""
+        self._buffers.clear()
+        self.transport.clear()
 
     def relax(self, g, coeff_dt):
         """Implicit relaxation of g over an effective time coeff_dt.
@@ -158,13 +176,15 @@ class StepContext:
 
 
 def _add_scaled(g, h, scale):
-    """g += scale*h in place, scaling h in place: h must be a scratch array.
-
-    Called with a fresh transport result, which dies on return instead of
-    staying alive in the caller through the relaxation that follows.
-    """
+    """g += scale*h in place, scaling h in place: h must be a scratch array."""
     h *= scale
     g += h
+
+
+def _new_field(g, out):
+    """The relaxed value `out` of a stage sum g held in a step buffer, as a
+    field the step may return: with collisions off, relax returns g itself."""
+    return g.copy() if out is g else out
 
 
 def dirk_step(ctx: StepContext, f, dt, tab: Tableau):
@@ -173,43 +193,55 @@ def dirk_step(ctx: StepContext, f, dt, tab: Tableau):
     Stage l gathers the transported start value plus earlier stage fluxes,
     each evaluated at this stage's foot (offset (c_l - c_k)*dt upstream of
     where flux k lives).  The stage flux is recovered without dividing by
-    eps:  K_l = (F_l - g_l)/(a_ll*dt).  Once it is formed, the stage's g and
-    relaxed value are released, so that the next stage's transports run
-    with only f and the earlier fluxes alive.
+    eps:  K_l = (F_l - g_l)/(a_ll*dt).  The stage sum g is formed in the
+    context's buffer 0 and each transported flux in its buffer 1.  The flux
+    is formed in the array of the stage's relaxed value, and each flux is
+    released after the last stage that reads it: a stage allocates one
+    field-sized array, its relaxed value, which becomes its flux or, at the
+    last stage, the new field.
     """
     nu = tab.stages
     a, c = tab.a, tab.c
-    flux_needed = [any(a[m][l] != 0.0 for m in range(l + 1, nu)) for l in range(nu)]
+    # the last stage that reads flux k, or -1 when no stage does
+    last_read = [
+        max((m for m in range(k + 1, nu) if a[m][k] != 0.0), default=-1) for k in range(nu)
+    ]
     flux = [None] * nu
     for l in range(nu):
-        g = ctx.foot(f, c[l] * dt)
+        g = ctx.foot(f, c[l] * dt, 0)
         for k in range(l):
             a_lk = a[l][k]
             if a_lk != 0.0:
-                _add_scaled(g, ctx.foot(flux[k], (c[l] - c[k]) * dt), dt * a_lk)
-        # With collisions off, relax returns g itself: neither is touched below.
+                _add_scaled(g, ctx.foot(flux[k], (c[l] - c[k]) * dt, 1), dt * a_lk)
+                if last_read[k] == l:
+                    flux[k] = None
         out = ctx.relax(g, a[l][l] * dt)
         if l == nu - 1:
-            return out
-        if flux_needed[l]:
-            flux[l] = np.subtract(out, g)
+            return _new_field(g, out)
+        if last_read[l] >= 0:
+            # into the relaxed value's own array, unless that is the buffer g
+            flux[l] = np.subtract(out, g, out=None if out is g else out)
             flux[l] /= a[l][l] * dt
-        del g, out
+        del out
 
 
 def bdf_step(ctx: StepContext, states, dt, order: int):
-    """BDF step from states = [f^n, f^{n-1}(, f^{n-2})] at spacing dt."""
+    """BDF step from states = [f^n, f^{n-1}(, f^{n-2})] at spacing dt.
+
+    The history sum is formed in the context's buffer 0 and each older
+    transported state in its buffer 1, so the relaxed value is the one
+    field-sized array the step allocates."""
     try:
         weights, relax_coeff = BDF_WEIGHTS[order]
     except KeyError:
         raise ConfigError(f"BDF order must be 2 or 3, got {order}") from None
     if len(states) < order:
         raise ConfigError(f"BDF{order} needs {order} history states, got {len(states)}")
-    g = ctx.foot(states[0], dt)
+    g = ctx.foot(states[0], dt, 0)
     g *= weights[0]
     for k in range(1, order):
-        _add_scaled(g, ctx.foot(states[k], (k + 1) * dt), weights[k])
-    return ctx.relax(g, relax_coeff * dt)
+        _add_scaled(g, ctx.foot(states[k], (k + 1) * dt, 1), weights[k])
+    return _new_field(g, ctx.relax(g, relax_coeff * dt))
 
 
 # --------------------------------------------------------------------------
@@ -218,16 +250,19 @@ def bdf_step(ctx: StepContext, states, dt, order: int):
 class TimeStepper:
     """Advance a distribution field one step at a time.
 
-    Owns the running field, the BDF history and one transport, which takes
-    node-aligned feet by exact gather for every scheme.  A step of a new
-    size, for any scheme, first drops the history (the multistep feet assume
-    equal spacing) and the transport's plans of the old size, so the step
-    runs without them.  A counter exposes how many BDF predictor steps were
-    taken.
+    Owns the running field, the BDF history and one step context, whose
+    transport takes node-aligned feet by exact gather for every scheme and
+    whose two buffers every step gathers its transported fields into.  A
+    step of a new size, for any scheme, first drops the history (the
+    multistep feet assume equal spacing), the buffers and the transport's
+    plans of the old size, so the step runs without them.  A counter exposes
+    how many BDF predictor steps were taken.
 
-    `field0` is taken as it is (`np.asarray`), not copied: the stepper never
-    writes into a field it was given or has returned, so a read-only field0
-    marches, and `f` stays valid after the next step.
+    `field0` is taken as it is (`np.asarray`), not copied.  Each step
+    allocates its new field; the buffers stay the context's and are never
+    returned.  The stepper never writes into a field it was given or has
+    returned, so a read-only field0 marches, `f` stays valid after the next
+    step, and a history state is only read.
     """
 
     def __init__(self, field0, grid: PhaseGrid, system: KineticSystem, scheme: SchemeConfig):
@@ -253,7 +288,7 @@ class TimeStepper:
         integrator = self.scheme.integrator
         if dt != self._dt:
             self._history = []
-            self.ctx.transport.clear()
+            self.ctx.clear()
             self._dt = dt
         try:
             f_new = self._advance(dt)

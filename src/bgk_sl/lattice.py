@@ -19,8 +19,9 @@ go through the boundary map: a scheme sweeps the same few shifts every step
 int64 index of the edge rows into the flat plane (source node times n_vel
 plus source column, reflective velocity flip folded in) and takes them with
 it.  When the edges cover the whole field that index covers every row and
-one take serves.  The result is a new array that shares no memory with the
-field or the index.
+one take serves.  The shift of each tau is found once, until `clear`.  The
+result goes to the caller's `out`, or else to a new array; either way it
+shares no memory with the field or the index.
 """
 from __future__ import annotations
 
@@ -76,17 +77,23 @@ class LatticeTransport:
         self.grid = grid
         self.bc = bc
         self._indices: dict[int, np.ndarray] = {}
+        self._shifts: dict[float, int | None] = {}
 
-    def shifted(self, field: np.ndarray, tau: float) -> np.ndarray:
+    def shifted(self, field: np.ndarray, tau: float, out=None) -> np.ndarray:
+        """Field values at the feet x_i - v_j*tau, shape preserved, written into
+        `out` if given, which must not overlap the field, else into a new array."""
         field = np.asarray(field)
-        shift = node_shift(self.grid, tau)
+        shift = self._shift_for(tau)
         if shift is None:
             raise ConfigError(
                 f"transport over tau={tau!r} is not node-aligned "
                 f"(dv*tau/dx = {tau * self.grid.dv / self.grid.dx!r})"
             )
         if shift == 0:
-            return field.copy()
+            if out is None:
+                return field.copy()
+            np.copyto(out, field)
+            return out
         if field.shape[1:] != (self.grid.n_space, self.grid.n_vel):
             raise ValueError(
                 f"field shape {field.shape} != (ncomp, {self.grid.n_space}, {self.grid.n_vel})"
@@ -95,8 +102,10 @@ class LatticeTransport:
         edge = grid.nv * abs(shift)
         index = self._index_for(shift)
         flat = np.ascontiguousarray(field).reshape(field.shape[0], -1)
+        if out is None:
+            out = np.empty(field.shape, dtype=flat.dtype)
         if 2 * edge >= grid.n_space:
-            return np.take(flat, index, axis=1)
+            return np.take(flat, index, axis=1, out=out, mode="clip")
         # interior row i, column j: flat offset (i + nv*shift)*n_vel + j*(1 - shift*n_vel)
         step = flat.itemsize
         interior = as_strided(
@@ -105,7 +114,6 @@ class LatticeTransport:
             strides=(flat.strides[0], grid.n_vel * step, (1 - shift * grid.n_vel) * step),
             writeable=False,
         )
-        out = np.empty(field.shape, dtype=flat.dtype)
         out[:, edge:-edge] = interior
         edges = np.take(flat, index, axis=1)
         out[:, :edge] = edges[:, :edge]
@@ -113,8 +121,18 @@ class LatticeTransport:
         return out
 
     def clear(self) -> None:
-        """Forget every edge index built so far."""
+        """Forget every edge index and node shift found so far."""
         self._indices.clear()
+        self._shifts.clear()
+
+    def _shift_for(self, tau: float) -> int | None:
+        """`node_shift` of tau, found once per tau until `clear`."""
+        tau = float(tau)
+        if tau not in self._shifts:
+            if len(self._shifts) >= self._INDEX_CACHE_MAX:
+                self._shifts.pop(next(iter(self._shifts)))
+            self._shifts[tau] = node_shift(self.grid, tau)
+        return self._shifts[tau]
 
     def _index_for(self, shift: int) -> np.ndarray:
         """Flat source index src*n_vel + col of one shift's edge rows: the first

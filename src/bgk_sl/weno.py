@@ -49,6 +49,17 @@ velocity flip folded into the window index, so every window is gathered
 straight from the field; the identity index np.arange(n*c).reshape(n, c)
 reads the field's own plane.
 
+Window index.  A plan whose rows fit one block of one component keeps the
+whole window index and gathers each block with one take of its rows.  A
+larger plan keeps no field-sized index.  Most of its window rows are
+regular: each column reads the node row below the one it read in the row
+before, index[w + 1] = index[w] + ncols, so the regular rows of a block at
+row `start` read one block's index pattern from the field shifted by `start`
+node rows.  The plan keeps that pattern and the irregular rows, in transport
+plans the edge rows whose stencils reach the ghost region, and the gather
+overwrites those rows with their own entries.  The regular rows are found from the index
+itself, so a plan is correct for any source.
+
 Workspace.  The differences, indicators and weights live in scratch arrays
 drawn from one process-wide Workspace, POOL.  apply() evaluates its rows in
 blocks of at most BLOCK_POINTS points, all of one shape, and each block is
@@ -57,10 +68,10 @@ scratch is sized by the block, not by the field, and stays in cache.
 Consecutive blocks, applies, steps and runs of one configuration reuse the
 same arrays, and an apply of another configuration (another grid, say)
 replaces them.  Each array is an anonymous memory map of its own, outside
-the malloc heap.  Only the returned result is allocated afresh, once per
-apply, and each block's blend writes straight into its rows, so it never
-aliases the pool.  The pool is not for concurrent solvers: two threads
-applying plans at once would share its arrays.
+the malloc heap.  The result goes to the caller's `out`, or else is
+allocated once per apply, and each block's blend writes straight into its
+rows, so it never aliases the pool.  The pool is not for concurrent
+solvers: two threads applying plans at once would share its arrays.
 """
 from __future__ import annotations
 
@@ -87,16 +98,19 @@ GHOST_WIDTH = {Interp.LINEAR: 1, Interp.WENO23: 2, Interp.WENO35: 3}
 #: cost of a pass once
 BLOCK_POINTS = 2**15
 
+#: the points of window index a plan of many blocks examines at a time
+CHUNK_POINTS = 2**14
 
-def _mapped(shape) -> np.ndarray:
-    """A float array in an anonymous memory map of its own.
+
+def _mapped(shape, dtype=float) -> np.ndarray:
+    """An array in an anonymous memory map of its own.
 
     Scratch that outlives a run must not sit in the malloc heap: the arrays
     of later runs would be placed around it, and the heap, with the peak
     resident memory, would grow."""
     n = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(n, 1) * np.dtype(float).itemsize)
-    return np.frombuffer(buf, dtype=float, count=n).reshape(shape)
+    buf = mmap.mmap(-1, max(n, 1) * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype=dtype, count=n).reshape(shape)
 
 
 class Workspace:
@@ -104,9 +118,9 @@ class Workspace:
 
     reset() starts a cycle: the k-th get() of a cycle returns the k-th array,
     allocated afresh only when the last cycle had no k-th array or one of
-    another shape, so the arrays a cycle gets are distinct.  reset() also
-    drops every array beyond the last cycle's count: the workspace holds the
-    scratch of its last cycle only.
+    another shape or dtype, so the arrays a cycle gets are distinct.
+    reset() also drops every array beyond the last cycle's count: the
+    workspace holds the scratch of its last cycle only.
     """
 
     def __init__(self):
@@ -117,13 +131,13 @@ class Workspace:
         del self._arrays[self._next :]
         self._next = 0
 
-    def get(self, shape) -> np.ndarray:
+    def get(self, shape, dtype=float) -> np.ndarray:
         k = self._next
         self._next = k + 1
         if k == len(self._arrays):
-            self._arrays.append(_mapped(shape))
-        elif self._arrays[k].shape != shape:
-            self._arrays[k] = _mapped(shape)
+            self._arrays.append(_mapped(shape, dtype))
+        elif self._arrays[k].shape != shape or self._arrays[k].dtype != dtype:
+            self._arrays[k] = _mapped(shape, dtype)
         return self._arrays[k]
 
 
@@ -216,6 +230,34 @@ def _weno35_correction(alphas, diffs, coef, rows, ws):
 _CORRECTION = {Interp.WENO23: _weno23_correction, Interp.WENO35: _weno35_correction}
 
 
+def _window_index(source, first, w0, w1):
+    """Window rows w0..w1-1 as an int64 index: entry [w, q] is source[first[q] + w, q]."""
+    rows = np.arange(w0, w1)[:, None]
+    return np.take_along_axis(source, first + rows, axis=0).astype(np.int64, copy=False)
+
+
+def _window_pattern(source, first, wrows, stride):
+    """(base, rows, entries): the regular pattern of a window index and the
+    rows that break it.
+
+    Window row w is regular when index[w] = base + w * stride: every column
+    reads the node row below the one it read in row w - 1.  base is read
+    from the middle row; the irregular rows and their own entries are found
+    a chunk of rows at a time, so that no field-sized index is ever formed.
+    """
+    mid = wrows // 2
+    base = _window_index(source, first, mid, mid + 1) - mid * stride
+    chunk = max(1, CHUNK_POINTS // base.shape[1])
+    rows, entries = [], []
+    for w0 in range(0, wrows, chunk):
+        w1 = min(w0 + chunk, wrows)
+        index = _window_index(source, first, w0, w1)
+        odd = np.flatnonzero((index != base + np.arange(w0, w1)[:, None] * stride).any(axis=1))
+        rows.append(odd + w0)
+        entries.append(index[odd])
+    return base, np.concatenate(rows), np.concatenate(entries)
+
+
 class InterpPlan:
     """The evaluation of a field at one rigid shift of rows, frozen for reuse.
 
@@ -235,10 +277,14 @@ class InterpPlan:
         self.eps = float(eps)
         self.data_shape = (int(data_shape[0]), int(data_shape[1]))
         self.rows = int(rows)
-        source = np.asarray(source, dtype=np.int64)
+        source = np.asarray(source)
         size = self.data_shape[0] * self.data_shape[1]
-        if source.ndim != 2 or (source.size and (source.min() < 0 or source.max() >= size)):
-            raise ValueError(f"source must be a 2D index into the {size} data values")
+        if (
+            source.ndim != 2
+            or not np.issubdtype(source.dtype, np.integer)
+            or (source.size and (source.min() < 0 or source.max() >= size))
+        ):
+            raise ValueError(f"source must be a 2D integer index into the {size} data values")
         n_nodes, ncols = source.shape
         cell = np.asarray(cell, dtype=np.int64)
         t = np.asarray(t, dtype=float)
@@ -249,8 +295,20 @@ class InterpPlan:
             )
         if ncols and (cell.min() < lo or cell.max() + self.rows - 1 + hi >= n_nodes):
             raise ValueError(f"stencil windows reach outside the {n_nodes} source nodes")
-        nodes = np.arange(self.rows + lo + hi)[:, None] + (cell - lo)[None, :]
-        self._index = np.take_along_axis(source, nodes, axis=0)
+        first = (cell - lo)[None, :]  # window row w of column q reads source node first[q] + w
+        wrows = self.rows + lo + hi
+        most = max(1, BLOCK_POINTS // max(1, ncols))  # rows of a block of one component
+        self._low = 0
+        self._edge_rows = self._edges = None
+        if self.rows <= most:
+            self._index = _window_index(source, first, 0, wrows)
+        else:
+            stride = self.data_shape[1]
+            base, self._edge_rows, self._edges = _window_pattern(source, first, wrows, stride)
+            block = -(-self.rows // -(-self.rows // most))
+            # one block's pattern, lowered by `low` so that every entry is an index
+            self._low = min(0, int(base.min()))
+            self._index = base - self._low + np.arange(block + lo + hi)[:, None] * stride
         self.t = t
         q = 0.5 * t * (t - 1.0)
         if kind is Interp.LINEAR:
@@ -266,9 +324,10 @@ class InterpPlan:
                 (t + 2.0) * (t + 1.0) / 20.0,
             )
 
-    def apply(self, field) -> np.ndarray:
+    def apply(self, field, out=None) -> np.ndarray:
         """Interpolate a field of shape (ncomp, n_nodes, ncols) at the planned
-        points; the result, of shape (ncomp, rows, ncols), is a new array.
+        points; the result, of shape (ncomp, rows, ncols), goes to `out` if
+        given, which must not overlap the field, else to a new array.
 
         The rows are evaluated in the fewest blocks of at most BLOCK_POINTS
         points (components x rows x columns) each, but at least one row, and
@@ -285,18 +344,37 @@ class InterpPlan:
             )
         flat = field.reshape(field.shape[0], -1)
         rows, halo = self.rows, 2 * self._width - 1
-        ncomp, ncols = flat.shape[0], self._index.shape[1]
+        ncomp, ncols = flat.shape[0], len(self.t)
+        if out is None:
+            out = np.empty((ncomp, rows, ncols))
+        elif out.shape != (ncomp, rows, ncols):
+            raise ValueError(f"out shape {out.shape} != result shape {(ncomp, rows, ncols)}")
         most = max(1, BLOCK_POINTS // max(1, ncomp * ncols))  # rows a block may hold
         nblocks = -(-rows // most)
         block = -(-rows // nblocks) if nblocks else 0  # overlaps of under a row each
-        out = np.empty((ncomp, rows, ncols))
         for k in range(nblocks):
             start = min(k * block, rows - block)
             POOL.reset()
             win = POOL.get((ncomp, block + halo, ncols))
-            flat.take(self._index[start : start + block + halo], axis=1, out=win, mode="clip")
+            self._gather(flat, start, win, POOL)
             self._blend(win, POOL, out[:, start : start + block])
         return out
+
+    def _gather(self, flat, start, win, ws):
+        """Take the window rows start, start+1, ... of every column into win."""
+        n = win.shape[1]
+        if self._edges is None:  # the whole window index
+            flat.take(self._index[start : start + n], axis=1, out=win, mode="clip")
+            return
+        # regular rows: the pattern, read from the data shifted by `start` node rows
+        index, offset = self._index[:n], start * self.data_shape[1] + self._low
+        scratch = ws.get(index.shape, np.int64)  # got by every block: one cycle layout
+        if offset < 0:  # a block at the top: shift the index, not the data
+            index, offset = np.add(index, offset, out=scratch), 0
+        flat[:, offset:].take(index, axis=1, out=win, mode="clip")  # irregular rows replaced below
+        j0, j1 = np.searchsorted(self._edge_rows, (start, start + n))
+        if j0 < j1:
+            win[:, self._edge_rows[j0:j1] - start] = flat.take(self._edges[j0:j1], axis=1)
 
     def _blend(self, win, ws, out):
         """Blend the windows `win` into `out`, whose rows they cover."""

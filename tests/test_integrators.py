@@ -111,7 +111,7 @@ def test_dirk_without_collisions_reduces_to_transport():
     rng = np.random.default_rng(32)
     f = rng.normal(size=(1, GRID.nx + 1, GRID.v.size))
     dt = 0.07
-    pure = ctx.foot(f, dt)
+    pure = ctx.transport.shifted(f, dt)
     assert np.array_equal(dirk_step(ctx, f, dt, EULER_TABLEAU), pure)
     assert np.array_equal(dirk_step(ctx, f, dt, RK2_TABLEAU), pure)
     assert np.array_equal(dirk_step(ctx, f, dt, RK3_TABLEAU), pure)
@@ -146,7 +146,7 @@ def test_strong_relaxation_drives_toward_equilibrium():
     f *= 1.0 + 0.2 * rng.random(f.shape)  # perturb off equilibrium
     dt = 0.1
     out = dirk_step(ctx, f, dt, EULER_TABLEAU)
-    g = ctx.foot(f, dt)
+    g = ctx.transport.shifted(f, dt)
     m_eq = SYSTEM.equilibrium(SYSTEM.moments(g, GRID), GRID)
     assert np.allclose(out, m_eq, atol=1e-7)
 
@@ -168,7 +168,8 @@ def test_euler_tableau_is_foot_then_relaxation_bitwise(lattice):
     f = _maxwellian_field(1.1, 0.2, 0.9) * rng.uniform(0.9, 1.1, (1, GRID.n_space, GRID.n_vel))
     ctx = _ctx(0.05, kind=Interp.WENO35)
     dt = lattice_dt(GRID) if lattice else 0.03
-    assert np.array_equal(dirk_step(ctx, f, dt, EULER_TABLEAU), ctx.relax(ctx.foot(f, dt), dt))
+    expect = ctx.relax(ctx.transport.shifted(f, dt), dt)
+    assert np.array_equal(dirk_step(ctx, f, dt, EULER_TABLEAU), expect)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +249,10 @@ def _textbook_dirk(ctx, f, dt, tab):
     flux = [None] * tab.stages
     out = None
     for l in range(tab.stages):
-        g = ctx.foot(f, c[l] * dt)
+        g = ctx.transport.shifted(f, c[l] * dt)
         for k in range(l):
             if a[l][k] != 0.0:
-                g = g + (dt * a[l][k]) * ctx.foot(flux[k], (c[l] - c[k]) * dt)
+                g = g + (dt * a[l][k]) * ctx.transport.shifted(flux[k], (c[l] - c[k]) * dt)
         out = ctx.relax(g, a[l][l] * dt)
         flux[l] = (out - g) / (a[l][l] * dt)
     return out
@@ -271,12 +272,13 @@ def test_steps_equal_textbook_arithmetic_bitwise(eps):
         expect = _textbook_dirk(ctx, states[0], dt, tab)
         assert np.array_equal(dirk_step(ctx, states[0], dt, tab), expect)
     w2 = (4.0 / 3.0, -1.0 / 3.0)
-    g = w2[0] * ctx.foot(states[0], dt) + w2[1] * ctx.foot(states[1], 2 * dt)
+    shifted = ctx.transport.shifted
+    g = w2[0] * shifted(states[0], dt) + w2[1] * shifted(states[1], 2 * dt)
     assert np.array_equal(bdf_step(ctx, states[:2], dt, 2), ctx.relax(g, 2.0 / 3.0 * dt))
     w3 = (18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0)
-    g = w3[0] * ctx.foot(states[0], dt)
-    g = g + w3[1] * ctx.foot(states[1], 2 * dt)
-    g = g + w3[2] * ctx.foot(states[2], 3 * dt)
+    g = w3[0] * shifted(states[0], dt)
+    g = g + w3[1] * shifted(states[1], 2 * dt)
+    g = g + w3[2] * shifted(states[2], 3 * dt)
     assert np.array_equal(bdf_step(ctx, states, dt, 3), ctx.relax(g, 6.0 / 11.0 * dt))
     assert all(np.array_equal(s, k) for s, k in zip(states, saved))
 
@@ -306,6 +308,50 @@ def test_read_only_start_field_marches_and_is_never_written(integrator, interp):
         returned.append((stepper.f, stepper.f.copy()))
     assert np.array_equal(f, before)
     assert all(np.array_equal(field, copy) for field, copy in returned)
+
+
+@pytest.mark.parametrize("integrator", [Integrator.RK3, Integrator.BDF2, Integrator.BDF3])
+def test_collisionless_steps_never_return_a_step_buffer(integrator):
+    """With eps = inf the relaxation returns the stage sum itself, which
+    lives in a step buffer: the step returns a copy, so no returned field is
+    a buffer or is written by a later step."""
+    rng = np.random.default_rng(37)
+    f = rng.normal(size=(1, GRID.n_space, GRID.n_vel))
+    stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, eps=math.inf))
+    returned = []
+    for dt in [0.03] * 4 + [0.012]:
+        stepper.step(dt)
+        buffers = stepper.ctx._buffers.values()
+        assert buffers and not any(np.shares_memory(stepper.f, b) for b in buffers)
+        returned.append((stepper.f, stepper.f.copy()))
+    assert all(np.array_equal(field, copy) for field, copy in returned)
+
+
+def test_bdf2_step_allocates_only_its_new_field():
+    """After the startup a LatBDF2 step at nx = 3200 transports into the step
+    context's two buffers, so it peaks at most 1.25 field-sizes of traced
+    memory above the fields it holds: the relaxed field it returns and its
+    row-sized moments (2.15 when every transport allocated its result)."""
+    grid = PhaseGrid(0.0, 1.0, 3200, 30, 10.0)
+    integrator, interp, stride = SCHEMES["LatBDF2"]
+    scheme = SchemeConfig(
+        integrator=integrator, interp=interp, boundary=Boundary.FREEFLOW, eps=1e-6
+    )
+    f = SYSTEM.from_macro(1.0 + 0.1 * np.sin(2.0 * np.pi * grid.x), 0.2, 1.0, grid)
+    stepper = TimeStepper(f, grid, SYSTEM, scheme)
+    dt = lattice_dt(grid, stride)
+    for _ in range(3):
+        stepper.step(dt)
+    assert stepper.predictor_steps == 1
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stepper.step(dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stepper.predictor_steps == 1
+    assert peak - before <= 1.25 * f.nbytes, f"step peak {(peak - before) / f.nbytes:.2f}"
 
 
 @pytest.mark.parametrize(
@@ -457,12 +503,15 @@ def _march_peak(scenario, integrator, interp, stride, nx, t_final=None):
 @pytest.mark.parametrize(
     "scenario, integrator, interp, stride, nx, t_final, bound",
     [
-        # Measured 8.32 (12.57 when the stepper copied field0 and kept the
-        # history and plans of the old dt through the shortened last step)
-        ("riemann", *SCHEMES["LatBDF2"], 800, None, 8.75),
-        # Measured 9.67 (14.11 when it also held each DIRK stage's g and
-        # relaxed value through the next stage's transports)
-        ("riemann-chu", Integrator.RK3, Interp.WENO35, None, 100, 0.0251, 10.25),
+        # Measured 6.74 (8.32 when every plan kept a field-sized window
+        # index and every step allocated its transported fields; 12.57 when
+        # the stepper also copied field0 and kept the history and plans of
+        # the old dt through the shortened last step)
+        ("riemann", *SCHEMES["LatBDF2"], 800, None, 7.05),
+        # Measured 9.33 (9.67 when each DIRK flux was a new array and lived
+        # through the last stage; 14.11 when the step also held each stage's
+        # g and relaxed value through the next stage's transports)
+        ("riemann-chu", Integrator.RK3, Interp.WENO35, None, 100, 0.0251, 9.8),
     ],
     ids=["LatBDF2", "RK3-weno35"],
 )

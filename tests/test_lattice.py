@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from bgk_sl import Boundary, ConfigError, LatticeTransport, PhaseGrid, lattice_cfl, lattice_dt
+from bgk_sl import lattice
 from bgk_sl.boundaries import map_nodes
 from bgk_sl.lattice import node_shift
 
@@ -54,6 +55,29 @@ def test_conforming_dt_checks_stage_offsets():
 def _rand_field(grid, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(1, grid.n_space, grid.n_vel))
+
+
+def test_each_tau_is_classified_once(monkeypatch):
+    """Repeated gathers over one tau call node_shift once, an off-lattice tau
+    still raises on every call, and clear() forgets the shifts."""
+    calls = []
+    original = lattice.node_shift
+    monkeypatch.setattr(
+        lattice, "node_shift", lambda grid, tau: calls.append(tau) or original(grid, tau)
+    )
+    tr = LatticeTransport(GRID, Boundary.PERIODIC)
+    f = _rand_field(GRID, 40)
+    dt = lattice_dt(GRID)
+    first = tr.shifted(f, dt)
+    for _ in range(3):
+        assert np.array_equal(tr.shifted(f, dt), first)
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            tr.shifted(f, 0.5 * dt)
+    assert calls == [dt, 0.5 * dt]
+    tr.clear()
+    assert np.array_equal(tr.shifted(f, dt), first)
+    assert calls == [dt, 0.5 * dt, dt]
 
 
 def test_periodic_gather_matches_roll():

@@ -1,5 +1,6 @@
 """Characteristic transport: shifts, plan caching, workspace, boundaries."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,3 +360,49 @@ def test_reflective_shift_preserves_symmetric_profile():
     out = tr.shifted(f, 0.04)
     # x -> -x, v -> -v symmetry of the data survives transport
     assert np.allclose(out[0], out[0][::-1, ::-1], atol=1e-12)
+
+
+@pytest.mark.parametrize("ncomp", (1, 2))
+@pytest.mark.parametrize("bc", BOUNDARIES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_shift_into_out_equals_a_new_result_bitwise(monkeypatch, kind, bc, ncomp):
+    """shifted(f, tau, out=buf) writes into buf and returns it, with the bits
+    of shifted(f, tau): node-aligned (a copy, edge rows plus the strided
+    interior, and all edges), interpolated, and overhangs of a whole domain,
+    on fields of one block and, through the plans' shifted index, of three."""
+    grid = PhaseGrid(0.0, 1.0, 33, 3, 1.5)  # 34 rows; 2*edge = 6*|shift| rows
+    f = _field(grid, ncomp=ncomp, seed=ncomp + 20)
+    taus = [nodes * grid.dx / grid.dv for nodes in (0.0, 1.0, -2.0, 6.0, 0.37, -2.6, 41.2)]
+    one_block = [_transport(grid, kind, bc).shifted(f, tau) for tau in taus]
+    monkeypatch.setattr(weno, "BLOCK_POINTS", 12 * ncomp * grid.n_vel)
+    tr = _transport(grid, kind, bc)
+    buf = np.full_like(f, np.nan)
+    for tau, expect in zip(taus, one_block):
+        assert tr.shifted(f, tau, out=buf) is buf
+        assert np.array_equal(buf, expect), tau
+        assert np.array_equal(tr.shifted(f, tau), expect), tau
+        if float(tau * grid.dv / grid.dx).is_integer():
+            lattice = LatticeTransport(grid, bc)
+            assert lattice.shifted(f, tau, out=buf) is buf
+            assert np.array_equal(buf, expect), tau
+
+
+def test_plan_build_holds_no_field_sized_index():
+    """Building the plan of one off-lattice tau on a field of many blocks
+    (nx = 3200, 61 columns) peaks below 1.5 field-sizes of traced memory and
+    keeps below 0.25: the ghost map is an int32 plane, and the plan keeps one
+    block's window index and the edge rows (3.06 and 1.00 when the plan
+    kept a window index as large as the field)."""
+    grid = PhaseGrid(0.0, 1.0, 3200, 30, 10.0)
+    size = grid.n_space * grid.n_vel * np.dtype(float).itemsize
+    tr = _transport(grid, Interp.WENO23, Boundary.FREEFLOW)
+    tau = (1.0 - math.sqrt(2.0) / 2.0) * grid.dx / grid.dv  # the DIRK2 stage of LatBDF2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr._plan_for(tau)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * size, f"peak {(peak - before) / size:.2f} field-sizes"
+    assert kept - before < 0.25 * size, f"kept {(kept - before) / size:.2f} field-sizes"

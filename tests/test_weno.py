@@ -7,7 +7,7 @@ shares no code with it."""
 import numpy as np
 import pytest
 
-from bgk_sl import ConfigError, Interp
+from bgk_sl import ConfigError, Interp, weno
 from bgk_sl.weno import GHOST_WIDTH, Interpolator
 
 from conftest import (
@@ -244,6 +244,32 @@ def test_batch_columns_match_single_columns():
     for c in range(4):
         single = interpolate_at(interp, data[:, c], *cells(pts[:, c]))
         assert np.allclose(batched[:, c], single, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_plan_of_many_blocks_reads_any_source(monkeypatch, kind):
+    """A plan of many blocks keeps one block's window index, shifted block by
+    block, plus the rows that break the shift: it gives the one-block result
+    bit for bit on any source plane, an identity plane, one whose rows repeat,
+    jump and fold, and one of random indices (no regular row at all)."""
+    rng = np.random.default_rng(14)
+    n_nodes, ncols, rows = 40, 3, 30
+    data = rng.normal(size=(2, n_nodes, ncols))
+    folded = _identity(n_nodes, ncols)
+    folded[:5] = folded[5]  # clamped
+    folded[12:15] = folded[30:33]  # a jump inside the plane
+    folded[-6:] = folded[-7:-13:-1, ::-1]  # a fold with the columns reversed
+    planes = [_identity(n_nodes, ncols), folded, rng.integers(0, n_nodes * ncols, (n_nodes, ncols))]
+    cell, t = np.array([3, 5, 4]), np.array([0.0, 0.25, 0.75])
+    interp = Interpolator(kind)
+    for source in planes:
+        whole = interp.plan((n_nodes, ncols), cell, t, rows=rows, source=source).apply(data)
+        with monkeypatch.context() as patch:
+            patch.setattr(weno, "BLOCK_POINTS", 7 * ncols)  # 7 rows of one component
+            plan = interp.plan((n_nodes, ncols), cell, t, rows=rows, source=source)
+            assert plan._index.shape[0] < rows  # one block's pattern, shifted per block
+            assert np.array_equal(plan.apply(data), whole)
+            assert np.array_equal(plan.apply(data[:1]), whole[:1])
 
 
 def test_plan_shape_validation():
