@@ -24,16 +24,17 @@ from .harness import (
     scheme_label,
 )
 from .integrators import (
-    BDF_WEIGHTS,
+    BDF2_TABLEAU,
+    BDF3_TABLEAU,
     EULER_TABLEAU,
     LATTICE_RK2_TABLEAU,
     RK2_TABLEAU,
     RK3_TABLEAU,
+    TABLEAUS,
     StepContext,
     Tableau,
     TimeStepper,
-    bdf_step,
-    dirk_step,
+    tableau_step,
 )
 from .lattice import LatticeTransport, lattice_cfl, lattice_dt
 from .moments import Moments, relaxation_solve, velocity_moments

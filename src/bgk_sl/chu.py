@@ -8,16 +8,16 @@ w the two transverse velocities, the pair
 
 closes the BGK dynamics exactly: both components are transported along the
 same 1D characteristics and relax towards the reduced equilibria
-(M1, 2 R T M1), where M1 is the 1D Maxwellian of (rho, u, T).
+(M1, 2 T M1), where M1 is the 1D Maxwellian of (rho, u, T) and T = p/rho.
 
 Moments:  rho = dv*sum g1,  rho u = dv*sum v g1,
-          3 rho R T = dv*sum (v - u)^2 g1 + dv*sum g2,
-          E = rho u^2/2 + (3/2) rho R T       (fluid limit gamma = 5/3).
+          3 rho T = dv*sum (v - u)^2 g1 + dv*sum g2,
+          E = rho u^2/2 + (3/2) rho T       (fluid limit gamma = 5/3).
 rho, rho u and dv*sum g2 come from one product of both components with the
 grid's moment weights.  The longitudinal thermal energy stays a separate pass
 over the peculiar velocity v - u: the raw-moment form
 dv*sum v^2 g1 - rho u^2 subtracts two terms of size rho u^2 to leave one of
-size rho R T, so it loses about log10(u^2/(R T)) digits as the Mach number grows.
+size rho T, so it loses about log10(u^2/T) digits as the Mach number grows.
 """
 from __future__ import annotations
 
@@ -50,15 +50,15 @@ class ChuReduced3V(KineticSystem):
             pec2 = np.subtract(grid.v[None, :], u[:, None])
             np.square(pec2, out=pec2)
             trT = grid.dv * np.einsum("ij,ij->i", pec2, field[0]) + mass[1]
-            T = trT / (3.0 * rho * self.R)
+            T = trT / (3.0 * rho)
         if validate:
             validate_positive(rho, T)
-        E = 0.5 * rho * u**2 + 1.5 * rho * self.R * T
+        E = 0.5 * rho * u**2 + 1.5 * rho * T
         return Moments(rho=rho, u=u, T=T, E=E)
 
     def equilibrium(self, mom: Moments, grid: PhaseGrid) -> np.ndarray:
-        """(M1, 2 R T M1): the 1D Maxwellian rows (`maxwellian_rows`), then one scaling."""
+        """(M1, 2 T M1): the 1D Maxwellian rows (`maxwellian_rows`), then one scaling."""
         eq = np.empty((2, grid.n_space, grid.n_vel))
-        m1 = maxwellian_rows(mom.rho, mom.u, mom.T, grid.velocity_basis, self.R, out=eq[0])
-        np.multiply(2.0 * self.R * mom.T[:, None], m1, out=eq[1])
+        m1 = maxwellian_rows(mom.rho, mom.u, mom.T, grid.velocity_basis, out=eq[0])
+        np.multiply(2.0 * mom.T[:, None], m1, out=eq[1])
         return eq

@@ -12,7 +12,8 @@ from .errors import ConfigError
 
 
 class Integrator(enum.Enum):
-    """Characteristic time integrators: one-step DIRKs and BDF multistep methods."""
+    """Characteristic time integrators: one-step DIRKs and BDF multistep methods;
+    each is a tableau of `integrators.TABLEAUS`."""
 
     EULER1 = "Euler1"
     RK2 = "RK2"
@@ -20,26 +21,6 @@ class Integrator(enum.Enum):
     BDF2 = "BDF2"
     BDF3 = "BDF3"
     LATTICE_RK2 = "LatRK2"  # the 2-stage DIRK whose abscissas are thirds
-
-    @property
-    def is_multistep(self) -> bool:
-        """BDF schemes, whose step reads the fields of earlier steps."""
-        return _TRAITS[self][1]
-
-    @property
-    def order(self) -> int:
-        return _TRAITS[self][0]
-
-
-# Per integrator: (order, is multistep).
-_TRAITS = {
-    Integrator.EULER1: (1, False),
-    Integrator.RK2: (2, False),
-    Integrator.RK3: (3, False),
-    Integrator.BDF2: (2, True),
-    Integrator.BDF3: (3, True),
-    Integrator.LATTICE_RK2: (2, False),
-}
 
 
 class Interp(enum.Enum):

@@ -9,15 +9,14 @@ part, so the Maxwellian of the implicit stage is computable in advance and
     f = (g + tau * M[g]) / (1 + tau),        tau = a_ll * dt / eps,
 
 which is L-stable and remains well-defined as eps -> 0.  Schemes differ only
-in how they form g:
-
-- stiffly-accurate DIRK methods (`dirk_step`) gather the transported start
-  value and the earlier stage fluxes, rewritten as K = (F - g)/(a_ll*dt) so
-  that no 1/eps factor is ever formed; backward Euler is the one-stage DIRK
-  `EULER_TABLEAU`;
-- BDF multistep methods (`bdf_step`) sum the history transported from feet
-  1, 2(, 3) characteristic lengths upstream; the history is started, and
-  restarted after a change of step size, with the DIRK of the same order.
+in how they form g, and one function, `tableau_step`, forms it for all of
+them from a `Tableau`: stage l sums the history f^n, f^{n-1}, ... with the
+tableau's history weights, each transported (c_l + k)*dt upstream, plus the
+earlier stage fluxes, rewritten as K = (F - g)/(a_ll*dt) so that no 1/eps
+factor is ever formed.  A stiffly-accurate DIRK has the one history weight 1
+(backward Euler is the one-stage DIRK); a BDF method is the one-stage tableau
+over its history, started, and restarted after a change of step size, with
+the DIRK of the same order (`TABLEAUS`).
 
 All steps are parameterized over one transport operator, which gathers
 node-aligned feet exactly and interpolates the others, and a kinetic system
@@ -60,22 +59,33 @@ RK3_DELTA = 1.5 * RK3_GAMMA**2 - 5.0 * RK3_GAMMA + 1.25
 
 @dataclass(frozen=True)
 class Tableau:
-    """Stiffly-accurate DIRK tableau; the weights are the last row of `a`."""
+    """Stiffly-accurate tableau over a history; the update is the last stage.
+
+    `history` weighs f^n, f^{n-1}, ... transported to each stage's feet,
+    (c_l + k)*dt upstream for f^{n-k}: a DIRK has the one weight 1, a BDF
+    method one stage and a weight per state it reads.  The weights sum to 1
+    and each row satisfies sum_j a_lj - sum_k k*w_k = c_l, so a constant
+    state is a fixed point and every stage is consistent with its foot.
+    """
 
     a: tuple[tuple[float, ...], ...]
     c: tuple[float, ...]
+    history: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
         nu = len(self.c)
         if len(self.a) != nu or any(len(row) != nu for row in self.a):
             raise ConfigError("tableau matrix shape does not match c")
+        if not self.history or abs(sum(self.history) - 1.0) > 1e-13:
+            raise ConfigError(f"history weights {self.history} do not sum to 1")
+        lag = sum(k * w for k, w in enumerate(self.history))
         for l, row in enumerate(self.a):
             if any(row[k] != 0.0 for k in range(l + 1, nu)):
                 raise ConfigError("tableau must be lower triangular")
             if row[l] <= 0.0:
                 raise ConfigError("tableau needs a positive diagonal")
-            if abs(sum(row) - self.c[l]) > 1e-13:
-                raise ConfigError(f"row {l} of tableau is inconsistent with c")
+            if abs(sum(row) - lag - self.c[l]) > 1e-13:
+                raise ConfigError(f"row {l} of tableau is inconsistent with c and the history")
         if abs(self.c[-1] - 1.0) > 1e-13:
             raise ConfigError("stiffly-accurate tableau must end at c = 1")
 
@@ -109,21 +119,21 @@ LATTICE_RK2_TABLEAU = Tableau(
     c=(1.0 / 3.0, 1.0),
 )
 
-# The DIRK of each integrator: its step, or the same-order startup of a BDF history.
-DIRK_TABLEAU = {
-    Integrator.EULER1: EULER_TABLEAU,
-    Integrator.RK2: RK2_TABLEAU,
-    Integrator.RK3: RK3_TABLEAU,
-    Integrator.BDF2: RK2_TABLEAU,
-    Integrator.BDF3: RK3_TABLEAU,
-    Integrator.LATTICE_RK2: LATTICE_RK2_TABLEAU,
-}
+# BDF methods: one stage at the new time, the history 1, 2(, 3) steps upstream.
+BDF2_TABLEAU = Tableau(a=((2.0 / 3.0,),), c=(1.0,), history=(4.0 / 3.0, -1.0 / 3.0))
+BDF3_TABLEAU = Tableau(
+    a=((6.0 / 11.0,),), c=(1.0,), history=(18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0)
+)
 
-# BDF history weights (feet at 1, 2(, 3) characteristic lengths upstream)
-# and the relaxation coefficient of the implicit current-time term.
-BDF_WEIGHTS = {
-    2: ((4.0 / 3.0, -1.0 / 3.0), 2.0 / 3.0),
-    3: ((18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0), 6.0 / 11.0),
+# Per integrator: (tableau, the same-order DIRK that starts its history, or
+# None when the tableau reads only f^n).
+TABLEAUS = {
+    Integrator.EULER1: (EULER_TABLEAU, None),
+    Integrator.RK2: (RK2_TABLEAU, None),
+    Integrator.RK3: (RK3_TABLEAU, None),
+    Integrator.BDF2: (BDF2_TABLEAU, RK2_TABLEAU),
+    Integrator.BDF3: (BDF3_TABLEAU, RK3_TABLEAU),
+    Integrator.LATTICE_RK2: (LATTICE_RK2_TABLEAU, None),
 }
 
 
@@ -181,34 +191,35 @@ def _add_scaled(g, h, scale):
     g += h
 
 
-def _new_field(g, out):
-    """The relaxed value `out` of a stage sum g held in a step buffer, as a
-    field the step may return: with collisions off, relax returns g itself."""
-    return g.copy() if out is g else out
+def tableau_step(ctx: StepContext, history, dt, tab: Tableau):
+    """One step of dt from history = [f^n, f^{n-1}, ...] at spacing dt.
 
-
-def dirk_step(ctx: StepContext, f, dt, tab: Tableau):
-    """Stiffly-accurate DIRK step; the update is the last stage.
-
-    Stage l gathers the transported start value plus earlier stage fluxes,
-    each evaluated at this stage's foot (offset (c_l - c_k)*dt upstream of
-    where flux k lives).  The stage flux is recovered without dividing by
-    eps:  K_l = (F_l - g_l)/(a_ll*dt).  The stage sum g is formed in the
-    context's buffer 0 and each transported flux in its buffer 1.  The flux
-    is formed in the array of the stage's relaxed value, and each flux is
-    released after the last stage that reads it: a stage allocates one
-    field-sized array, its relaxed value, which becomes its flux or, at the
-    last stage, the new field.
+    Stage l sums the history states, f^{n-k} transported (c_l + k)*dt
+    upstream with weight w_k, and the earlier stage fluxes, each evaluated at
+    this stage's foot (offset (c_l - c_k)*dt upstream of where flux k lives).
+    The stage flux is recovered without dividing by eps:
+    K_l = (F_l - g_l)/(a_ll*dt).  The stage sum g is formed in the context's
+    buffer 0 and each further history term and each transported flux in its
+    buffer 1.  The flux is formed in the array of the stage's relaxed value,
+    and each flux is released after the last stage that reads it: a stage
+    allocates one field-sized array, its relaxed value, which becomes its
+    flux or, at the last stage, the new field.
     """
+    w, a, c = tab.history, tab.a, tab.c
+    if len(history) < len(w):
+        raise ConfigError(f"tableau reads {len(w)} history states, got {len(history)}")
     nu = tab.stages
-    a, c = tab.a, tab.c
     # the last stage that reads flux k, or -1 when no stage does
     last_read = [
         max((m for m in range(k + 1, nu) if a[m][k] != 0.0), default=-1) for k in range(nu)
     ]
     flux = [None] * nu
     for l in range(nu):
-        g = ctx.foot(f, c[l] * dt, 0)
+        g = ctx.foot(history[0], c[l] * dt, 0)
+        if w[0] != 1.0:
+            g *= w[0]
+        for k in range(1, len(w)):
+            _add_scaled(g, ctx.foot(history[k], (c[l] + k) * dt, 1), w[k])
         for k in range(l):
             a_lk = a[l][k]
             if a_lk != 0.0:
@@ -217,31 +228,13 @@ def dirk_step(ctx: StepContext, f, dt, tab: Tableau):
                     flux[k] = None
         out = ctx.relax(g, a[l][l] * dt)
         if l == nu - 1:
-            return _new_field(g, out)
+            # with collisions off, relax returns the buffer g itself
+            return g.copy() if out is g else out
         if last_read[l] >= 0:
             # into the relaxed value's own array, unless that is the buffer g
             flux[l] = np.subtract(out, g, out=None if out is g else out)
             flux[l] /= a[l][l] * dt
         del out
-
-
-def bdf_step(ctx: StepContext, states, dt, order: int):
-    """BDF step from states = [f^n, f^{n-1}(, f^{n-2})] at spacing dt.
-
-    The history sum is formed in the context's buffer 0 and each older
-    transported state in its buffer 1, so the relaxed value is the one
-    field-sized array the step allocates."""
-    try:
-        weights, relax_coeff = BDF_WEIGHTS[order]
-    except KeyError:
-        raise ConfigError(f"BDF order must be 2 or 3, got {order}") from None
-    if len(states) < order:
-        raise ConfigError(f"BDF{order} needs {order} history states, got {len(states)}")
-    g = ctx.foot(states[0], dt, 0)
-    g *= weights[0]
-    for k in range(1, order):
-        _add_scaled(g, ctx.foot(states[k], (k + 1) * dt, 1), weights[k])
-    return _new_field(g, ctx.relax(g, relax_coeff * dt))
 
 
 # --------------------------------------------------------------------------
@@ -250,13 +243,17 @@ def bdf_step(ctx: StepContext, states, dt, order: int):
 class TimeStepper:
     """Advance a distribution field one step at a time.
 
-    Owns the running field, the BDF history and one step context, whose
-    transport takes node-aligned feet by exact gather for every scheme and
-    whose two buffers every step gathers its transported fields into.  A
-    step of a new size, for any scheme, first drops the history (the
-    multistep feet assume equal spacing), the buffers and the transport's
+    Owns the running field, the history of earlier fields and one step
+    context, whose transport takes node-aligned feet by exact gather for
+    every scheme and whose two buffers every step gathers its transported
+    fields into.  Every step is `tableau_step` with the integrator's tableau
+    (`TABLEAUS`); while the stepper holds fewer equally spaced states than
+    the tableau has history weights, it takes the integrator's startup DIRK
+    instead, and after each step it keeps the newest len(history) - 1 states.
+    A step of a new size, for any scheme, first drops the history (the
+    history feet assume equal spacing), the buffers and the transport's
     plans of the old size, so the step runs without them.  A counter exposes
-    how many BDF predictor steps were taken.
+    how many startup (predictor) steps were taken.
 
     `field0` is taken as it is (`np.asarray`), not copied.  Each step
     allocates its new field; the buffers stay the context's and are never
@@ -285,13 +282,17 @@ class TimeStepper:
     def step(self, dt: float) -> None:
         if not (dt > 0.0):
             raise ConfigError(f"step size must be positive, got {dt}")
-        integrator = self.scheme.integrator
         if dt != self._dt:
             self._history = []
             self.ctx.clear()
             self._dt = dt
+        tab, startup = TABLEAUS[self.scheme.integrator]
+        history = [self.f] + self._history
+        started = len(history) >= len(tab.history)
+        if not started:
+            self.predictor_steps += 1
         try:
-            f_new = self._advance(dt)
+            f_new = tableau_step(self.ctx, history, dt, tab if started else startup)
         except DegenerateStateError as err:
             raise DegenerateStateError(
                 f"{err} (while taking step {self.steps_taken + 1} from t={self.t:.8g})",
@@ -302,20 +303,7 @@ class TimeStepper:
                 f"non-finite distribution values after step {self.steps_taken + 1} "
                 f"(t={self.t + dt:.8g})"
             )
-        if integrator.is_multistep:
-            self._history = [self.f] + self._history[: integrator.order - 2]
+        self._history = history[: len(tab.history) - 1]
         self.f = f_new
         self.t += dt
         self.steps_taken += 1
-
-    # -- internals -----------------------------------------------------------
-    def _advance(self, dt):
-        """The new field after one step of dt from self.f: a one-step DIRK, or a
-        BDF step, with the same-order DIRK as predictor until the history
-        holds order - 1 equally spaced states."""
-        integrator = self.scheme.integrator
-        if integrator.is_multistep:
-            if len(self._history) >= integrator.order - 1:
-                return bdf_step(self.ctx, [self.f] + self._history, dt, integrator.order)
-            self.predictor_steps += 1
-        return dirk_step(self.ctx, self.f, dt, DIRK_TABLEAU[integrator])

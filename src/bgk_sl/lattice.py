@@ -32,6 +32,7 @@ from .boundaries import map_nodes
 from .config import Boundary
 from .errors import ConfigError
 from .grid import PhaseGrid
+from .weno import check_shapes
 
 _INT_TOL = 1e-9
 
@@ -83,6 +84,8 @@ class LatticeTransport:
         """Field values at the feet x_i - v_j*tau, shape preserved, written into
         `out` if given, which must not overlap the field, else into a new array."""
         field = np.asarray(field)
+        grid = self.grid
+        check_shapes(field, (grid.n_space, grid.n_vel), out, (grid.n_space, grid.n_vel))
         shift = self._shift_for(tau)
         if shift is None:
             raise ConfigError(
@@ -94,11 +97,6 @@ class LatticeTransport:
                 return field.copy()
             np.copyto(out, field)
             return out
-        if field.shape[1:] != (self.grid.n_space, self.grid.n_vel):
-            raise ValueError(
-                f"field shape {field.shape} != (ncomp, {self.grid.n_space}, {self.grid.n_vel})"
-            )
-        grid = self.grid
         edge = grid.nv * abs(shift)
         index = self._index_for(shift)
         flat = np.ascontiguousarray(field).reshape(field.shape[0], -1)

@@ -12,20 +12,21 @@ The midpoint rule is spectrally accurate for velocity profiles that decay
 within [-vmax, vmax], so Maxwellian moments round-trip to machine precision
 on an adequately resolved grid.
 
-The Maxwellian goes the other way on the same idea.  Its logarithm is a
+The Maxwellian goes the other way on the same idea.  Temperature is in
+units where the gas constant is 1 (T = p/rho), and its logarithm is a
 quadratic in v,
-    ln(rho/sqrt(2 pi R T)) - (v-u)^2/(2 R T) = a + b*v + c*v^2,
+    ln(rho/sqrt(2 pi T)) - (v-u)^2/(2 T) = a + b*v + c*v^2,
 so the rows of every node are exp(C @ B): one product of the per-node
 coefficients C = [a, b, c] with the per-grid basis B = [1; v; v^2]
 (`PhaseGrid.velocity_basis`), then one exp over the contiguous result.
 This is not the textbook expression's operation order, so values differ
 from it at round-off.  Near the peak v = u the three terms are each as large
-as u^2/(2 R T) while their sum is O(1), so a value's relative error grows
-like ulp * (1 + u^2/(R T)): the textbook expression's accuracy at low Mach,
+as u^2/(2 T) while their sum is O(1), so a value's relative error grows
+like ulp * (1 + u^2/T): the textbook expression's accuracy at low Mach,
 and at high Mach the digit loss that a raw-moment temperature has (see
 `chu.py`).  Where a value is above 1e-6 of its row's peak, the error stays
-within 32 ulp * (1 + u^2/(R T)) of an extended-precision evaluation
-(tests/test_moments.py); measured 6e-14 over |u| <= 5, R T >= 0.035.
+within 32 ulp * (1 + u^2/T) of an extended-precision evaluation
+(tests/test_moments.py); measured 6e-14 over |u| <= 5, T >= 0.035.
 """
 from __future__ import annotations
 
@@ -35,8 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError
-
-GAS_CONSTANT = 1.0  # R in T = p/(rho R); all bundled scenarios use R = 1
 
 
 @dataclass(frozen=True)
@@ -69,24 +68,23 @@ def velocity_basis(v) -> np.ndarray:
     return np.stack([np.ones_like(v), v, v * v])
 
 
-def maxwellian_rows(rho, u, T, basis, R: float = GAS_CONSTANT, out=None) -> np.ndarray:
+def maxwellian_rows(rho, u, T, basis, out=None) -> np.ndarray:
     """Maxwellian rows exp(C @ basis) of nodes with parameters rho, u, T.
 
     rho, u, T are float arrays of one shape S; basis is `velocity_basis` of
     the nodes (`PhaseGrid.velocity_basis`).  C, of shape S + (3,), holds each node's
-    exponent coefficients a = ln(rho/sqrt(2 pi R T)) - u^2/(2 R T),
-    b = u/(R T) and c = -1/(2 R T).  The result, of shape S + (nv,), goes to
-    `out` if given.  A value's relative error grows like
-    ulp * (1 + u^2/(R T)); see the module docstring.
+    exponent coefficients a = ln(rho/sqrt(2 pi T)) - u^2/(2 T), b = u/T and
+    c = -1/(2 T).  The result, of shape S + (nv,), goes to `out` if given.
+    A value's relative error grows like ulp * (1 + u^2/T); see the module
+    docstring.
     """
-    theta = R * T
-    coeffs = np.empty(theta.shape + (3,))
+    coeffs = np.empty(np.shape(T) + (3,))
     a, b, c = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
-    np.divide(u, theta, out=b)
-    np.divide(-0.5, theta, out=c)
+    np.divide(u, T, out=b)
+    np.divide(-0.5, T, out=c)
     np.multiply(b, u, out=a)
     a *= -0.5
-    a += np.log(rho / np.sqrt(2.0 * np.pi * theta))
+    a += np.log(rho / np.sqrt(2.0 * np.pi * T))
     out = np.matmul(coeffs, basis, out=out)
     np.exp(out, out=out)
     return out

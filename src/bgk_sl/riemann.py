@@ -41,8 +41,9 @@ class GasState:
         return math.sqrt(gamma * self.p / self.rho)
 
     @staticmethod
-    def from_rho_u_T(rho: float, u: float, T: float, R: float = 1.0) -> "GasState":
-        return GasState(rho=rho, u=u, p=rho * R * T)
+    def from_rho_u_T(rho: float, u: float, T: float) -> "GasState":
+        """The state of temperature T = p/rho."""
+        return GasState(rho=rho, u=u, p=rho * T)
 
 
 def _side_function(p: float, s: GasState, gamma: float) -> tuple[float, float]:
@@ -194,7 +195,6 @@ def riemann_profile(
     x,
     t: float,
     x_jump: float = 0.5,
-    R: float = 1.0,
 ):
     """Exact (rho, u, T, E) profile at time t from (rho, u, T) initial states.
 
@@ -202,8 +202,8 @@ def riemann_profile(
     which matches both kinetic systems' energy definitions for their gammas.
     """
     x = np.asarray(x, dtype=float)
-    left = GasState.from_rho_u_T(*left_rut, R=R)
-    right = GasState.from_rho_u_T(*right_rut, R=R)
+    left = GasState.from_rho_u_T(*left_rut)
+    right = GasState.from_rho_u_T(*right_rut)
     if t <= 0.0:
         on_left = x < x_jump
         rho = np.where(on_left, left.rho, right.rho)
@@ -212,6 +212,6 @@ def riemann_profile(
     else:
         solution = RiemannSolution(left, right, gamma)
         rho, u, p = solution.sample((x - x_jump) / t)
-    T = p / (rho * R)
+    T = p / rho
     E = p / (gamma - 1.0) + 0.5 * rho * u**2
     return rho, u, T, E

@@ -12,13 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import PhaseGrid
-from .moments import (
-    GAS_CONSTANT,
-    Moments,
-    maxwellian_rows,
-    validate_positive,
-    velocity_moments,
-)
+from .moments import Moments, maxwellian_rows, validate_positive, velocity_moments
 
 
 class KineticSystem:
@@ -27,9 +21,6 @@ class KineticSystem:
     n_components: int
     gamma: float
     name: str
-
-    def __init__(self, R: float = GAS_CONSTANT):
-        self.R = R
 
     def moments(self, field: np.ndarray, grid: PhaseGrid, validate: bool = True) -> Moments:
         """Moments of a field; validate=True raises on non-positive rho or T."""
@@ -44,7 +35,7 @@ class KineticSystem:
         u = np.broadcast_to(np.asarray(u, dtype=float), (grid.n_space,))
         T = np.broadcast_to(np.asarray(T, dtype=float), (grid.n_space,))
         validate_positive(rho, T)
-        E = 0.5 * rho * u**2 + 0.5 * self.dof * rho * self.R * T
+        E = 0.5 * rho * u**2 + 0.5 * self.dof * rho * T
         mom = Moments(rho=rho, u=u, T=T, E=E)
         return self.equilibrium(mom, grid)
 
@@ -57,12 +48,12 @@ class KineticSystem:
 
     @property
     def dof(self) -> int:
-        """Velocity-space degrees of freedom N in E = rho*u^2/2 + (N/2) rho R T."""
+        """Velocity-space degrees of freedom N in E = rho*u^2/2 + (N/2) rho T."""
         raise NotImplementedError
 
 
 class Monatomic1V(KineticSystem):
-    """One scalar distribution over a 1D velocity grid; E = rho u^2/2 + rho R T/2."""
+    """One scalar distribution over a 1D velocity grid; E = rho u^2/2 + rho T/2."""
 
     n_components = 1
     gamma = 3.0
@@ -77,11 +68,11 @@ class Monatomic1V(KineticSystem):
         rho, mom, energy = velocity_moments(field[0], grid.moment_weights)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = mom / rho
-            T = (2.0 * energy / rho - u**2) / self.R
+            T = 2.0 * energy / rho - u**2
         if validate:
             validate_positive(rho, T)
         return Moments(rho=rho, u=u, T=T, E=energy)
 
     def equilibrium(self, mom: Moments, grid: PhaseGrid) -> np.ndarray:
         """Maxwellian rows of every node: one product and one exp (`maxwellian_rows`)."""
-        return maxwellian_rows(mom.rho, mom.u, mom.T, grid.velocity_basis, self.R)[None]
+        return maxwellian_rows(mom.rho, mom.u, mom.T, grid.velocity_basis)[None]

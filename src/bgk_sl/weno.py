@@ -258,6 +258,18 @@ def _window_pattern(source, first, wrows, stride):
     return base, np.concatenate(rows), np.concatenate(entries)
 
 
+def check_shapes(field, data_shape, out, result_shape) -> None:
+    """Raise ValueError unless field is (ncomp,) + data_shape and `out`, if
+    given, is (ncomp,) + result_shape."""
+    if field.ndim != 3 or field.shape[1:] != data_shape:
+        raise ValueError(
+            f"field shape {field.shape} does not match (ncomp, {data_shape[0]}, {data_shape[1]})"
+        )
+    result_shape = (field.shape[0],) + result_shape
+    if out is not None and out.shape != result_shape:
+        raise ValueError(f"out shape {out.shape} != result shape {result_shape}")
+
+
 class InterpPlan:
     """The evaluation of a field at one rigid shift of rows, frozen for reuse.
 
@@ -337,18 +349,12 @@ class InterpPlan:
         its neighbour.  Rows are independent, so the blocks write the very
         values one pass over all rows would."""
         field = np.asarray(field, dtype=float)
-        if field.ndim != 3 or field.shape[1:] != self.data_shape:
-            raise ValueError(
-                f"field shape {field.shape} does not match plan (ncomp, "
-                f"{self.data_shape[0]}, {self.data_shape[1]})"
-            )
-        flat = field.reshape(field.shape[0], -1)
         rows, halo = self.rows, 2 * self._width - 1
-        ncomp, ncols = flat.shape[0], len(self.t)
+        ncomp, ncols = field.shape[0], len(self.t)
+        check_shapes(field, self.data_shape, out, (rows, ncols))
+        flat = field.reshape(ncomp, -1)
         if out is None:
             out = np.empty((ncomp, rows, ncols))
-        elif out.shape != (ncomp, rows, ncols):
-            raise ValueError(f"out shape {out.shape} != result shape {(ncomp, rows, ncols)}")
         most = max(1, BLOCK_POINTS // max(1, ncomp * ncols))  # rows a block may hold
         nblocks = -(-rows // most)
         block = -(-rows // nblocks) if nblocks else 0  # overlaps of under a row each

@@ -140,7 +140,7 @@ def uniform_mixture_field(system, grid: PhaseGrid, parts) -> np.ndarray:
     """Space-uniform field whose velocity profile is a Maxwellian mixture.
 
     For the reduced two-component system the transverse component of each
-    part carries its equilibrium share 2*R*T*M1, so temperatures stay
+    part carries its equilibrium share 2*T*M1, so temperatures stay
     admissible while the state remains out of equilibrium.
     """
     row = mixture_row(grid.v, parts)
@@ -150,7 +150,7 @@ def uniform_mixture_field(system, grid: PhaseGrid, parts) -> np.ndarray:
         row2 = np.zeros_like(grid.v)
         basis = velocity_basis(grid.v)
         for w, rho, u, T in parts:
-            row2 = row2 + w * 2.0 * system.R * T * maxwellian_rows(*np.array([rho, u, T]), basis)
+            row2 = row2 + w * 2.0 * T * maxwellian_rows(*np.array([rho, u, T]), basis)
         f[1] = row2
     return f
 

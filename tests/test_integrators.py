@@ -1,4 +1,4 @@
-"""Tableaus, single-step building blocks and TimeStepper bookkeeping."""
+"""Tableaus, the one step function and TimeStepper bookkeeping."""
 import math
 import tracemalloc
 
@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgk_sl import (
+    BDF2_TABLEAU,
+    BDF3_TABLEAU,
     Boundary,
     ChuReduced3V,
     ConfigError,
@@ -23,15 +25,15 @@ from bgk_sl import (
     RK2_TABLEAU,
     RK3_TABLEAU,
     SCHEMES,
+    TABLEAUS,
     SchemeConfig,
     StepContext,
     Tableau,
     TimeControl,
     TimeStepper,
-    bdf_step,
-    dirk_step,
     load_scenario,
     make_system,
+    tableau_step,
 )
 from bgk_sl import integrators
 from bgk_sl.integrators import RK2_ALPHA, RK3_GAMMA
@@ -92,6 +94,36 @@ def test_tableau_validation_errors():
         Tableau(a=((0.5, 0.0), (0.25, 0.25)), c=(0.5, 0.5))
 
 
+def test_tableau_rejects_history_weights_that_do_not_sum_to_one():
+    with pytest.raises(ConfigError):
+        Tableau(a=((2.0 / 3.0,),), c=(1.0,), history=(4.0 / 3.0, -0.3))
+    with pytest.raises(ConfigError):
+        Tableau(a=((1.0,),), c=(1.0,), history=(0.5,))
+    with pytest.raises(ConfigError):
+        Tableau(a=((1.0,),), c=(1.0,), history=())
+
+
+def test_tableau_rejects_a_row_inconsistent_with_the_history_lag():
+    """Each row must satisfy sum_j a_lj - sum_k k*w_k = c_l, where the lag
+    sum_k k*w_k is -1/3 for BDF2's weights and -5/11 for BDF3's."""
+    with pytest.raises(ConfigError):  # BDF2's weights over backward Euler's stage
+        Tableau(a=((1.0,),), c=(1.0,), history=(4.0 / 3.0, -1.0 / 3.0))
+    with pytest.raises(ConfigError):  # BDF2's stage without its history
+        Tableau(a=((2.0 / 3.0,),), c=(1.0,), history=(1.0,))
+    with pytest.raises(ConfigError):  # BDF3 weights over BDF2's stage
+        Tableau(a=((2.0 / 3.0,),), c=(1.0,), history=(18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0))
+
+
+def test_every_integrator_has_a_tableau_and_a_startup_when_it_reads_history():
+    """An integrator's startup is a DIRK (history f^n only), present exactly
+    when its tableau weighs more than one history state."""
+    assert set(TABLEAUS) == set(Integrator)
+    for integrator, (tab, startup) in TABLEAUS.items():
+        assert (startup is not None) == (len(tab.history) > 1), integrator
+        if startup is not None:
+            assert startup.history == (1.0,)
+
+
 # ---------------------------------------------------------------------------
 # single-step building blocks
 # ---------------------------------------------------------------------------
@@ -112,9 +144,9 @@ def test_dirk_without_collisions_reduces_to_transport():
     f = rng.normal(size=(1, GRID.nx + 1, GRID.v.size))
     dt = 0.07
     pure = ctx.transport.shifted(f, dt)
-    assert np.array_equal(dirk_step(ctx, f, dt, EULER_TABLEAU), pure)
-    assert np.array_equal(dirk_step(ctx, f, dt, RK2_TABLEAU), pure)
-    assert np.array_equal(dirk_step(ctx, f, dt, RK3_TABLEAU), pure)
+    assert np.array_equal(tableau_step(ctx, [f], dt, EULER_TABLEAU), pure)
+    assert np.array_equal(tableau_step(ctx, [f], dt, RK2_TABLEAU), pure)
+    assert np.array_equal(tableau_step(ctx, [f], dt, RK3_TABLEAU), pure)
 
 
 def test_equilibrium_is_fixed_point_of_every_step():
@@ -128,11 +160,11 @@ def test_equilibrium_is_fixed_point_of_every_step():
     f = SYSTEM.from_macro(1.0, 0.0, 1.0, grid)
     dt = 0.2
     for out in (
-        dirk_step(ctx, f, dt, EULER_TABLEAU),
-        dirk_step(ctx, f, dt, RK2_TABLEAU),
-        dirk_step(ctx, f, dt, RK3_TABLEAU),
-        bdf_step(ctx, [f, f], dt, 2),
-        bdf_step(ctx, [f, f, f], dt, 3),
+        tableau_step(ctx, [f], dt, EULER_TABLEAU),
+        tableau_step(ctx, [f], dt, RK2_TABLEAU),
+        tableau_step(ctx, [f], dt, RK3_TABLEAU),
+        tableau_step(ctx, [f, f], dt, BDF2_TABLEAU),
+        tableau_step(ctx, [f, f, f], dt, BDF3_TABLEAU),
     ):
         assert np.allclose(out, f, atol=1e-13)
 
@@ -145,19 +177,19 @@ def test_strong_relaxation_drives_toward_equilibrium():
     f = _maxwellian_field()
     f *= 1.0 + 0.2 * rng.random(f.shape)  # perturb off equilibrium
     dt = 0.1
-    out = dirk_step(ctx, f, dt, EULER_TABLEAU)
+    out = tableau_step(ctx, [f], dt, EULER_TABLEAU)
     g = ctx.transport.shifted(f, dt)
     m_eq = SYSTEM.equilibrium(SYSTEM.moments(g, GRID), GRID)
     assert np.allclose(out, m_eq, atol=1e-7)
 
 
-def test_bdf_step_validation():
+def test_tableau_step_needs_every_history_state_it_weighs():
     ctx = _ctx(1.0)
     f = _maxwellian_field()
     with pytest.raises(ConfigError):
-        bdf_step(ctx, [f, f, f, f], 0.1, 4)  # unsupported order
+        tableau_step(ctx, [f], 0.1, BDF2_TABLEAU)
     with pytest.raises(ConfigError):
-        bdf_step(ctx, [f], 0.1, 2)  # missing history
+        tableau_step(ctx, [f, f], 0.1, BDF3_TABLEAU)
 
 
 @pytest.mark.parametrize("lattice", [False, True])
@@ -169,7 +201,7 @@ def test_euler_tableau_is_foot_then_relaxation_bitwise(lattice):
     ctx = _ctx(0.05, kind=Interp.WENO35)
     dt = lattice_dt(GRID) if lattice else 0.03
     expect = ctx.relax(ctx.transport.shifted(f, dt), dt)
-    assert np.array_equal(dirk_step(ctx, f, dt, EULER_TABLEAU), expect)
+    assert np.array_equal(tableau_step(ctx, [f], dt, EULER_TABLEAU), expect)
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +259,25 @@ def test_bdf3_needs_two_equal_spaced_predecessors():
 )
 def test_bdf_continuation_matches_manual_composition(integrator, tab):
     """TimeStepper's BDF path is order-1 same-order DIRK startup steps, then
-    bdf_step on the equally spaced history, newest state first."""
+    the BDF tableau's step on the equally spaced history, newest state first."""
     f = _maxwellian_field(rho=1.2, u=-0.1, T=0.95)
     stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, eps=0.3))
-    dt, order = 0.04, integrator.order
+    bdf = TABLEAUS[integrator][0]
+    dt, order = 0.04, len(bdf.history)
     for _ in range(order + 1):
         stepper.step(dt)
     assert stepper.predictor_steps == order - 1
     ctx = _ctx(0.3)
     states = [f]
     for _ in range(order - 1):
-        states.insert(0, dirk_step(ctx, states[0], dt, tab))
+        states.insert(0, tableau_step(ctx, [states[0]], dt, tab))
     for _ in range(2):
-        states = [bdf_step(ctx, states, dt, order)] + states[: order - 1]
+        states = [tableau_step(ctx, states, dt, bdf)] + states[: order - 1]
     assert np.array_equal(stepper.f, states[0])
 
 
 def _textbook_dirk(ctx, f, dt, tab):
-    """dirk_step with every stage sum and flux formed out of place."""
+    """A DIRK step with every stage sum and flux formed out of place."""
     a, c = tab.a, tab.c
     flux = [None] * tab.stages
     out = None
@@ -270,16 +303,20 @@ def test_steps_equal_textbook_arithmetic_bitwise(eps):
     dt = 0.03
     for tab in (RK2_TABLEAU, RK3_TABLEAU):
         expect = _textbook_dirk(ctx, states[0], dt, tab)
-        assert np.array_equal(dirk_step(ctx, states[0], dt, tab), expect)
+        assert np.array_equal(tableau_step(ctx, states[:1], dt, tab), expect)
     w2 = (4.0 / 3.0, -1.0 / 3.0)
     shifted = ctx.transport.shifted
     g = w2[0] * shifted(states[0], dt) + w2[1] * shifted(states[1], 2 * dt)
-    assert np.array_equal(bdf_step(ctx, states[:2], dt, 2), ctx.relax(g, 2.0 / 3.0 * dt))
+    assert np.array_equal(
+        tableau_step(ctx, states[:2], dt, BDF2_TABLEAU), ctx.relax(g, 2.0 / 3.0 * dt)
+    )
     w3 = (18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0)
     g = w3[0] * shifted(states[0], dt)
     g = g + w3[1] * shifted(states[1], 2 * dt)
     g = g + w3[2] * shifted(states[2], 3 * dt)
-    assert np.array_equal(bdf_step(ctx, states, dt, 3), ctx.relax(g, 6.0 / 11.0 * dt))
+    assert np.array_equal(
+        tableau_step(ctx, states, dt, BDF3_TABLEAU), ctx.relax(g, 6.0 / 11.0 * dt)
+    )
     assert all(np.array_equal(s, k) for s, k in zip(states, saved))
 
 
@@ -375,8 +412,8 @@ def test_offlattice_step_is_order_matched_interpolated_dirk(token, kind, tab):
     stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=interp, eps=0.2))
     dt = 0.37 * lattice_dt(GRID, stride)
     stepper.step(dt)
-    assert stepper.predictor_steps == int(integrator.is_multistep)
-    assert np.array_equal(stepper.f, dirk_step(_ctx(0.2, kind=kind), f, dt, tab))
+    assert stepper.predictor_steps == int(TABLEAUS[integrator][1] is not None)
+    assert np.array_equal(stepper.f, tableau_step(_ctx(0.2, kind=kind), [f], dt, tab))
 
 
 def test_lattice_bdf_startup_borrows_interpolation():

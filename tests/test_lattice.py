@@ -206,6 +206,26 @@ def test_gather_rejects_mismatched_field():
         tr.shifted(f[:, :-1, :], lattice_dt(GRID))
 
 
+@pytest.mark.parametrize("nodes", [0, 1, 5], ids=["copy", "interior", "all-edge"])
+def test_gather_checks_field_and_out_shapes_on_every_path(nodes):
+    """The zero shift (a copy), a shift with interior rows and one whose edges
+    cover the field reject a field of another grid's shape and an `out` of
+    another component count, as a plan's apply does, rather than copying
+    the field as it is or broadcasting into `out`."""
+    grid = PhaseGrid(0.0, 1.0, 16, 6, 3.0)  # 17 x 13
+    tr = LatticeTransport(grid, Boundary.PERIODIC)
+    tau = nodes * lattice_dt(grid)
+    f = _rand_field(grid, 32)
+    with pytest.raises(ValueError):
+        tr.shifted(np.zeros((1, 5, 4)), tau)
+    with pytest.raises(ValueError):
+        tr.shifted(f[0], tau)  # no component axis
+    with pytest.raises(ValueError):
+        tr.shifted(f, tau, out=np.empty((2, grid.n_space, grid.n_vel)))
+    out = np.empty_like(f)
+    assert tr.shifted(f, tau, out=out) is out
+
+
 @pytest.mark.parametrize("bc", list(Boundary))
 @pytest.mark.parametrize(
     "grid",

@@ -109,25 +109,25 @@ def _nonequilibrium_rows(grid, seed):
 
 def test_maxwellian_agrees_with_textbook_expression(grid):
     """The product form exp(C @ [1; v; v^2]) agrees with the textbook
-    expression to 32 ulp * (1 + u^2/(R T)) relative where the row is above
-    1e-6 of its peak (measured: 16.7 ulp), and to 4 ulp * (1 + u^2/(R T))
+    expression to 32 ulp * (1 + u^2/T) relative where the row is above
+    1e-6 of its peak (measured: 16.7 ulp), and to 4 ulp * (1 + u^2/T)
     of the row's peak everywhere (measured: 0.9 ulp); both forms carry
-    round-off."""
+    round-off.  The temperatures scaled by 0.7 reach down to T = 0.21."""
     rho, u, T, _ = _nonequilibrium_rows(grid, 41)
     v = grid.v[None, :]
     basis = velocity_basis(grid.v)
     eps = np.finfo(float).eps
-    for R in (1.0, 0.7):
-        theta = R * T
+    for scale in (1.0, 0.7):
+        theta = scale * T
         expect = rho / np.sqrt(2.0 * np.pi * theta) * np.exp(-((v - u) ** 2) / (2.0 * theta))
-        got = maxwellian_rows(rho[:, 0], u[:, 0], T[:, 0], basis, R)
+        got = maxwellian_rows(rho[:, 0], u[:, 0], theta[:, 0], basis)
         ulps = eps * (1.0 + u**2 / theta)
         peak = expect.max(axis=-1, keepdims=True)
         bulk = expect > 1e-6 * peak
         assert np.all((np.abs(got - expect) <= 32.0 * ulps * expect)[bulk])
         assert np.all(np.abs(got - expect) <= 4.0 * ulps * peak)
         out = np.empty(expect.shape)
-        assert maxwellian_rows(rho[:, 0], u[:, 0], T[:, 0], basis, R, out=out) is out
+        assert maxwellian_rows(rho[:, 0], u[:, 0], theta[:, 0], basis, out=out) is out
         assert np.array_equal(out, got)
 
 
@@ -155,11 +155,11 @@ def test_maxwellian_round_off_against_extended_precision(umax, Tmin, Tmax, k_bul
     grid = PhaseGrid(0.0, 1.0, 400, 48, 12.0)
     rng = np.random.default_rng(7)
     n = grid.n_space
-    R = 0.7
+    R = 0.7  # the rows are at temperature R T, as for a gas constant R
     rho = rng.uniform(0.1, 2.0, (n, 1))
     u = rng.uniform(-umax, umax, (n, 1))
     T = rng.uniform(Tmin, Tmax, (n, 1))
-    got = maxwellian_rows(rho[:, 0], u[:, 0], T[:, 0], velocity_basis(grid.v), R)
+    got = maxwellian_rows(rho[:, 0], u[:, 0], (R * T)[:, 0], velocity_basis(grid.v))
     L = np.longdouble
     theta = L(R) * T.astype(L)
     pec = grid.v.astype(L)[None, :] - u.astype(L)

@@ -22,8 +22,8 @@ def test_from_macro_moments_round_trip(system, grid):
     assert np.allclose(mom.rho, rho0, atol=1e-12)
     assert np.allclose(mom.u, u0, atol=1e-12)
     assert np.allclose(mom.T, T0, atol=1e-12)
-    # total energy carries dof/2 * rho * R * T of internal energy
-    expected_E = 0.5 * rho0 * u0**2 + 0.5 * system.dof * rho0 * system.R * T0
+    # total energy carries dof/2 * rho * T of internal energy
+    expected_E = 0.5 * rho0 * u0**2 + 0.5 * system.dof * rho0 * T0
     assert np.allclose(mom.E, expected_E, atol=1e-12)
 
 
@@ -35,12 +35,12 @@ def test_gamma_and_dof():
 
 
 def test_chu_equilibrium_pair_identity(grid):
-    """The transverse equilibrium component is 2 R T times the longitudinal
+    """The transverse equilibrium component is 2 T times the longitudinal
     Maxwellian, which makes the paired temperature identity exact."""
     system = ChuReduced3V()
     f = system.from_macro(1.2, 0.3, 0.9, grid)
-    assert np.allclose(f[1], 2.0 * system.R * 0.9 * f[0], rtol=1e-14)
-    # second-component mass supplies the transverse thermal energy: 2 rho R T
+    assert np.allclose(f[1], 2.0 * 0.9 * f[0], rtol=1e-14)
+    # second-component mass supplies the transverse thermal energy: 2 rho T
     assert grid.dv * f[1].sum(axis=-1) == pytest.approx(2.0 * 1.2 * 0.9, abs=1e-12)
 
 
@@ -99,13 +99,13 @@ def test_chu_moments_and_equilibrium_equal_textbook_expressions_bitwise(grid):
     rho = dv * g1.sum(axis=-1)
     u = dv * (g1 * v).sum(axis=-1) / rho
     pec2 = (v[None, :] - u[:, None]) ** 2
-    T = (dv * (pec2 * g1).sum(axis=-1) + dv * g2.sum(axis=-1)) / (3.0 * rho * system.R)
+    T = (dv * (pec2 * g1).sum(axis=-1) + dv * g2.sum(axis=-1)) / (3.0 * rho)
     mom = system.moments(f, grid)
     assert np.array_equal(mom.rho, rho) and np.array_equal(mom.u, u)
     assert np.array_equal(mom.T, T)
-    m1 = maxwellian_rows(rho, u, T, velocity_basis(v), system.R)
+    m1 = maxwellian_rows(rho, u, T, velocity_basis(v))
     eq = system.equilibrium(mom, grid)
-    assert np.array_equal(eq, np.stack([m1, 2.0 * system.R * T[:, None] * m1]))
+    assert np.array_equal(eq, np.stack([m1, 2.0 * T[:, None] * m1]))
 
 
 @pytest.mark.parametrize("system", [Monatomic1V(), ChuReduced3V()])
