@@ -111,7 +111,10 @@ def main(argv=None) -> int:
     opts = {}
     try:
         opts = _merge_options(args)
-        return _dispatch(args.command, opts)
+        # A march that goes bad overflows on its way; the stepper's checks
+        # name the failure, so numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _dispatch(args.command, opts)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

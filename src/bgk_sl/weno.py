@@ -33,11 +33,27 @@ of the definition):
     cubic, centre   d0^2 + 13/48 (S_0 + S_1)^2    + 781/720 (S_1 - S_0)^2
     cubic, left     d0^2 + 13/48 (3 S_0 - S_-1)^2 + 781/720 (S_0 - S_-1)^2
 
+Weights.  The Jiang-Shu weights are alpha_k = gamma_k / (beta_k + eps)^2,
+normalised, with the linear weights gamma_k of the smooth-data blend.  eps
+is added once, to the shared d0^2 term, so every indicator comes out as
+beta_k + eps.  WENO35 divides its three gamma_k by (beta_k + eps)^2.  A
+division by a per-column row runs one row at a time, several times slower
+than a multiplication by it, so WENO23 divides by no per-column weight:
+with i_k = (beta_k + eps)^2 and the per-column ratio
+rho = gamma_r / gamma_l = (1 + t)/(2 - t), its weights are
+i_r / (i_r + rho i_l) and rho i_l / (i_r + rho i_l), so its correction is
+
+    q (i_r S_0 + rho i_l S_1) / (i_r + rho i_l).
+
+The products i_k S grow like the fifth power of the data, so WENO23 stays
+finite for |data| up to about 1e61; WENO35, whose weights are quotients,
+reaches about 1e77.  eps bounds i_k below, so small data never underflow.
+
 Rigid shift.  The characteristic feet x_i - v_j*tau of one velocity column
 are that column's nodes shifted by one common amount, so an InterpPlan
 evaluates, in every column q, the points cell_q + t_q + i (node units),
-i = 0..rows-1.  The fraction t_q, and with it every Newton coefficient and
-linear weight, is then a per-column constant, stored as a (ncols,) row, and
+i = 0..rows-1.  The fraction t_q, and with it every Newton coefficient,
+gamma_k and rho, is then a per-column constant, stored as a (ncols,) row, and
 the stencils of all rows are slices of one window of rows + width
 consecutive nodes per column, gathered with a single take.
 
@@ -91,8 +107,8 @@ WENO_EPS_DEFAULT = 1e-6
 GHOST_WIDTH = {Interp.LINEAR: 1, Interp.WENO23: 2, Interp.WENO35: 3}
 
 #: the most points (components x rows x columns) one pass of apply()
-#: evaluates, but at least one row: the 8 (WENO23) to 12 (WENO35) scratch
-#: arrays of a block take 2-3 MB, about one L2 cache, while fields of up to
+#: evaluates, but at least one row: the 6 (WENO23) to 12 (WENO35) scratch
+#: arrays of a block take 1.5-3 MB, about one L2 cache, while fields of up to
 #: about 26k points (2 x 201 x 61 for the Chu shock tube at nx=200, 2 x 321 x
 #: 41 for the smooth ladder at nx=320) still take one pass and pay the fixed
 #: cost of a pass once
@@ -155,21 +171,24 @@ def _differences(win, order, ws):
     return diffs
 
 
-def _indicators(kind, diffs, rows, ws):
-    """Smoothness indicators of the candidate stencils, left to right.
+def _indicators(kind, diffs, rows, ws, eps):
+    """Smoothness indicators plus eps, beta_k + eps, of the candidate stencils,
+    left to right.
 
     `diffs` are the window's differences from _differences(win, 2 or 3, ws);
-    d0^2 and the squared highest differences are formed once and shared.
+    d0^2 + eps and the squared highest differences are formed once and shared.
     """
     lo = len(diffs) - 1
     d = diffs[0]
     d0 = d[:, lo : lo + rows]
     d0sq = np.multiply(d0, d0, out=ws.get(d0.shape))
+    d0sq += eps
     if kind is Interp.WENO23:
         s = diffs[1]  # s[:, k] = S_k
         ssq = np.multiply(s, s, out=ws.get(s.shape))
         ssq *= 13.0 / 12.0
-        return [np.add(d0sq, ssq[:, k : k + rows], out=ws.get(d0.shape)) for k in (0, 1)]
+        b_l = np.add(d0sq, ssq[:, :rows], out=ws.get(d0.shape))
+        return [b_l, np.add(d0sq, ssq[:, 1:], out=d0sq)]  # one scratch array fewer
     s, t3 = diffs[1], diffs[2]  # s[:, k] = S_{k-1}; t3[:, k] = S_k - S_{k-1}
     t3sq = np.multiply(t3, t3, out=ws.get(t3.shape))
     t3sq *= 781.0 / 720.0
@@ -188,23 +207,33 @@ def _indicators(kind, diffs, rows, ws):
     return betas
 
 
-def _weno23_correction(alphas, diffs, coef, rows, ws):
-    """q * (a_l S_0 + a_r S_1) / (a_l + a_r); consumes the alphas."""
-    a_l, a_r = alphas
+def _weno23_blend(betas, diffs, coef, ratio, rows, ws):
+    """q (i_r S_0 + rho i_l S_1) / (i_r + rho i_l), with i_k = (beta_k + eps)^2
+    and rho = gamma_r / gamma_l; consumes the indicators.  The result
+    overwrites the first differences, all read by then: fewer scratch arrays
+    keep more of a block in cache."""
+    b_l, b_r = betas
     s = diffs[1]
     (q,) = coef
-    num = np.multiply(a_l, s[:, :rows], out=ws.get(a_l.shape))
-    a_l += a_r
-    a_r *= s[:, 1 : rows + 1]
-    num += a_r
-    num /= a_l
+    b_l *= b_l
+    b_l *= ratio  # rho i_l
+    b_r *= b_r  # i_r
+    num = np.multiply(b_r, s[:, :rows], out=diffs[0][:, :rows])
+    b_r += b_l
+    b_l *= s[:, 1 : rows + 1]
+    num += b_l
+    num /= b_r
     num *= q
     return num
 
 
-def _weno35_correction(alphas, diffs, coef, rows, ws):
-    """Weighted cubic corrections over the weight sum; consumes the alphas."""
-    a_l, a_c, a_r = alphas
+def _weno35_blend(betas, diffs, coef, linear, rows, ws):
+    """Weighted cubic corrections over the weight sum, with the weights
+    gamma_k / (beta_k + eps)^2; consumes the indicators."""
+    for beta, gamma in zip(betas, linear):
+        beta *= beta
+        np.divide(gamma, beta, out=beta)
+    a_l, a_c, a_r = betas
     s, t3 = diffs[1], diffs[2]
     q, c_lc, c_r = coef
     den = np.add(a_l, a_c, out=ws.get(a_l.shape))
@@ -227,7 +256,7 @@ def _weno35_correction(alphas, diffs, coef, rows, ws):
     return num
 
 
-_CORRECTION = {Interp.WENO23: _weno23_correction, Interp.WENO35: _weno35_correction}
+_BLEND = {Interp.WENO23: _weno23_blend, Interp.WENO35: _weno35_blend}
 
 
 def _window_index(source, first, w0, w1):
@@ -285,7 +314,7 @@ class InterpPlan:
         lo = hi - 1
         self.kind = kind
         self._width = hi
-        self._correction = _CORRECTION.get(kind)
+        self._weno = _BLEND.get(kind)
         self.eps = float(eps)
         self.data_shape = (int(data_shape[0]), int(data_shape[1]))
         self.rows = int(rows)
@@ -323,14 +352,16 @@ class InterpPlan:
             self._index = base - self._low + np.arange(block + lo + hi)[:, None] * stride
         self.t = t
         q = 0.5 * t * (t - 1.0)
+        # the Newton coefficients, and the weights: rho = gamma_r / gamma_l
+        # for WENO23, the linear weights gamma_k for WENO35
         if kind is Interp.LINEAR:
-            self._coef, self._linear = (), ()
+            self._coef, self._weights = (), ()
         elif kind is Interp.WENO23:
             self._coef = (q,)
-            self._linear = ((2.0 - t) / 3.0, (1.0 + t) / 3.0)
+            self._weights = (1.0 + t) / (2.0 - t)
         elif kind is Interp.WENO35:
             self._coef = (q, q * (t + 1.0) / 3.0, q * (t - 2.0) / 3.0)
-            self._linear = (
+            self._weights = (
                 (t - 2.0) * (t - 3.0) / 20.0,
                 -(t + 2.0) * (t - 3.0) / 10.0,
                 (t + 2.0) * (t + 1.0) / 20.0,
@@ -388,14 +419,10 @@ class InterpPlan:
         diffs = _differences(win, self._width, ws)
         np.multiply(diffs[0][:, lo : lo + rows], self.t, out=out)
         out += win[:, lo : lo + rows]
-        if self._correction is None:
+        if self._weno is None:
             return
-        alphas = _indicators(self.kind, diffs, rows, ws)
-        for alpha, linear in zip(alphas, self._linear):
-            alpha += self.eps
-            alpha *= alpha
-            np.divide(linear, alpha, out=alpha)
-        out += self._correction(alphas, diffs, self._coef, rows, ws)
+        betas = _indicators(self.kind, diffs, rows, ws, self.eps)
+        out += self._weno(betas, diffs, self._coef, self._weights, rows, ws)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,15 @@ def fitted_slope(h_list, err_list) -> float:
     return float(np.polyfit(np.log2(h_list), np.log2(err_list), 1)[0])
 
 
-def smoothness_indicators(kind, window) -> list[float]:
-    """Smoothness indicators, left stencil first, of one window of node values
-    (WENO23: nodes -1..2 of the evaluation cell; WENO35: nodes -2..3), taken
-    through the difference-form indicators the interpolation kernel uses."""
+def smoothness_indicators(kind, window, eps=0.0) -> list[float]:
+    """Smoothness indicators plus eps, left stencil first, of one window of
+    node values (WENO23: nodes -1..2 of the evaluation cell; WENO35: nodes
+    -2..3), taken through the difference-form indicators the interpolation
+    kernel uses."""
     win = np.asarray(window, dtype=float).reshape(1, -1, 1)
     ws = Workspace()
     diffs = _differences(win, GHOST_WIDTH[kind], ws)
-    return [float(b[0, 0, 0]) for b in _indicators(kind, diffs, 1, ws)]
+    return [float(b[0, 0, 0]) for b in _indicators(kind, diffs, 1, ws, eps)]
 
 
 def cells(s):

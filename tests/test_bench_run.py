@@ -1,10 +1,13 @@
-"""The benchmark's tiny lattice-bdf2 run passes the benchmark's own gates.
+"""The benchmark's tiny runs pass the benchmark's own gates.
 
-bench/run.py checks every repetition against the exact Riemann solution and
-fails any repetition whose final density differs by a byte from the first
-one's, so this run puts the moments and the relaxation of the lattice BDF
-path under that byte-identity gate.  Its traced run reports the layer spans
-of bench/spans.py, which see a layer only through the function they patch.
+bench/run.py checks every repetition against its workload's reference (the
+exact Riemann solution, or the finest level of the smooth ladder) and fails
+any repetition whose final density differs by a byte from the first one's.
+The tiny lattice-bdf2 run puts the moments and the relaxation of the lattice
+BDF path under that byte-identity gate; the tiny shock-weno35 and
+smooth-ladder runs put the WENO35 and WENO23 kernels under it.  The traced
+run reports the layer spans of bench/spans.py, which see a layer only
+through the function they patch.
 """
 import json
 import subprocess
@@ -16,9 +19,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tiny_lattice_bdf2(trace):
+def _tiny_run(workload, trace):
     cmd = [
-        sys.executable, "bench/run.py", "--workload", "lattice-bdf2",
+        sys.executable, "bench/run.py", "--workload", workload,
         "--seed", "0", "--seconds", "1", "--trace", str(trace), "--tiny",
     ]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
@@ -26,17 +29,25 @@ def _tiny_lattice_bdf2(trace):
     return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stderr
 
 
-def test_tiny_lattice_bdf2_run_is_correct():
-    result, stderr = _tiny_lattice_bdf2(trace=0)
+def _assert_correct(result, stderr):
     assert result["correct"] and result["failed"] == 0, stderr
     assert result["attempted"] >= 2  # the byte-identity gate compared something
+
+
+def test_tiny_lattice_bdf2_run_is_correct():
+    _assert_correct(*_tiny_run("lattice-bdf2", trace=0))
+
+
+@pytest.mark.parametrize("workload", ("shock-weno35", "smooth-ladder"))
+def test_tiny_weno_run_is_correct(workload):
+    _assert_correct(*_tiny_run(workload, trace=0))
 
 
 @pytest.mark.slow
 def test_traced_lattice_bdf2_sees_every_gather_through_the_transport():
     """Every transport call is one lattice gather or one interpolation: a
     gather taken past LatticeTransport.shifted would vanish from its span."""
-    result, stderr = _tiny_lattice_bdf2(trace=1)
+    result, stderr = _tiny_run("lattice-bdf2", trace=1)
     assert result["correct"] and result["failed"] == 0, stderr
     calls = {name: result["metrics"][f"{name}.calls"]["value"]
              for name in ("transport.shifted", "lattice.shifted", "weno.apply")}

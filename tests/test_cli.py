@@ -221,6 +221,26 @@ def test_numerical_failure_exit_code_and_partial_csv(tmp_path, capsys, model):
     assert lines[-1].startswith("# FAILED:")
 
 
+def test_numerical_failure_prints_one_line_and_no_numpy_warnings():
+    """An unresolved Chu velocity grid overflows in the WENO blend before the
+    stepper finds the NaN density: the CLI reports it in one line, with none
+    of numpy's overflow warnings on stderr (run as a subprocess, since the
+    suite turns warnings into errors)."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "bgk_sl.cli",
+            "run", "--scenario", "riemann-chu", "--nv", "4", "--scheme", "RK2",
+            "--eps", "1e-6", "--nx", "80",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+
+
 @pytest.mark.parametrize(
     "args, header, n_rows",
     [

@@ -73,6 +73,19 @@ def _check_cubic_betas(betas):
     )
 
 
+def test_indicators_add_eps_once():
+    """The kernel folds eps into the shared d0^2 term: every indicator it
+    returns is beta_k + eps, not beta_k + k * eps."""
+    eps = 1e-6
+    assert _betas(Interp.WENO23, [1.0, 3.0, 2.0, 9.0], eps)[0] == pytest.approx(
+        43.0 / 4.0 + eps, rel=1e-15
+    )
+    plain = _betas(Interp.WENO35, [0.0, -2.0, 0.0, 1.0, 7.0, 0.0])
+    shifted = _betas(Interp.WENO35, [0.0, -2.0, 0.0, 1.0, 7.0, 0.0], eps)
+    assert shifted[1] == pytest.approx(2663.0 / 60.0 + eps, rel=1e-15)
+    assert shifted == pytest.approx([b + eps for b in plain], rel=1e-15)
+
+
 def test_beta_center_is_palindromic():
     """Mirroring the data across the evaluation cell leaves the centered
     indicator unchanged (the stencil is symmetric about the cell) and swaps
@@ -170,6 +183,26 @@ def test_weno_step_data_overshoot_is_tiny():
     # the flattened-indicator (pure high-order) blend does overshoot
     smooth = interpolate_at(Interpolator(Interp.WENO35, 1e12), step, *cells(pts / dx))
     assert max(smooth.max() - 1.0, -smooth.min()) > 1e-2
+
+
+@pytest.mark.parametrize("kind", (Interp.WENO23, Interp.WENO35))
+@pytest.mark.parametrize("height", (1e50, 1e-50))
+def test_weno_is_finite_over_the_documented_magnitude_range(kind, height):
+    """A jump of height 1e50 (the WENO23 blend's products grow like the fifth
+    power of the data) or 1e-50 (indicators far below eps) interpolates to
+    finite values in every cell whose window holds the jump, and inside the
+    data bounds in the jump cell, where every candidate straddles the jump.
+    The suite turns an overflow warning into a failure."""
+    vals = height * (np.arange(12) >= 6)  # the jump is in the cell [5, 6]
+    t = np.linspace(0.0, 1.0, 33)[:-1]
+    width = GHOST_WIDTH[kind]
+    anchors = np.arange(6 - width, 5 + width)  # the cells whose windows hold the jump
+    got = interpolate_at(
+        Interpolator(kind), vals, np.repeat(anchors, t.size), np.tile(t, anchors.size)
+    ).reshape(anchors.size, t.size)
+    assert np.all(np.isfinite(got))
+    jump_cell = got[anchors == 5]
+    assert np.all((jump_cell >= 0.0) & (jump_cell <= height))
 
 
 # ---------------------------------------------------------------------------
