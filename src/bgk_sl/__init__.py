@@ -27,7 +27,6 @@ from .integrators import (
     BDF2_TABLEAU,
     BDF3_TABLEAU,
     EULER_TABLEAU,
-    LATTICE_RK2_TABLEAU,
     RK2_TABLEAU,
     RK3_TABLEAU,
     TABLEAUS,
@@ -36,7 +35,7 @@ from .integrators import (
     TimeStepper,
     tableau_step,
 )
-from .lattice import LatticeTransport, lattice_cfl, lattice_dt
+from .lattice import LatticeTransport, lattice_dt
 from .moments import Moments, relaxation_solve, velocity_moments
 from .riemann import GasState, RiemannSolution, riemann_profile
 from .scenarios import SCENARIOS, Scenario, load_scenario, make_system

@@ -20,7 +20,6 @@ class Integrator(enum.Enum):
     RK3 = "RK3"
     BDF2 = "BDF2"
     BDF3 = "BDF3"
-    LATTICE_RK2 = "LatRK2"  # the 2-stage DIRK whose abscissas are thirds
 
 
 class Interp(enum.Enum):
@@ -39,21 +38,19 @@ class Boundary(enum.Enum):
     FREEFLOW = "freeflow"
 
 
-# Per --scheme token: (integrator, default interpolation, lattice stride).  A
-# token with a stride s marches at the lattice step dt = s*dx/dv, where every
-# characteristic foot over a multiple of dt/s is a node; the others march at
-# dt = cfl*dx/vmax.  A Lat* token is its integrator at that step, with the
-# interpolation of its order for the feet that are not node-aligned.
+# Per --scheme token: (integrator, default interpolation, lattice).  A lattice
+# token marches its integrator at the lattice step dt = dx/dv, where every
+# characteristic foot over a multiple of dt is a node, with the interpolation
+# of its order for the feet that are not; the others march at dt = cfl*dx/vmax.
 SCHEMES = {
-    "Euler1": (Integrator.EULER1, Interp.LINEAR, None),
-    "RK2": (Integrator.RK2, Interp.WENO23, None),
-    "RK3": (Integrator.RK3, Interp.WENO23, None),
-    "BDF2": (Integrator.BDF2, Interp.WENO23, None),
-    "BDF3": (Integrator.BDF3, Interp.WENO23, None),
-    "LatEuler": (Integrator.EULER1, Interp.LINEAR, 1),
-    "LatBDF2": (Integrator.BDF2, Interp.WENO23, 1),
-    "LatBDF3": (Integrator.BDF3, Interp.WENO35, 1),
-    "LatRK2": (Integrator.LATTICE_RK2, Interp.WENO23, 3),
+    "Euler1": (Integrator.EULER1, Interp.LINEAR, False),
+    "RK2": (Integrator.RK2, Interp.WENO23, False),
+    "RK3": (Integrator.RK3, Interp.WENO23, False),
+    "BDF2": (Integrator.BDF2, Interp.WENO23, False),
+    "BDF3": (Integrator.BDF3, Interp.WENO23, False),
+    "LatEuler": (Integrator.EULER1, Interp.LINEAR, True),
+    "LatBDF2": (Integrator.BDF2, Interp.WENO23, True),
+    "LatBDF3": (Integrator.BDF3, Interp.WENO35, True),
 }
 
 

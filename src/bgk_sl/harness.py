@@ -27,7 +27,7 @@ from .config import (
 from .errors import ConfigError, NumericalError
 from .grid import PhaseGrid, TimeControl, check_step_count
 from .integrators import TimeStepper
-from .lattice import lattice_cfl, lattice_dt
+from .lattice import lattice_dt
 from .scenarios import load_scenario, make_system
 
 
@@ -35,8 +35,8 @@ def scheme_label(scheme: str | Integrator, interp: Interp) -> str:
     """The scheme token with an interpolation suffix; a lattice token run with
     its own interpolation is named by the token alone."""
     token = parse_scheme(scheme)
-    _, default, stride = SCHEMES[token]
-    if stride is not None and interp is default:
+    _, default, lattice = SCHEMES[token]
+    if lattice and interp is default:
         return token
     suffix = {Interp.LINEAR: "Lin", Interp.WENO23: "W23", Interp.WENO35: "W35"}
     return f"{token}{suffix[interp]}"
@@ -85,7 +85,7 @@ def run_case(
     """
     scen = load_scenario(scenario)
     token = parse_scheme(integrator)
-    base, default, stride = SCHEMES[token]
+    base, default, lattice = SCHEMES[token]
     interp = parse_interp(interp) if interp is not None else default
     boundary = parse_boundary(boundary) if boundary is not None else scen.boundary
     cfl_requested = float(cfl) if cfl is not None else scen.cfl
@@ -94,14 +94,14 @@ def run_case(
     grid = _phase_grid(scen, nx, nv, vmax)
     system = make_system(scen.model)
     scheme = SchemeConfig(integrator=base, interp=interp, boundary=boundary, eps=eps)
-    if stride is None:
+    if lattice:
+        dt = lattice_dt(grid)
+        cfl_actual = float(grid.nv)
+    else:
         if not (0.0 < cfl_requested < math.inf):
             raise ConfigError(f"cfl must be positive and finite, got {cfl_requested}")
         dt = grid.dt_from_cfl(cfl_requested)
         cfl_actual = cfl_requested
-    else:
-        dt = lattice_dt(grid, stride)
-        cfl_actual = lattice_cfl(grid, stride)
     control = TimeControl(dt=dt, t_final=t_final)
 
     rho0, u0, T0 = scen.initial_moments(grid.x, system.dof)
@@ -151,7 +151,7 @@ def run_case(
             "steps_taken": stepper.steps_taken,
             "predictor_steps": stepper.predictor_steps,
             # a lattice run's shortened last step is its one step off the lattice
-            "offlattice_steps": int(stride is not None and control.has_short_step),
+            "offlattice_steps": int(lattice and control.has_short_step),
         }
     )
     return RunResult(x=grid.x, rho=mom.rho, u=mom.u, T=mom.T, E=mom.E, meta=meta)
@@ -266,7 +266,7 @@ def cfl_sweep(
     every run finishes with uniform steps on both grids.
     """
     token = parse_scheme(integrator)
-    if SCHEMES[token][2] is not None:
+    if SCHEMES[token][2]:
         raise ConfigError("the CFL of a lattice scheme is fixed; sweep needs interpolation")
     scen = load_scenario(scenario)
     t_final = float(t_final) if t_final is not None else scen.t_final

@@ -112,13 +112,6 @@ RK3_TABLEAU = Tableau(
     c=(RK3_GAMMA, (1.0 + RK3_GAMMA) / 2.0, 1.0),
 )
 
-# A-stable 2-stage method whose abscissas are thirds: on a lattice with
-# dv*dt = 3*dx all its stage offsets are node-aligned.  Second order at any dt.
-LATTICE_RK2_TABLEAU = Tableau(
-    a=((1.0 / 3.0, 0.0), (3.0 / 4.0, 1.0 / 4.0)),
-    c=(1.0 / 3.0, 1.0),
-)
-
 # BDF methods: one stage at the new time, the history 1, 2(, 3) steps upstream.
 BDF2_TABLEAU = Tableau(a=((2.0 / 3.0,),), c=(1.0,), history=(4.0 / 3.0, -1.0 / 3.0))
 BDF3_TABLEAU = Tableau(
@@ -133,7 +126,6 @@ TABLEAUS = {
     Integrator.RK3: (RK3_TABLEAU, None),
     Integrator.BDF2: (BDF2_TABLEAU, RK2_TABLEAU),
     Integrator.BDF3: (BDF3_TABLEAU, RK3_TABLEAU),
-    Integrator.LATTICE_RK2: (LATTICE_RK2_TABLEAU, None),
 }
 
 

@@ -1,13 +1,11 @@
 """Exact transport of node-aligned characteristic feet: an integer gather.
 
-When the time step satisfies dv*dt = stride*dx for an integer stride, every
-characteristic foot x_i - v_j*(m*dt/stride) with integer m lands exactly on a
-grid node: the foot of velocity index j is j*m nodes away.  Transport then
-becomes an exact integer gather (no interpolation, no numerical diffusion),
-at the price of tying the time step to the grids: the effective CFL number is
-stride*nv.  The Lat* scheme tokens march at this step (`config.SCHEMES`):
-stride 1, or 3 for LatRK2, whose stage offsets dt/3 and 2*dt/3 are then also
-node-aligned.
+When the time step satisfies dv*dt = dx, every characteristic foot
+x_i - v_j*m*dt with integer m lands exactly on a grid node: the foot of
+velocity index j is j*m nodes away.  Transport then becomes an exact integer
+gather (no interpolation, no numerical diffusion), at the price of tying the
+time step to the grids: the effective CFL number is nv.  The lattice scheme
+tokens march their integrators at this step (`config.SCHEMES`).
 
 Under a shift s, row i of velocity column j reads node i - jv_j*s, whose
 offset in the field's flat (node, velocity) plane, (i - jv_j*s)*n_vel + j, is
@@ -37,16 +35,9 @@ from .weno import check_shapes
 _INT_TOL = 1e-9
 
 
-def lattice_dt(grid: PhaseGrid, stride: int = 1) -> float:
-    """The unique time step with dv*dt = stride*dx."""
-    if stride < 1:
-        raise ConfigError(f"lattice stride must be >= 1, got {stride}")
-    return stride * grid.dx / grid.dv
-
-
-def lattice_cfl(grid: PhaseGrid, stride: int = 1) -> float:
-    """Effective CFL number of the lattice step: stride * nv."""
-    return float(stride * grid.nv)
+def lattice_dt(grid: PhaseGrid) -> float:
+    """The unique time step with dv*dt = dx."""
+    return grid.dx / grid.dv
 
 
 def snap_to_integers(r):

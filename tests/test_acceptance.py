@@ -56,9 +56,9 @@ def _all_scheme_combos(grid):
     with its own interpolation at its lattice step, every other token with
     every interpolation at CFL 4."""
     combos = []
-    for integ, default, stride in SCHEMES.values():
-        if stride is not None:
-            combos.append((integ, default, lattice_dt(grid, stride)))
+    for integ, default, lattice in SCHEMES.values():
+        if lattice:
+            combos.append((integ, default, lattice_dt(grid)))
         else:
             combos.extend((integ, ip, grid.dt_from_cfl(4.0)) for ip in Interp)
     return combos
@@ -170,17 +170,9 @@ def test_time_integrator_ode_orders():
         (Integrator.BDF2, 2),
         (Integrator.RK3, 3),
         (Integrator.BDF3, 3),
-        (Integrator.LATTICE_RK2, 2),  # the thirds tableau, off the lattice
     ):
         slope, errs = slope_for(integrator, grid, dts, t_final)
         assert abs(slope - design) <= 0.2, f"{integrator.value}: slope {slope:.3f}, errs {errs}"
-
-    # LatRK2 at its lattice steps dt = 3 m dx/dv: halving m keeps every
-    # stage offset on the lattice
-    grid_lat = PhaseGrid(0.0, 1.0, 600, 20, 10.0)  # 3*dx/dv = 0.01
-    dts_lat = [0.01 * m for m in (16, 8, 4, 2, 1)]
-    slope, errs = slope_for(Integrator.LATTICE_RK2, grid_lat, dts_lat, t_final=0.8)
-    assert abs(slope - 2) <= 0.2, f"LatRK2: slope {slope:.3f}, errs {errs}"
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +368,8 @@ def test_lattice_matches_interpolated_on_aligned_steps(monkeypatch):
         1.0 + 0.2 * np.sin(np.pi * x), 0.3 * np.exp(-8 * x**2), 1.0 + 0.1 * np.cos(np.pi * x), grid
     )
     f0[:, -1, :] = f0[:, 0, :]
-    integ, ip, stride = SCHEMES["LatEuler"]
-    dt = lattice_dt(grid, stride)
+    integ, ip, _ = SCHEMES["LatEuler"]
+    dt = lattice_dt(grid)
     scheme = SchemeConfig(integrator=integ, interp=ip, boundary=Boundary.PERIODIC, eps=0.01)
     lattice, interpolated = (TimeStepper(f0, grid, system, scheme) for _ in range(2))
     for _ in range(5):
@@ -424,10 +416,10 @@ def test_lattice_pure_transport_is_exact_index_shift():
     rng = np.random.default_rng(7)
     f0 = rng.uniform(0.5, 2.0, size=(1, grid.n_space, grid.n_vel))
     f0[:, -1, :] = f0[:, 0, :]
-    integ, ip, stride = SCHEMES["LatEuler"]
+    integ, ip, _ = SCHEMES["LatEuler"]
     scheme = SchemeConfig(integrator=integ, interp=ip, boundary=Boundary.PERIODIC, eps=math.inf)
     stepper = TimeStepper(f0, grid, Monatomic1V(), scheme)
-    stepper.step(lattice_dt(grid, stride))
+    stepper.step(lattice_dt(grid))
     expect = np.empty_like(f0)
     for j, jv in enumerate(grid.jv):
         src = (np.arange(grid.n_space) - jv) % grid.nx
@@ -482,8 +474,8 @@ def test_l_stability_probe():
     target = system.equilibrium(system.moments(f0, grid), grid)
     weight = 1.0 + grid.v**2
     wnorm = float((np.abs(target[0]) * weight).sum())
-    for token, (integ, default, stride) in SCHEMES.items():
-        dt, ip = (lattice_dt(grid, stride), default) if stride else (1.0, Interp.WENO23)
+    for token, (integ, default, lattice) in SCHEMES.items():
+        dt, ip = (lattice_dt(grid), default) if lattice else (1.0, Interp.WENO23)
         scheme = SchemeConfig(integrator=integ, interp=ip,
                               boundary=Boundary.PERIODIC, eps=dt / 1e6)
         stepper = TimeStepper(f0, grid, system, scheme)

@@ -108,12 +108,17 @@ def test_missing_required_flag_is_config_error(capsys):
     assert "config error:" in err and "--scheme" in err
 
 
-def test_unknown_scheme_is_config_error(capsys):
+@pytest.mark.parametrize("token", ["RK9", "LatRK2"])
+def test_unknown_scheme_is_config_error(capsys, token):
     code, _, err = _run_inprocess(
-        ["run", "--scenario", "smooth", "--scheme", "RK9", "--eps", "1", "--nx", "16"],
+        ["run", "--scenario", "smooth", "--scheme", token, "--eps", "1", "--nx", "16"],
         capsys,
     )
-    assert code == 2 and "config error:" in err
+    assert code == 2
+    assert err.splitlines() == [
+        f"config error: unknown integrator {token!r} "
+        "(choose one of Euler1|RK2|RK3|BDF2|BDF3|LatEuler|LatBDF2|LatBDF3)"
+    ]
 
 
 def test_lattice_with_interp_runs_its_integrator_with_that_interp(tmp_path, capsys):
@@ -152,7 +157,7 @@ def test_help_lists_every_scheme_token_and_interpolation(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
     out = capsys.readouterr().out
-    assert "Euler1|RK2|RK3|BDF2|BDF3|LatEuler|LatBDF2|LatBDF3|LatRK2" in out
+    assert "Euler1|RK2|RK3|BDF2|BDF3|LatEuler|LatBDF2|LatBDF3\n" in out
     assert "interpolation: linear|weno23|weno35\n" in out and "|none" not in out
 
 
@@ -244,21 +249,22 @@ def test_numerical_failure_prints_one_line_and_no_numpy_warnings():
 @pytest.mark.parametrize(
     "args, header, n_rows",
     [
-        (["converge", "--scheme", "LatRK2", "--eps", "1e-4", "--nx", "40", "--levels", "2"],
+        (["converge", "--scheme", "RK2", "--eps", "1e-4", "--nx", "40", "--levels", "2"],
          "eps,nx,err_L1_rho,order", 0),
-        (["converge", "--scheme", "LatRK2", "--eps", "1e-2,1e-4", "--nx", "40", "--levels", "2"],
+        (["converge", "--scheme", "RK2", "--eps", "1e-2,1e-4", "--nx", "40", "--levels", "2"],
          "eps,nx,err_L1_rho,order", 1),
-        (["cost", "--scheme", "BDF3,LatRK2", "--eps", "1e-4", "--nx", "20", "--levels", "2"],
+        (["cost", "--scheme", "Euler1,RK2", "--eps", "1e-4", "--nx", "20", "--levels", "2"],
          "scheme,nx,cpu_seconds,err_L1_rho", 2),
     ],
 )
 def test_failed_study_flushes_its_own_table(tmp_path, capsys, args, header, n_rows):
-    """LatRK2 fails on the 1v shock tube at eps = 1e-4 (negative T in its
-    first step); the study's table keeps its own header and the rows that
-    finished before the failure, then the failure trailer."""
+    """RK2 at CFL 90 fails on the 1v shock tube at eps = 1e-4 (negative T in
+    its first step: the DIRK's negative weight on f at large CFL); the study's
+    table keeps its own header and the rows that finished before the failure,
+    then the failure trailer."""
     out = tmp_path / "study.csv"
     code, _, err = _run_inprocess(
-        args + ["--scenario", "riemann", "--out", str(out)], capsys
+        args + ["--scenario", "riemann", "--cfl", "90", "--out", str(out)], capsys
     )
     assert code == 3 and "numerical failure:" in err
     lines = out.read_text(encoding="utf-8").splitlines()

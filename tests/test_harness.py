@@ -84,7 +84,6 @@ def test_scheme_labels():
     assert scheme_label(Integrator.RK2, Interp.WENO23) == "RK2W23"
     assert scheme_label(Integrator.BDF3, Interp.WENO35) == "BDF3W35"
     assert scheme_label(Integrator.EULER1, Interp.LINEAR) == "Euler1Lin"
-    assert scheme_label(Integrator.LATTICE_RK2, Interp.WENO23) == "LatRK2"
     # a lattice token run with its own interpolation is named by the token alone
     assert scheme_label("LatBDF2", Interp.WENO23) == "LatBDF2"
     assert scheme_label("LatBDF3", Interp.WENO35) == "LatBDF3"

@@ -18,7 +18,6 @@ from bgk_sl import (
     Integrator,
     Interp,
     Interpolator,
-    LATTICE_RK2_TABLEAU,
     Monatomic1V,
     NumericalError,
     PhaseGrid,
@@ -74,7 +73,7 @@ def test_tableau_constants():
     assert abs(residual) < 1e-14
 
 
-@pytest.mark.parametrize("tab", [EULER_TABLEAU, RK2_TABLEAU, RK3_TABLEAU, LATTICE_RK2_TABLEAU])
+@pytest.mark.parametrize("tab", [EULER_TABLEAU, RK2_TABLEAU, RK3_TABLEAU])
 def test_tableaus_are_strongly_damped_at_infinity(tab):
     """All DIRK tableaus are stiffly accurate with R(inf) = 0 (L-stable)."""
     assert abs(stability_at_infinity(tab)) < 1e-12
@@ -370,13 +369,13 @@ def test_bdf2_step_allocates_only_its_new_field():
     memory above the fields it holds: the relaxed field it returns and its
     row-sized moments (2.15 when every transport allocated its result)."""
     grid = PhaseGrid(0.0, 1.0, 3200, 30, 10.0)
-    integrator, interp, stride = SCHEMES["LatBDF2"]
+    integrator, interp, _ = SCHEMES["LatBDF2"]
     scheme = SchemeConfig(
         integrator=integrator, interp=interp, boundary=Boundary.FREEFLOW, eps=1e-6
     )
     f = SYSTEM.from_macro(1.0 + 0.1 * np.sin(2.0 * np.pi * grid.x), 0.2, 1.0, grid)
     stepper = TimeStepper(f, grid, SYSTEM, scheme)
-    dt = lattice_dt(grid, stride)
+    dt = lattice_dt(grid)
     for _ in range(3):
         stepper.step(dt)
     assert stepper.predictor_steps == 1
@@ -397,20 +396,19 @@ def test_bdf2_step_allocates_only_its_new_field():
         ("LatEuler", Interp.LINEAR, EULER_TABLEAU),
         ("LatBDF2", Interp.WENO23, RK2_TABLEAU),
         ("LatBDF3", Interp.WENO35, RK3_TABLEAU),
-        ("LatRK2", Interp.WENO23, LATTICE_RK2_TABLEAU),
     ],
-    ids=["LatEuler", "LatBDF2", "LatBDF3", "LatRK2"],
+    ids=["LatEuler", "LatBDF2", "LatBDF3"],
 )
 def test_offlattice_step_is_order_matched_interpolated_dirk(token, kind, tab):
     """A lattice token's step that is not node-aligned is the DIRK of its
-    integrator (a BDF history's same-order startup; LatRK2's thirds tableau)
-    on the interpolation of matching order, bit for bit."""
-    integrator, interp, stride = SCHEMES[token]
+    integrator (a BDF history's same-order startup) on the interpolation of
+    matching order, bit for bit."""
+    integrator, interp, _ = SCHEMES[token]
     assert interp is kind
     rng = np.random.default_rng(36)
     f = _maxwellian_field(1.1, 0.05, 1.0) * rng.uniform(0.9, 1.1, (1, GRID.n_space, GRID.n_vel))
     stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=interp, eps=0.2))
-    dt = 0.37 * lattice_dt(GRID, stride)
+    dt = 0.37 * lattice_dt(GRID)
     stepper.step(dt)
     assert stepper.predictor_steps == int(TABLEAUS[integrator][1] is not None)
     assert np.array_equal(stepper.f, tableau_step(_ctx(0.2, kind=kind), [f], dt, tab))
@@ -418,9 +416,9 @@ def test_offlattice_step_is_order_matched_interpolated_dirk(token, kind, tab):
 
 def test_lattice_bdf_startup_borrows_interpolation():
     f = _maxwellian_field(rho=1.1, u=0.05, T=1.0)
-    integrator, interp, stride = SCHEMES["LatBDF2"]
+    integrator, interp, _ = SCHEMES["LatBDF2"]
     stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=interp))
-    dt = lattice_dt(GRID, stride)
+    dt = lattice_dt(GRID)
     stepper.step(dt)  # startup predictor (interpolated DIRK2)
     assert stepper.predictor_steps == 1
     stepper.step(dt)  # true lattice BDF2 step
@@ -512,15 +510,15 @@ def test_relax_allocates_one_field_and_solves_in_place(system):
     assert peak <= 1.25 * g.nbytes, f"peak {peak / g.nbytes:.2f} field-sizes"
 
 
-def _march_peak(scenario, integrator, interp, stride, nx, t_final=None):
+def _march_peak(scenario, integrator, interp, lattice, nx, t_final=None):
     """Traced peak of building a TimeStepper on a scenario's start field and
     marching it to t_final at eps = 1e-6, in sizes of that field; a lattice
-    stride marches at the lattice step."""
+    scheme marches at the lattice step."""
     scen = load_scenario(scenario)
     system = make_system(scen.model)
     grid = PhaseGrid(scen.x0, scen.x1, nx, scen.nv, scen.vmax)
     scheme = SchemeConfig(integrator=integrator, interp=interp, boundary=scen.boundary, eps=1e-6)
-    dt = lattice_dt(grid, stride) if stride else grid.dt_from_cfl(scen.cfl)
+    dt = lattice_dt(grid) if lattice else grid.dt_from_cfl(scen.cfl)
     control = TimeControl(dt=dt, t_final=scen.t_final if t_final is None else t_final)
     assert control.has_short_step
     f0 = system.from_macro(*scen.initial_moments(grid.x, system.dof), grid)
@@ -538,7 +536,7 @@ def _march_peak(scenario, integrator, interp, stride, nx, t_final=None):
 
 
 @pytest.mark.parametrize(
-    "scenario, integrator, interp, stride, nx, t_final, bound",
+    "scenario, integrator, interp, lattice, nx, t_final, bound",
     [
         # Measured 6.74 (8.32 when every plan kept a field-sized window
         # index and every step allocated its transported fields; 12.57 when
@@ -548,15 +546,15 @@ def _march_peak(scenario, integrator, interp, stride, nx, t_final=None):
         # Measured 9.33 (9.67 when each DIRK flux was a new array and lived
         # through the last stage; 14.11 when the step also held each stage's
         # g and relaxed value through the next stage's transports)
-        ("riemann-chu", Integrator.RK3, Interp.WENO35, None, 100, 0.0251, 9.8),
+        ("riemann-chu", Integrator.RK3, Interp.WENO35, False, 100, 0.0251, 9.8),
     ],
     ids=["LatBDF2", "RK3-weno35"],
 )
 def test_march_peak_holds_only_the_live_fields(
-    scenario, integrator, interp, stride, nx, t_final, bound
+    scenario, integrator, interp, lattice, nx, t_final, bound
 ):
     """Whole-march traced peak, shortened last step included, in field-sizes."""
-    peak = _march_peak(scenario, integrator, interp, stride, nx, t_final)
+    peak = _march_peak(scenario, integrator, interp, lattice, nx, t_final)
     assert peak <= bound, f"march peak {peak:.2f} field-sizes > {bound}"
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from bgk_sl import Boundary, ConfigError, LatticeTransport, PhaseGrid, lattice_cfl, lattice_dt
+from bgk_sl import Boundary, ConfigError, LatticeTransport, PhaseGrid, lattice_dt
 from bgk_sl import lattice
 from bgk_sl.boundaries import map_nodes
 from bgk_sl.lattice import node_shift
@@ -12,20 +12,11 @@ GRID = PhaseGrid(0.0, 1.0, 20, 5, 2.5)  # dx = 0.05, dv = 0.5
 
 
 def test_lattice_dt_satisfies_alignment_identity():
-    for stride in (1, 2, 3):
-        dt = lattice_dt(GRID, stride)
-        assert dt * GRID.dv == pytest.approx(stride * GRID.dx, rel=1e-15)
-        assert lattice_cfl(GRID, stride) == stride * GRID.nv
-        # the advertised CFL is consistent with the generic definition
-        cfl = dt * GRID.vmax / GRID.dx
-        assert cfl == pytest.approx(lattice_cfl(GRID, stride), rel=1e-12)
-
-
-def test_lattice_dt_rejects_bad_stride():
-    with pytest.raises(ConfigError):
-        lattice_dt(GRID, 0)
-    with pytest.raises(ConfigError):
-        lattice_dt(GRID, -2)
+    dt = lattice_dt(GRID)
+    assert dt * GRID.dv == pytest.approx(GRID.dx, rel=1e-15)
+    # the CFL a lattice run records, nv, is consistent with the generic definition
+    cfl = dt * GRID.vmax / GRID.dx
+    assert cfl == pytest.approx(float(GRID.nv), rel=1e-12)
 
 
 def test_node_shift_detects_alignment():
@@ -41,15 +32,6 @@ def test_node_shift_detects_alignment():
     # a shift inside the tolerance of zero at jv = 1 but not at jv = nv
     assert node_shift(GRID, 1e-9 * dt) is None
     assert node_shift(GRID, 1e-11 * dt) == 0
-
-
-def test_conforming_dt_checks_stage_offsets():
-    """The stage offsets dt/3 and 2*dt/3 of the stride-3 lattice step are
-    node-aligned; those of the stride-1 step are not."""
-    dt = lattice_dt(GRID)
-    dt3 = lattice_dt(GRID, 3)
-    assert [node_shift(GRID, c * dt3) for c in (1 / 3, 2 / 3, 1)] == [1, 2, 3]
-    assert node_shift(GRID, dt / 3) is None
 
 
 def _rand_field(grid, seed):
@@ -109,7 +91,7 @@ def test_reflective_gather_flips_velocity_column():
     grid = PhaseGrid(0.0, 1.0, 8, 2, 1.0)
     tr = LatticeTransport(grid, Boundary.REFLECTIVE)
     f = _rand_field(grid, 24)
-    out = tr.shifted(f, lattice_dt(grid, 2))  # shift = 2 nodes per unit jv
+    out = tr.shifted(f, 2 * lattice_dt(grid))  # shift = 2 nodes per unit jv
     p = np.arange(grid.n_space)[:, None] - grid.jv[None, :] * 2
     src, flip = map_nodes(p, grid.nx, Boundary.REFLECTIVE)
     jj = np.arange(grid.n_vel)[None, :]

@@ -1,4 +1,5 @@
-"""The README's Python API names resolve: stale docs fail here."""
+"""The README's Python API names resolve and its scheme table lists the
+scheme tokens: stale docs fail here."""
 import re
 from pathlib import Path
 
@@ -7,15 +8,15 @@ import bgk_sl
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _python_api_section() -> str:
+def _section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    match = re.search(r"^## Python API\n(.*?)(?=^## )", text, re.M | re.S)
-    assert match, "README.md has no 'Python API' section"
+    match = re.search(rf"^## {title}\n(.*?)(?=^## )", text, re.M | re.S)
+    assert match, f"README.md has no {title!r} section"
     return match.group(1)
 
 
 def test_python_api_names_are_exported():
-    section = _python_api_section()
+    section = _section("Python API")
     imports = re.findall(r"^from bgk_sl import (.+)$", section, re.M)
     pieces = re.search(r"Lower-level pieces \((.*?)\)", section, re.S)
     assert imports and pieces
@@ -24,3 +25,8 @@ def test_python_api_names_are_exported():
     assert len(names) >= 4
     missing = [n for n in names if not hasattr(bgk_sl, n)]
     assert not missing, f"README names not exported by bgk_sl: {missing}"
+
+
+def test_scheme_table_lists_every_scheme_token():
+    tokens = re.findall(r"^\| `(\w+)`\s*\|", _section("Numerical schemes"), re.M)
+    assert tokens == list(bgk_sl.SCHEMES)
