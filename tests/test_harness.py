@@ -10,6 +10,7 @@ from bgk_sl import (
     Interp,
     PhaseGrid,
     RunResult,
+    SCHEMES,
     cfl_sweep,
     convergence_study,
     cost_study,
@@ -141,6 +142,24 @@ def test_run_case_books_a_lattice_runs_shortened_step_as_offlattice(token, t_fin
     shortened last step is its one step off the lattice."""
     res = run_case("smooth", integrator=token, eps=1e-2, nx=100, t_final=t_final)
     assert (res.meta["predictor_steps"], res.meta["offlattice_steps"]) == steps
+
+
+@pytest.mark.parametrize("token", ["LatEuler", "LatBDF2", "LatBDF3"])
+def test_lattice_token_is_its_base_scheme_at_the_lattice_step(token):
+    """A lattice token means one thing: its base integrator, with the token's
+    interpolation, at dt = dx/dv. On a dyadic grid (dx = 1/32, dv = 1/2) CFL
+    nv gives that dt exactly, and the two runs agree bit for bit, shortened
+    last step included."""
+    integrator, interp, _ = SCHEMES[token]
+    kw = dict(eps=1e-2, nx=64, t_final=0.3)
+    lat = run_case("smooth", integrator=token, **kw)
+    base = run_case("smooth", integrator=integrator.value, interp=interp.value,
+                    cfl=20.0, **kw)
+    assert lat.meta["dt"] == base.meta["dt"] == 1.0 / 16.0
+    assert lat.meta["cfl_actual"] == base.meta["cfl_actual"] == 20.0
+    assert lat.meta["shortened_final_step"] and base.meta["shortened_final_step"]
+    for name in ("rho", "u", "T"):
+        assert np.array_equal(getattr(lat, name), getattr(base, name)), name
 
 
 def test_run_case_rejects_bad_tokens():

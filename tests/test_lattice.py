@@ -2,7 +2,18 @@
 import numpy as np
 import pytest
 
-from bgk_sl import Boundary, ConfigError, LatticeTransport, PhaseGrid, lattice_dt
+from bgk_sl import (
+    BDF2_TABLEAU,
+    BDF3_TABLEAU,
+    EULER_TABLEAU,
+    RK2_TABLEAU,
+    RK3_TABLEAU,
+    Boundary,
+    ConfigError,
+    LatticeTransport,
+    PhaseGrid,
+    lattice_dt,
+)
 from bgk_sl import lattice
 from bgk_sl.boundaries import map_nodes
 from bgk_sl.lattice import node_shift
@@ -32,6 +43,35 @@ def test_node_shift_detects_alignment():
     # a shift inside the tolerance of zero at jv = 1 but not at jv = nv
     assert node_shift(GRID, 1e-9 * dt) is None
     assert node_shift(GRID, 1e-11 * dt) == 0
+
+
+def _foot_offsets(tab):
+    """Every foot offset, in steps, that `tableau_step` transports over."""
+    offsets = []
+    for l, row in enumerate(tab.a):
+        offsets += [tab.c[l] + k for k in range(len(tab.history))]
+        offsets += [tab.c[l] - tab.c[k] for k in range(l) if row[k] != 0.0]
+    return offsets
+
+
+def test_conforming_dt_checks_stage_offsets():
+    """At the lattice step every foot of the one-stage tableaus (backward
+    Euler, BDF2, BDF3) is node-aligned, so their started steps are pure
+    gathers; the inner stage offsets of the RK2 and RK3 DIRKs, which start
+    the BDF histories, are not."""
+    dt = lattice_dt(GRID)
+    shifts = {
+        name: [node_shift(GRID, c * dt) for c in _foot_offsets(tab)]
+        for name, tab in [("Euler", EULER_TABLEAU), ("BDF2", BDF2_TABLEAU),
+                          ("BDF3", BDF3_TABLEAU), ("RK2", RK2_TABLEAU), ("RK3", RK3_TABLEAU)]
+    }
+    assert shifts["Euler"] == [1]
+    assert shifts["BDF2"] == [1, 2]
+    assert shifts["BDF3"] == [1, 2, 3]
+    # only the last stage's foot of f^n, a whole step upstream, is aligned
+    assert shifts["RK2"] == [None, 1, None]
+    assert shifts["RK3"] == [None, None, None, 1, None, None]
+    assert node_shift(GRID, dt / 3) is None
 
 
 def _rand_field(grid, seed):
