@@ -42,7 +42,7 @@ _COLUMNS = {
     "run": ["x", "rho", "u", "T", "E"],
     "converge": ["eps", "nx", "err_L1_rho", "order"],
     "cfl-sweep": ["cfl_requested", "cfl_actual", "err_L2_rho"],
-    "cost": ["scheme", "nx", "cpu_seconds", "err_L1_rho"],
+    "cost": ["scheme", "nx", "wall_seconds", "err_L1_rho"],
 }
 
 _CONFIG_KEYS = (

@@ -27,8 +27,10 @@ class PhaseGrid:
             raise ConfigError(f"nx must be >= 4, got {self.nx}")
         if self.nv < 1:
             raise ConfigError(f"nv must be >= 1, got {self.nv}")
-        if not (self.vmax > 0.0):
-            raise ConfigError(f"vmax must be positive, got {self.vmax}")
+        if not (0.0 < self.vmax < np.inf):
+            raise ConfigError(f"vmax must be positive and finite, got {self.vmax}")
+        if not (np.isfinite(self.x0) and np.isfinite(self.x1)):
+            raise ConfigError(f"x0 and x1 must be finite, got [{self.x0}, {self.x1}]")
         if not (self.x1 > self.x0):
             raise ConfigError(f"need x1 > x0, got [{self.x0}, {self.x1}]")
 

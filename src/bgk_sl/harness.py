@@ -338,7 +338,7 @@ def cost_study(
                     {
                         "scheme": result.meta["scheme"],
                         "nx": result.meta["nx"],
-                        "cpu_seconds": result.meta["wall_seconds"],
+                        "wall_seconds": result.meta["wall_seconds"],
                         "err_l1_rho": refinement_error(result, reference),
                     }
                 )

@@ -272,8 +272,8 @@ class TimeStepper:
 
     # -- public ------------------------------------------------------------
     def step(self, dt: float) -> None:
-        if not (dt > 0.0):
-            raise ConfigError(f"step size must be positive, got {dt}")
+        if not (0.0 < dt < math.inf):
+            raise ConfigError(f"step size must be positive and finite, got {dt}")
         if dt != self._dt:
             self._history = []
             self.ctx.clear()

@@ -7,19 +7,18 @@ gather (no interpolation, no numerical diffusion), at the price of tying the
 time step to the grids: the effective CFL number is nv.  The lattice scheme
 tokens march their integrators at this step (`config.SCHEMES`).
 
-Under a shift s, row i of velocity column j reads node i - jv_j*s, whose
-offset in the field's flat (node, velocity) plane, (i - jv_j*s)*n_vel + j, is
-affine in (i, j).  The interior rows nv*|s| <= i < n_space - nv*|s|, whose
-feet all lie inside the domain, are therefore one read-only strided view of
-the C-contiguous field, copied into the result.  Only the 2*nv*|s| edge rows
-go through the boundary map: a scheme sweeps the same few shifts every step
-(1 and 2 for BDF2), so the transport keeps, per shift and until `clear`, one
-int64 index of the edge rows into the flat plane (source node times n_vel
-plus source column, reflective velocity flip folded in) and takes them with
-it.  When the edges cover the whole field that index covers every row and
-one take serves.  The shift of each tau is found once, until `clear`.  The
-result goes to the caller's `out`, or else to a new array; either way it
-shares no memory with the field or the index.
+A `LatticeTransport` is the gather of one shift s, built once by the
+transport's per-tau plan cache (`transport`).  Row i of velocity column j
+reads node i - jv_j*s, whose offset in the field's flat (node, velocity)
+plane, (i - jv_j*s)*n_vel + j, is affine in (i, j).  The interior rows
+nv*|s| <= i < n_space - nv*|s|, whose feet all lie inside the domain, are
+therefore one read-only strided view of the C-contiguous field, copied into
+the result.  Only the 2*nv*|s| edge rows go through the boundary map: the
+gather keeps one int64 index of them into the flat plane (source node times
+n_vel plus source column, reflective velocity flip folded in) and takes them
+with it.  When the edges cover the whole field that index covers every row
+and one take serves.  The result goes to the caller's `out`, or else to a
+new array; either way it shares no memory with the field or the index.
 """
 from __future__ import annotations
 
@@ -61,40 +60,36 @@ def node_shift(grid: PhaseGrid, tau: float) -> int | None:
 
 
 class LatticeTransport:
-    """Shift fields along characteristics by exact integer node gathers."""
+    """The exact gather of one integer shift: the field at the feet
+    x_i - v_j*shift*dx/dv, shape preserved."""
 
-    _INDEX_CACHE_MAX = 16
-
-    def __init__(self, grid: PhaseGrid, bc: Boundary):
+    def __init__(self, grid: PhaseGrid, bc: Boundary, shift: int):
+        if not float(shift).is_integer():
+            raise ConfigError(f"a lattice gather needs an integer node shift, got {shift!r}")
         self.grid = grid
-        self.bc = bc
-        self._indices: dict[int, np.ndarray] = {}
-        self._shifts: dict[float, int | None] = {}
+        self.shift = shift = int(shift)
+        self.edge = edge = grid.nv * abs(shift)
+        # flat source index src*n_vel + col of the first and last `edge` rows,
+        # or of every row when those overlap
+        rows = np.arange(grid.n_space)
+        if 2 * edge < grid.n_space:
+            rows = np.concatenate([rows[:edge], rows[grid.n_space - edge :]])
+        src, flip = map_nodes(rows[:, None] - grid.jv[None, :] * shift, grid.nx, bc)
+        jj = np.arange(grid.n_vel)[None, :]
+        self.index = src * grid.n_vel  # int64, so take never casts it
+        self.index += np.where(flip, grid.n_vel - 1 - jj, jj)
 
-    def shifted(self, field: np.ndarray, tau: float, out=None) -> np.ndarray:
-        """Field values at the feet x_i - v_j*tau, shape preserved, written into
-        `out` if given, which must not overlap the field, else into a new array."""
+    def shifted(self, field: np.ndarray, out=None) -> np.ndarray:
+        """The gathered field, written into `out` if given, which must not
+        overlap the field, else into a new array."""
         field = np.asarray(field)
-        grid = self.grid
+        grid, shift, edge = self.grid, self.shift, self.edge
         check_shapes(field, (grid.n_space, grid.n_vel), out, (grid.n_space, grid.n_vel))
-        shift = self._shift_for(tau)
-        if shift is None:
-            raise ConfigError(
-                f"transport over tau={tau!r} is not node-aligned "
-                f"(dv*tau/dx = {tau * self.grid.dv / self.grid.dx!r})"
-            )
-        if shift == 0:
-            if out is None:
-                return field.copy()
-            np.copyto(out, field)
-            return out
-        edge = grid.nv * abs(shift)
-        index = self._index_for(shift)
         flat = np.ascontiguousarray(field).reshape(field.shape[0], -1)
         if out is None:
             out = np.empty(field.shape, dtype=flat.dtype)
         if 2 * edge >= grid.n_space:
-            return np.take(flat, index, axis=1, out=out, mode="clip")
+            return np.take(flat, self.index, axis=1, out=out, mode="clip")
         # interior row i, column j: flat offset (i + nv*shift)*n_vel + j*(1 - shift*n_vel)
         step = flat.itemsize
         interior = as_strided(
@@ -103,42 +98,9 @@ class LatticeTransport:
             strides=(flat.strides[0], grid.n_vel * step, (1 - shift * grid.n_vel) * step),
             writeable=False,
         )
-        out[:, edge:-edge] = interior
-        edges = np.take(flat, index, axis=1)
+        last = grid.n_space - edge
+        out[:, edge:last] = interior
+        edges = np.take(flat, self.index, axis=1)
         out[:, :edge] = edges[:, :edge]
-        out[:, -edge:] = edges[:, edge:]
+        out[:, last:] = edges[:, edge:]
         return out
-
-    def clear(self) -> None:
-        """Forget every edge index and node shift found so far."""
-        self._indices.clear()
-        self._shifts.clear()
-
-    def _shift_for(self, tau: float) -> int | None:
-        """`node_shift` of tau, found once per tau until `clear`."""
-        tau = float(tau)
-        if tau not in self._shifts:
-            if len(self._shifts) >= self._INDEX_CACHE_MAX:
-                self._shifts.pop(next(iter(self._shifts)))
-            self._shifts[tau] = node_shift(self.grid, tau)
-        return self._shifts[tau]
-
-    def _index_for(self, shift: int) -> np.ndarray:
-        """Flat source index src*n_vel + col of one shift's edge rows: the first
-        and last nv*|shift| rows, or every row when those overlap."""
-        index = self._indices.get(shift)
-        if index is None:
-            grid = self.grid
-            edge = grid.nv * abs(shift)
-            rows = np.arange(grid.n_space)
-            if 2 * edge < grid.n_space:
-                rows = np.concatenate([rows[:edge], rows[-edge:]])
-            p = rows[:, None] - grid.jv[None, :] * shift
-            src, flip = map_nodes(p, grid.nx, self.bc)
-            jj = np.arange(grid.n_vel)[None, :]
-            index = src * grid.n_vel  # int64, so take never casts it
-            index += np.where(flip, grid.n_vel - 1 - jj, jj)
-            if len(self._indices) >= self._INDEX_CACHE_MAX:
-                self._indices.pop(next(iter(self._indices)))
-            self._indices[shift] = index
-        return index

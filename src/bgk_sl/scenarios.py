@@ -252,6 +252,9 @@ def _scenario_from_dict(data: dict) -> Scenario:
     missing = [key for key in required if key not in data]
     if missing:
         raise ConfigError(f"scenario JSON missing keys: {missing}")
+    unknown = sorted(data.keys() - {*required, "description"})
+    if unknown:
+        raise ConfigError(f"unknown scenario keys {unknown}")
     x0, x1 = _parse_domain(data["domain"])
     initial = data["initial"]
     if not isinstance(initial, dict) or "kind" not in initial:
@@ -275,8 +278,11 @@ def _scenario_from_dict(data: dict) -> Scenario:
 def _typed(key, value, kind):
     """value converted to kind, or a ConfigError naming the scenario key."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        typed = kind(value)
+        if kind is int and typed != float(value):  # refuse a truncation, as the CLI does
+            raise ValueError
+        return typed
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"scenario key {key!r} expects {kind.__name__}, got {value!r}"
         ) from None
@@ -285,8 +291,12 @@ def _typed(key, value, kind):
 def _parse_initial(initial: dict, x0: float, x1: float):
     """(profile, riemann triple or None) of an 'initial' block."""
     kind = initial["kind"]
+    allowed = {"riemann": {"kind", "left", "right", "x_jump"}, "uniform": {"kind", "rho", "u", "T"}}
     if kind not in ("riemann", "uniform"):
         raise ConfigError(f"unknown initial kind {kind!r} (riemann|uniform)")
+    unknown = sorted(initial.keys() - allowed[kind])
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in the initial {kind!r} block")
     try:
         if kind == "uniform":
             state = tuple(float(initial[key]) for key in ("rho", "u", "T"))
@@ -324,4 +334,6 @@ def _parse_domain(domain):
         x0, x1 = (float(v) for v in domain)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"domain must be [x0, x1], got {domain!r}") from err
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ConfigError(f"domain must be finite, got {domain!r}")
     return x0, x1

@@ -3,7 +3,7 @@
 One transport application evaluates every component of the field at the
 characteristic feet x_i - v_j * tau.  It is the one transport of every time
 stepper, at any step size.  When dv*tau/dx is an integer every foot is a
-grid node, and the call is the exact gather of `LatticeTransport`.  Any
+grid node, and the call is the exact gather of a `LatticeTransport`.  Any
 other tau interpolates; the stencils reach past the domain by the
 interpolation width plus the largest characteristic overhang (large CFL
 steps may sweep past several domain widths; the boundary maps fold
@@ -13,22 +13,22 @@ On the uniform grid the feet of velocity column j are the nodes shifted
 rigidly upstream by r_j = j * (dv*tau/dx) nodes: an integer part floor(-r_j)
 and a fraction t_j common to the whole column.  A shift within the lattice
 tolerance of an integer is snapped to it, so node-aligned columns return
-node values exactly.  Which of the two serves a tau, and the plan
-(per-column shift, fraction and window index), are settled once per
-distinct tau and reused.  Plans live for one step size: a time stepper
-calls `clear` when its step size changes, so the plans of the old size are
-not held through the steps of the new one (the cache bound is only a
-backstop).  To build the plan, `extend_field` extends the field's flat
-index plane, not the field: the result, an int32 plane for any field of
-fewer than 2**31 values, maps every ghost-extended node onto the field
-value it copies, boundary map and reflective velocity flip included, and
-is folded into the window index.  A plan of a field larger than one WENO
-block keeps only the edge rows of that index and one block's pattern of
-its interior rows, so no plan holds an index as large as a field (see
-`weno`).  A
-call then gathers every window of every component straight from the
-field, with no ghost copy, and blends them with the scratch of the WENO
-pool, into the caller's `out` or a new array.
+node values exactly.  Each distinct tau is classified once (`node_shift`)
+and gets one plan in one cache: the lattice gather of its shift, or the
+interpolation plan (per-column shift, fraction and window index).  Plans
+live for one step size: a time stepper calls `clear` when its step size
+changes, so the plans of the old size are not held through the steps of the
+new one (the cache bound is only a backstop).  To build an interpolation
+plan, `extend_field` extends the field's flat index plane, not the field:
+the result, an int32 plane for any field of fewer than 2**31 values, maps
+every ghost-extended node onto the field value it copies, boundary map and
+reflective velocity flip included, and is folded into the window index.  A
+plan of a field larger than one WENO block keeps only the edge rows of that
+index and one block's pattern of its interior rows, so no plan holds an
+index as large as a field (see `weno`).  A call then gathers every window
+of every component straight from the field, with no ghost copy, and blends
+them with the scratch of the WENO pool, into the caller's `out` or a new
+array.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ import numpy as np
 
 from .boundaries import extend_field
 from .config import Boundary
+from .errors import ConfigError
 from .grid import PhaseGrid
 from .lattice import LatticeTransport, node_shift, snap_to_integers
 from .weno import Interpolator, InterpPlan
@@ -53,30 +54,33 @@ class InterpolatedTransport:
         self.grid = grid
         self.interpolator = interpolator
         self.bc = bc
-        self._lattice = LatticeTransport(grid, bc)
-        # None marks a node-aligned tau, served by the lattice gather
-        self._plans: dict[float, InterpPlan | None] = {}
+        self._plans: dict[float, LatticeTransport | InterpPlan] = {}
 
     def shifted(self, field: np.ndarray, tau: float, out=None) -> np.ndarray:
         """Field values at the feet x_i - v_j*tau, shape preserved, written into
         `out` if given, which must not overlap the field, else into a new array."""
-        plan = self._plan_for(float(tau))
-        if plan is None:
-            return self._lattice.shifted(field, tau, out=out)
+        plan = self._plan_for(tau)
+        if isinstance(plan, LatticeTransport):
+            return plan.shifted(field, out=out)
         return plan.apply(np.asarray(field), out=out)
 
     def clear(self) -> None:
-        """Forget every plan and lattice edge index built so far."""
+        """Forget every plan built so far."""
         self._plans.clear()
-        self._lattice.clear()
 
     # -- internals ---------------------------------------------------------
-    def _plan_for(self, tau: float) -> InterpPlan | None:
-        if tau in self._plans:
-            return self._plans[tau]
-        plan = None
-        if node_shift(self.grid, tau) is None:
-            grid = self.grid
+    def _plan_for(self, tau: float) -> LatticeTransport | InterpPlan:
+        tau = float(tau)
+        plan = self._plans.get(tau)
+        if plan is not None:
+            return plan
+        if not math.isfinite(tau):
+            raise ConfigError(f"transport time must be finite, got {tau!r}")
+        grid = self.grid
+        shift = node_shift(grid, tau)
+        if shift is not None:
+            plan = LatticeTransport(grid, self.bc, shift)
+        else:
             overhang = int(math.ceil(abs(tau) * grid.vmax / grid.dx))
             nghost = self.interpolator.ghost + overhang + 1
             # node n, column c of the extended field copies field value source[n, c]

@@ -1,12 +1,20 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 from numpy.polynomial import legendre, polynomial
 
 from bgk_sl import ChuReduced3V, Interp, Monatomic1V, PhaseGrid
 from bgk_sl.moments import maxwellian_rows, velocity_basis
 from bgk_sl.weno import GHOST_WIDTH, Workspace, _differences, _indicators
+
+# CLI subprocesses import the package from this checkout's src/, as the
+# suite itself does through pytest's `pythonpath` setting
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def fitted_slope(h_list, err_list) -> float:

@@ -121,6 +121,27 @@ def test_unknown_scheme_is_config_error(capsys, token):
     ]
 
 
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["--vmax", "inf"], "vmax"),
+        (["--scenario", "{path}"], "domain"),
+    ],
+)
+def test_non_finite_grid_input_is_config_error(tmp_path, capsys, args, names):
+    """An infinite vmax or domain end exits 2 with one line that names it,
+    not with a step-size error."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"base": "smooth", "domain": [0, "inf"]}))
+    args = [a.format(path=path) for a in args]
+    code, out, err = _run_inprocess(
+        ["run", "--scenario", "smooth", "--scheme", "RK2", "--eps", "1", "--nx", "16", *args],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and names in err and "finite" in err
+
+
 def test_lattice_with_interp_runs_its_integrator_with_that_interp(tmp_path, capsys):
     """--scheme LatEuler --interp weno23 is Euler1 + weno23 at the lattice step."""
     out = tmp_path / "lat.csv"
@@ -254,7 +275,7 @@ def test_numerical_failure_prints_one_line_and_no_numpy_warnings():
         (["converge", "--scheme", "RK2", "--eps", "1e-2,1e-4", "--nx", "40", "--levels", "2"],
          "eps,nx,err_L1_rho,order", 1),
         (["cost", "--scheme", "Euler1,RK2", "--eps", "1e-4", "--nx", "20", "--levels", "2"],
-         "scheme,nx,cpu_seconds,err_L1_rho", 2),
+         "scheme,nx,wall_seconds,err_L1_rho", 2),
     ],
 )
 def test_failed_study_flushes_its_own_table(tmp_path, capsys, args, header, n_rows):
@@ -403,7 +424,7 @@ def test_cost_subcommand_table(tmp_path, capsys):
     )
     assert code == 0
     _, header, rows = _read_csv(out)
-    assert header == ["scheme", "nx", "cpu_seconds", "err_L1_rho"]
+    assert header == ["scheme", "nx", "wall_seconds", "err_L1_rho"]
     assert [r[0] for r in rows] == ["Euler1W23", "Euler1W23", "RK2W23", "RK2W23"]
     assert [r[1] for r in rows] == ["16", "32", "16", "32"]
 

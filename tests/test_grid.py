@@ -1,4 +1,6 @@
 """Phase-space grid and time-control bookkeeping."""
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,23 @@ def test_cfl_dt_round_trip():
 def test_grid_validation(kwargs):
     with pytest.raises(ConfigError):
         PhaseGrid(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(x0=0.0, x1=1.0, vmax=math.inf), "vmax"),
+        (dict(x0=0.0, x1=1.0, vmax=math.nan), "vmax"),
+        (dict(x0=0.0, x1=math.inf, vmax=1.0), "x1"),
+        (dict(x0=-math.inf, x1=1.0, vmax=1.0), "x0"),
+        (dict(x0=math.nan, x1=1.0, vmax=1.0), "x0"),
+    ],
+)
+def test_grid_refuses_non_finite_bounds(kwargs, field):
+    """An infinite vmax or domain end would give dx or dv of inf or 0, and a
+    step-size error that names neither."""
+    with pytest.raises(ConfigError, match=f"{field}.*finite"):
+        PhaseGrid(nx=8, nv=5, **kwargs)
 
 
 def test_time_control_exact_multiple():

@@ -223,6 +223,18 @@ def test_stepper_rejects_nonpositive_dt_and_nonfinite_start():
         TimeStepper(bad, GRID, SYSTEM, _scheme(Integrator.RK2))
 
 
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_stepper_refuses_a_non_finite_dt(dt):
+    """A non-finite step is refused before any transport is built, and the
+    stepper is left as it was."""
+    f = _maxwellian_field()
+    stepper = TimeStepper(f, GRID, SYSTEM, _scheme(Integrator.BDF2))
+    with pytest.raises(ConfigError, match="finite"):
+        stepper.step(dt)
+    assert stepper.steps_taken == 0 and stepper.f is f
+    assert not stepper.ctx.transport._plans
+
+
 def test_bdf2_history_lifecycle():
     """First step (and any step after a dt change) runs the one-step
     predictor; equal-spaced continuation uses the true multistep update."""

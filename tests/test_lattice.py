@@ -10,11 +10,13 @@ from bgk_sl import (
     RK3_TABLEAU,
     Boundary,
     ConfigError,
+    Interp,
+    InterpolatedTransport,
+    Interpolator,
     LatticeTransport,
     PhaseGrid,
     lattice_dt,
 )
-from bgk_sl import lattice
 from bgk_sl.boundaries import map_nodes
 from bgk_sl.lattice import node_shift
 
@@ -79,59 +81,38 @@ def _rand_field(grid, seed):
     return rng.normal(size=(1, grid.n_space, grid.n_vel))
 
 
-def test_each_tau_is_classified_once(monkeypatch):
-    """Repeated gathers over one tau call node_shift once, an off-lattice tau
-    still raises on every call, and clear() forgets the shifts."""
-    calls = []
-    original = lattice.node_shift
-    monkeypatch.setattr(
-        lattice, "node_shift", lambda grid, tau: calls.append(tau) or original(grid, tau)
-    )
-    tr = LatticeTransport(GRID, Boundary.PERIODIC)
-    f = _rand_field(GRID, 40)
-    dt = lattice_dt(GRID)
-    first = tr.shifted(f, dt)
-    for _ in range(3):
-        assert np.array_equal(tr.shifted(f, dt), first)
-    for _ in range(2):
-        with pytest.raises(ConfigError):
-            tr.shifted(f, 0.5 * dt)
-    assert calls == [dt, 0.5 * dt]
-    tr.clear()
-    assert np.array_equal(tr.shifted(f, dt), first)
-    assert calls == [dt, 0.5 * dt, dt]
-
-
 def test_periodic_gather_matches_roll():
-    tr = LatticeTransport(GRID, Boundary.PERIODIC)
+    tr = LatticeTransport(GRID, Boundary.PERIODIC, 1)
     f = _rand_field(GRID, 21)
     f[:, -1, :] = f[:, 0, :]  # seam-consistent
-    out = tr.shifted(f, lattice_dt(GRID))
+    out = tr.shifted(f)
     for j, jv in enumerate(GRID.jv):
         src = (np.arange(GRID.n_space) - jv) % GRID.nx
         assert np.array_equal(out[0][:, j], f[0][src, j])
 
 
 def test_zero_shift_copies():
-    tr = LatticeTransport(GRID, Boundary.PERIODIC)
+    tr = LatticeTransport(GRID, Boundary.PERIODIC, 0)
     f = _rand_field(GRID, 22)
-    out = tr.shifted(f, 0.0)
+    out = tr.shifted(f)
     assert np.array_equal(out, f) and not np.shares_memory(out, f)
 
 
-def test_off_lattice_tau_raises():
-    tr = LatticeTransport(GRID, Boundary.PERIODIC)
-    f = _rand_field(GRID, 23)
-    with pytest.raises(ConfigError):
-        tr.shifted(f, 0.37 * lattice_dt(GRID))
+@pytest.mark.parametrize("shift", [0.5, -1.37, float("nan"), float("inf")])
+def test_non_integer_shift_raises(shift):
+    """A shift that is not a whole number of nodes has no exact gather: it is
+    refused, not truncated to the gather of int(shift)."""
+    with pytest.raises(ConfigError, match="integer node shift"):
+        LatticeTransport(GRID, Boundary.PERIODIC, shift)
+    assert LatticeTransport(GRID, Boundary.PERIODIC, 2.0).shift == 2
 
 
 def test_reflective_gather_flips_velocity_column():
     """A departure point folded at a wall must read the opposite velocity."""
     grid = PhaseGrid(0.0, 1.0, 8, 2, 1.0)
-    tr = LatticeTransport(grid, Boundary.REFLECTIVE)
+    tr = LatticeTransport(grid, Boundary.REFLECTIVE, 2)  # 2 nodes per unit jv
     f = _rand_field(grid, 24)
-    out = tr.shifted(f, 2 * lattice_dt(grid))  # shift = 2 nodes per unit jv
+    out = tr.shifted(f)
     p = np.arange(grid.n_space)[:, None] - grid.jv[None, :] * 2
     src, flip = map_nodes(p, grid.nx, Boundary.REFLECTIVE)
     jj = np.arange(grid.n_vel)[None, :]
@@ -145,21 +126,21 @@ def test_reflective_gather_flips_velocity_column():
 
 def test_freeflow_gather_clamps_to_edges():
     grid = PhaseGrid(0.0, 1.0, 8, 2, 1.0)
-    tr = LatticeTransport(grid, Boundary.FREEFLOW)
+    tr = LatticeTransport(grid, Boundary.FREEFLOW, 1)
     f = _rand_field(grid, 25)
-    out = tr.shifted(f, lattice_dt(grid))
+    out = tr.shifted(f)
     for j, jv in enumerate(grid.jv):
         src = np.clip(np.arange(grid.n_space) - jv, 0, grid.nx)
         assert np.array_equal(out[0][:, j], f[0][src, j])
 
 
 def test_double_step_equals_two_single_steps_periodic():
-    tr = LatticeTransport(GRID, Boundary.PERIODIC)
+    one = LatticeTransport(GRID, Boundary.PERIODIC, 1)
+    two = LatticeTransport(GRID, Boundary.PERIODIC, 2)
     f = _rand_field(GRID, 26)
     f[:, -1, :] = f[:, 0, :]
-    dt = lattice_dt(GRID)
-    once = tr.shifted(tr.shifted(f, dt), dt)
-    twice = tr.shifted(f, 2 * dt)
+    once = one.shifted(one.shifted(f))
+    twice = two.shifted(f)
     # exact gathers compose exactly away from the duplicated seam node
     assert np.array_equal(once[:, :-1, :], twice[:, :-1, :])
 
@@ -174,17 +155,16 @@ def _uncached_gather(grid, bc, field, shift):
 @pytest.mark.parametrize("bc", list(Boundary))
 def test_cached_gather_matches_uncached_gather(bc):
     grid = PhaseGrid(0.0, 1.0, 8, 3, 1.5)  # shifts up to 3*3 nodes fold past the domain
-    tr = LatticeTransport(grid, bc)
     f = _rand_field(grid, 27)
-    dt = lattice_dt(grid)
     for shift in range(-3, 4):
-        out = tr.shifted(f, shift * dt)
+        out = LatticeTransport(grid, bc, shift).shifted(f)
         assert np.array_equal(out, _uncached_gather(grid, bc, f, shift))
         assert out.flags.c_contiguous
 
 
 def test_alternating_shifts_on_one_transport():
-    tr = LatticeTransport(GRID, Boundary.REFLECTIVE)
+    """One transport serves a sweep of shifts, each from its own cached gather."""
+    tr = InterpolatedTransport(GRID, Interpolator(Interp.WENO23), Boundary.REFLECTIVE)
     f = _rand_field(GRID, 28)
     dt = lattice_dt(GRID)
     for shift in (1, 2, 1, -1, 2, 1, 3, 1):
@@ -194,38 +174,36 @@ def test_alternating_shifts_on_one_transport():
 
 
 def test_one_transport_serves_1v_and_chu_fields():
-    tr = LatticeTransport(GRID, Boundary.FREEFLOW)
-    dt = lattice_dt(GRID)
+    tr = LatticeTransport(GRID, Boundary.FREEFLOW, 2)
     rng = np.random.default_rng(29)
     f1 = rng.normal(size=(1, GRID.n_space, GRID.n_vel))
     f2 = rng.normal(size=(2, GRID.n_space, GRID.n_vel))
     for f in (f1, f2, f1, f2):
-        fresh = LatticeTransport(GRID, Boundary.FREEFLOW).shifted(f, 2 * dt)
-        out = tr.shifted(f, 2 * dt)
+        fresh = LatticeTransport(GRID, Boundary.FREEFLOW, 2).shifted(f)
+        out = tr.shifted(f)
         assert out.shape == f.shape and np.array_equal(out, fresh)
 
 
 def test_gather_result_shares_no_memory():
-    tr = LatticeTransport(GRID, Boundary.PERIODIC)
+    tr = LatticeTransport(GRID, Boundary.PERIODIC, 1)
     f = _rand_field(GRID, 30)
-    dt = lattice_dt(GRID)
-    first = tr.shifted(f, dt)
+    first = tr.shifted(f)
     saved = first.copy()
-    second = tr.shifted(f, dt)
+    second = tr.shifted(f)
     for out in (first, second):
         assert not np.shares_memory(out, f)
-        assert not any(np.shares_memory(out, index) for index in tr._indices.values())
+        assert not np.shares_memory(out, tr.index)
     assert not np.shares_memory(first, second)
     second[...] = np.nan  # the caller may modify a result
     assert np.array_equal(first, saved)
-    assert np.array_equal(tr.shifted(f, dt), saved)
+    assert np.array_equal(tr.shifted(f), saved)
 
 
 def test_gather_rejects_mismatched_field():
-    tr = LatticeTransport(GRID, Boundary.PERIODIC)
+    tr = LatticeTransport(GRID, Boundary.PERIODIC, 1)
     f = _rand_field(GRID, 31)
     with pytest.raises(ValueError):
-        tr.shifted(f[:, :-1, :], lattice_dt(GRID))
+        tr.shifted(f[:, :-1, :])
 
 
 @pytest.mark.parametrize("nodes", [0, 1, 5], ids=["copy", "interior", "all-edge"])
@@ -235,17 +213,16 @@ def test_gather_checks_field_and_out_shapes_on_every_path(nodes):
     another component count, as a plan's apply does, rather than copying
     the field as it is or broadcasting into `out`."""
     grid = PhaseGrid(0.0, 1.0, 16, 6, 3.0)  # 17 x 13
-    tr = LatticeTransport(grid, Boundary.PERIODIC)
-    tau = nodes * lattice_dt(grid)
+    tr = LatticeTransport(grid, Boundary.PERIODIC, nodes)
     f = _rand_field(grid, 32)
     with pytest.raises(ValueError):
-        tr.shifted(np.zeros((1, 5, 4)), tau)
+        tr.shifted(np.zeros((1, 5, 4)))
     with pytest.raises(ValueError):
-        tr.shifted(f[0], tau)  # no component axis
+        tr.shifted(f[0])  # no component axis
     with pytest.raises(ValueError):
-        tr.shifted(f, tau, out=np.empty((2, grid.n_space, grid.n_vel)))
+        tr.shifted(f, out=np.empty((2, grid.n_space, grid.n_vel)))
     out = np.empty_like(f)
-    assert tr.shifted(f, tau, out=out) is out
+    assert tr.shifted(f, out=out) is out
 
 
 @pytest.mark.parametrize("bc", list(Boundary))
@@ -259,29 +236,25 @@ def test_gather_checks_field_and_out_shapes_on_every_path(nodes):
     ids=["interior", "edges-cover", "one-row"],
 )
 def test_strided_gather_matches_map_nodes_gather(grid, bc):
-    """Interior rows read through a strided view, edge rows through the cached
-    index: together the map_nodes gather, bit for bit, in a fresh C-contiguous
-    array that shares no memory with the field, for 1v and Chu fields."""
-    tr = LatticeTransport(grid, bc)
-    dt = lattice_dt(grid)
+    """Interior rows read through a strided view, edge rows through the
+    gather's index: together the map_nodes gather, bit for bit, in a fresh
+    C-contiguous array that shares no memory with the field, for 1v and Chu
+    fields."""
     rng = np.random.default_rng(32)
     for ncomp in (1, 2):
         f = rng.normal(size=(ncomp, grid.n_space, grid.n_vel))
         for shift in range(-3, 4):
-            out = tr.shifted(f, shift * dt)
+            out = LatticeTransport(grid, bc, shift).shifted(f)
             assert np.array_equal(out, _uncached_gather(grid, bc, f, shift)), (ncomp, shift)
             assert out.flags.c_contiguous and out.flags.writeable
             assert not np.shares_memory(out, f)
 
 
 def test_cached_index_covers_only_the_edge_rows():
-    """Per shift the cache holds at most 2*nv*|shift|*n_vel int64 entries."""
+    """A gather of shift s holds at most 2*nv*|s|*n_vel int64 entries."""
     grid = PhaseGrid(0.0, 1.0, 40, 3, 1.5)
-    tr = LatticeTransport(grid, Boundary.REFLECTIVE)
-    f = _rand_field(grid, 33)
-    for shift in (1, -2, 3, 7):
-        tr.shifted(f, shift * lattice_dt(grid))
-    for shift, index in tr._indices.items():
+    for shift in (0, 1, -2, 3, 7):
+        index = LatticeTransport(grid, Boundary.REFLECTIVE, shift).index
         assert index.dtype == np.int64
         assert index.size <= 2 * grid.nv * abs(shift) * grid.n_vel
         assert index.size <= grid.n_space * grid.n_vel

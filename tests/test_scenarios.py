@@ -180,6 +180,49 @@ def test_load_scenario_standalone_validation():
         load_scenario(dict(good, initial="maxwellian"))
 
 
+_STANDALONE = {
+    "name": "x",
+    "model": "1v",
+    "domain": [0.0, 1.0],
+    "boundary": "freeflow",
+    "nv": 4,
+    "vmax": 2.0,
+    "cfl": 1.0,
+    "t_final": 0.1,
+    "initial": {"kind": "riemann", "left": [1.0, 0.0, 1.0], "right": [0.5, 0.0, 0.8]},
+}
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"nx": 999}, r"unknown scenario keys \['nx'\]"),
+        ({"initial": dict(_STANDALONE["initial"], bogus=1)}, r"unknown keys \['bogus'\]"),
+        ({"initial": {"kind": "uniform", "rho": 1.0, "u": 0.0, "T": 1.0, "left": [1, 0, 1]}},
+         r"unknown keys \['left'\] in the initial 'uniform'"),
+        ({"nv": 30.7}, "'nv' expects int"),
+        ({"nv": math.inf}, "'nv' expects int"),
+        ({"domain": [0.0, math.inf]}, "domain must be finite"),
+        ({"domain": [math.nan, 1.0]}, "domain must be finite"),
+    ],
+)
+def test_load_scenario_refuses_malformed_standalone_input(change, match):
+    """A standalone file is held to the same key check as one with 'base',
+    an integer key is not truncated, and the domain must be finite."""
+    with pytest.raises(ConfigError, match=match):
+        load_scenario(dict(_STANDALONE, **change))
+    assert load_scenario(dict(_STANDALONE, nv=30.0, description="d")).nv == 30
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [({"nv": 30.5}, "'nv' expects int"), ({"domain": [0, "inf"]}, "domain must be finite")],
+)
+def test_load_scenario_refuses_malformed_base_overrides(change, match):
+    with pytest.raises(ConfigError, match=match):
+        load_scenario({"base": "smooth", **change})
+
+
 @pytest.mark.parametrize("x_jump", [math.nan, math.inf, -math.inf])
 def test_load_scenario_refuses_a_non_finite_jump(x_jump):
     """A NaN jump would put the right state at every node (x < NaN is False)."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bgk_sl import Boundary, Interp, Interpolator, PhaseGrid
+from bgk_sl import Boundary, ConfigError, Interp, Interpolator, PhaseGrid
 from bgk_sl import transport, weno
 from bgk_sl.boundaries import extend_field
 from bgk_sl.lattice import LatticeTransport, snap_to_integers
@@ -272,11 +272,10 @@ def test_node_aligned_tau_takes_the_lattice_gather(monkeypatch, bc):
     grid = PhaseGrid(-1.0, 1.0, 40, 10, 5.0)
     f = _field(grid, ncomp=2, seed=7)
     tr = _transport(grid, Interp.WENO35, bc)
-    lattice = LatticeTransport(grid, bc)
     for m in (0, 1, -1, 2, 7, -13):
         tau = m * grid.dx / grid.dv
         first, second = tr.shifted(f, tau), tr.shifted(f, tau)
-        assert np.array_equal(first, lattice.shifted(f, tau)), m
+        assert np.array_equal(first, LatticeTransport(grid, bc, m).shifted(f)), m
         assert not np.shares_memory(first, f) and not np.shares_memory(first, second)
 
 
@@ -356,6 +355,56 @@ def test_plan_cache_reuse_and_eviction():
     assert np.array_equal(tr.shifted(f, 0.01), first)
 
 
+def test_each_tau_is_classified_once(monkeypatch):
+    """node_shift runs once per distinct tau, whether the tau gets a lattice
+    gather or an interpolation plan; clear() and the eviction bound forget
+    plans of both kinds, and a forgotten tau is classified again."""
+    calls = []
+    original = transport.node_shift
+    monkeypatch.setattr(
+        transport, "node_shift", lambda grid, tau: calls.append(tau) or original(grid, tau)
+    )
+    grid = PhaseGrid(0.0, 1.0, 20, 5, 2.5)
+    tr = _transport(grid)
+    f = _field(grid, seed=40)
+    dt = grid.dx / grid.dv
+    taus = [dt, 0.5 * dt]
+    first = [tr.shifted(f, tau) for tau in taus]
+    for _ in range(3):
+        for tau, expect in zip(taus, first):
+            assert np.array_equal(tr.shifted(f, tau), expect)
+    assert calls == taus
+    assert isinstance(tr._plans[dt], LatticeTransport)
+    assert isinstance(tr._plans[0.5 * dt], weno.InterpPlan)
+    tr.clear()
+    assert not tr._plans
+    for tau, expect in zip(taus, first):
+        assert np.array_equal(tr.shifted(f, tau), expect)
+    assert calls == 2 * taus
+    # flooding the cache with other taus evicts the two oldest plans first
+    for k in range(1, tr._PLAN_CACHE_MAX - 1):
+        tr.shifted(f, (k + 0.25) * dt)
+    assert dt in tr._plans and 0.5 * dt in tr._plans
+    tr.shifted(f, 100.25 * dt)
+    tr.shifted(f, -100.25 * dt)
+    assert dt not in tr._plans and 0.5 * dt not in tr._plans
+    assert len(tr._plans) == tr._PLAN_CACHE_MAX
+    del calls[:]
+    for tau, expect in zip(taus, first):
+        assert np.array_equal(tr.shifted(f, tau), expect)
+    assert calls == taus
+
+
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_non_finite_tau_is_refused(tau):
+    """A non-finite tau is refused before it is classified or cached."""
+    grid = PhaseGrid(0.0, 1.0, 16, 4, 2.0)
+    tr = _transport(grid)
+    with pytest.raises(ConfigError, match="finite"):
+        tr.shifted(_field(grid), tau)
+    assert not tr._plans
+
+
 def test_large_cfl_shift_covers_multiple_domains():
     """Departure points several domain widths away still fold back correctly
     under periodic wrap: compare with an exactly-resolvable profile."""
@@ -403,9 +452,10 @@ def test_shift_into_out_equals_a_new_result_bitwise(monkeypatch, kind, bc, ncomp
         assert tr.shifted(f, tau, out=buf) is buf
         assert np.array_equal(buf, expect), tau
         assert np.array_equal(tr.shifted(f, tau), expect), tau
-        if float(tau * grid.dv / grid.dx).is_integer():
-            lattice = LatticeTransport(grid, bc)
-            assert lattice.shifted(f, tau, out=buf) is buf
+        nodes = tau * grid.dv / grid.dx
+        if float(nodes).is_integer():
+            lattice = LatticeTransport(grid, bc, nodes)
+            assert lattice.shifted(f, out=buf) is buf
             assert np.array_equal(buf, expect), tau
 
 
