@@ -38,7 +38,7 @@ from .integrators import (
 from .lattice import LatticeTransport, lattice_dt
 from .moments import Moments, relaxation_solve, velocity_moments
 from .riemann import GasState, RiemannSolution, riemann_profile
-from .scenarios import SCENARIOS, Scenario, load_scenario, make_system
+from .scenarios import SCENARIOS, Scenario, load_scenario, make_system, with_overrides
 from .systems import KineticSystem, Monatomic1V
 from .transport import InterpolatedTransport
 from .weno import Interpolator

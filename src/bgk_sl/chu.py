@@ -33,11 +33,8 @@ class ChuReduced3V(KineticSystem):
 
     n_components = 2
     gamma = 5.0 / 3.0
+    dof = 3
     name = "chu"
-
-    @property
-    def dof(self) -> int:
-        return 3
 
     def moments(self, field: np.ndarray, grid: PhaseGrid, validate: bool = True) -> Moments:
         field = self.check_field(field, grid)

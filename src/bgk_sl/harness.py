@@ -20,7 +20,6 @@ from .config import (
     Integrator,
     Interp,
     SchemeConfig,
-    parse_boundary,
     parse_interp,
     parse_scheme,
 )
@@ -28,7 +27,7 @@ from .errors import ConfigError, NumericalError
 from .grid import PhaseGrid, TimeControl, check_step_count
 from .integrators import TimeStepper
 from .lattice import lattice_dt
-from .scenarios import load_scenario, make_system
+from .scenarios import make_system, with_overrides
 
 
 def scheme_label(scheme: str | Integrator, interp: Interp) -> str:
@@ -58,13 +57,6 @@ class RunResult:
             yield (self.x[i], self.rho[i], self.u[i], self.T[i], self.E[i])
 
 
-def _phase_grid(scen, nx, nv=None, vmax=None) -> PhaseGrid:
-    """A run's phase grid: the scenario's velocity grid unless nv or vmax is given."""
-    nv = int(nv) if nv is not None else scen.nv
-    vmax = float(vmax) if vmax is not None else scen.vmax
-    return PhaseGrid(x0=scen.x0, x1=scen.x1, nx=int(nx), nv=nv, vmax=vmax)
-
-
 def run_case(
     scenario,
     *,
@@ -81,32 +73,30 @@ def run_case(
     """March one configuration to its final time and report the moments.
 
     `integrator` is a `SCHEMES` token: a lattice token marches at its lattice
-    step and ignores `cfl`.
+    step and ignores `cfl`.  The overrides `boundary` to `t_final` are scenario
+    fields (see `scenarios.with_overrides`); None keeps the scenario's.
     """
-    scen = load_scenario(scenario)
+    scen = with_overrides(scenario, boundary=boundary, nv=nv, vmax=vmax, cfl=cfl, t_final=t_final)
     token = parse_scheme(integrator)
     base, default, lattice = SCHEMES[token]
     interp = parse_interp(interp) if interp is not None else default
-    boundary = parse_boundary(boundary) if boundary is not None else scen.boundary
-    cfl_requested = float(cfl) if cfl is not None else scen.cfl
-    t_final = float(t_final) if t_final is not None else scen.t_final
 
-    grid = _phase_grid(scen, nx, nv, vmax)
+    grid = scen.grid(nx)
     system = make_system(scen.model)
-    scheme = SchemeConfig(integrator=base, interp=interp, boundary=boundary, eps=eps)
+    scheme = SchemeConfig(integrator=base, interp=interp, boundary=scen.boundary, eps=eps)
     if lattice:
         dt = lattice_dt(grid)
         cfl_actual = float(grid.nv)
     else:
-        if not (0.0 < cfl_requested < math.inf):
-            raise ConfigError(f"cfl must be positive and finite, got {cfl_requested}")
-        dt = grid.dt_from_cfl(cfl_requested)
-        cfl_actual = cfl_requested
-    control = TimeControl(dt=dt, t_final=t_final)
+        if not (0.0 < scen.cfl < math.inf):
+            raise ConfigError(f"cfl must be positive and finite, got {scen.cfl}")
+        dt = grid.dt_from_cfl(scen.cfl)
+        cfl_actual = scen.cfl
+    control = TimeControl(dt=dt, t_final=scen.t_final)
 
     rho0, u0, T0 = scen.initial_moments(grid.x, system.dof)
     f0 = system.from_macro(rho0, u0, T0, grid)
-    if boundary is Boundary.PERIODIC:
+    if scen.boundary is Boundary.PERIODIC:
         f0[:, -1, :] = f0[:, 0, :]  # node nx is the same physical point as node 0
 
     stepper = TimeStepper(f0, grid, system, scheme)
@@ -117,15 +107,15 @@ def run_case(
         "scheme": scheme_label(token, interp),
         "integrator": token,
         "interp": interp.value,
-        "boundary": boundary.value,
+        "boundary": scen.boundary.value,
         "eps": eps,
-        "nx": int(nx),
+        "nx": grid.nx,
         "nv": grid.nv,
         "vmax": grid.vmax,
-        "cfl_requested": cfl_requested,
+        "cfl_requested": scen.cfl,
         "cfl_actual": cfl_actual,
         "dt": dt,
-        "t_final": t_final,
+        "t_final": scen.t_final,
         "n_steps": control.n_steps,
         "shortened_final_step": control.has_short_step,
     }
@@ -212,7 +202,6 @@ def convergence_study(
     integrator,
     eps_list,
     nx_list,
-    norm: str = "l1",
     **run_kwargs,
 ) -> list[dict]:
     """Successive-refinement errors and observed orders of the density.
@@ -222,7 +211,6 @@ def convergence_study(
     errors (None on the first row of each eps).
     """
     nx_list = _check_doubling(nx_list)
-    norm_fn = {"l1": l1_norm, "l2": l2_norm}[norm]
     rows: list[dict] = []
     with _keeping_rows(rows):
         for eps in eps_list:
@@ -232,10 +220,10 @@ def convergence_study(
             )
             coarse, prev_err = next(runs), None
             for fine in runs:
-                err = refinement_error(coarse, fine, norm_fn)
+                err = refinement_error(coarse, fine)
                 order = math.log2(prev_err / err) if prev_err not in (None, 0.0) else None
                 rows.append(
-                    {"eps": eps, "nx": coarse.meta["nx"], f"err_{norm}_rho": err, "order": order}
+                    {"eps": eps, "nx": coarse.meta["nx"], "err_l1_rho": err, "order": order}
                 )
                 coarse, prev_err = fine, err
     return rows
@@ -268,14 +256,14 @@ def cfl_sweep(
     token = parse_scheme(integrator)
     if SCHEMES[token][2]:
         raise ConfigError("the CFL of a lattice scheme is fixed; sweep needs interpolation")
-    scen = load_scenario(scenario)
-    t_final = float(t_final) if t_final is not None else scen.t_final
+    scen = with_overrides(
+        scenario, t_final=t_final, nv=run_kwargs.pop("nv", None), vmax=run_kwargs.pop("vmax", None)
+    )
+    t_final = scen.t_final
     if not (0.0 <= t_final < math.inf):
         raise ConfigError(f"t_final must be >= 0 and finite, got {t_final}")
     # the runs' own grids: dt then divides t_final under an nv or vmax override too
-    probe, fine = (
-        _phase_grid(scen, n, run_kwargs.get("nv"), run_kwargs.get("vmax")) for n in (nx, 2 * nx)
-    )
+    probe, fine = (scen.grid(n) for n in (nx, 2 * nx))
     cfl_pairs = []
     for cfl_req in cfl_list:  # every request is refused or adjusted before any run
         if not (0.0 < cfl_req < math.inf):
@@ -289,15 +277,7 @@ def cfl_sweep(
     with _keeping_rows(rows):
         for cfl_req, cfl_act in cfl_pairs:
             coarse, fine = (
-                run_case(
-                    scenario,
-                    integrator=token,
-                    eps=eps,
-                    nx=n,
-                    cfl=cfl_act,
-                    t_final=t_final,
-                    **run_kwargs,
-                )
+                run_case(scen, integrator=token, eps=eps, nx=n, cfl=cfl_act, **run_kwargs)
                 for n in (nx, 2 * nx)
             )
             err = refinement_error(coarse, fine, l2_norm)

@@ -41,19 +41,9 @@ from .weno import Interpolator
 # --------------------------------------------------------------------------
 # Butcher tableaus (all stiffly accurate with positive diagonal => L-stable)
 # --------------------------------------------------------------------------
-def _sdirk3_gamma() -> float:
-    """Middle root of 6x^3 - 18x^2 + 9x - 1, the 3-stage SDIRK parameter."""
-    roots = np.roots([6.0, -18.0, 9.0, -1.0])
-    g = float(np.sort(roots.real[np.abs(roots.imag) < 1e-8])[1])
-    for _ in range(3):  # Newton polish to full double precision
-        p = ((6.0 * g - 18.0) * g + 9.0) * g - 1.0
-        dp = (18.0 * g - 36.0) * g + 9.0
-        g -= p / dp
-    return g
-
-
 RK2_ALPHA = 1.0 - math.sqrt(2.0) / 2.0
-RK3_GAMMA = _sdirk3_gamma()
+# the 3-stage SDIRK parameter: the middle root of 6x^3 - 18x^2 + 9x - 1
+RK3_GAMMA = 0.435866521508459
 RK3_DELTA = 1.5 * RK3_GAMMA**2 - 5.0 * RK3_GAMMA + 1.25
 
 

@@ -2,7 +2,7 @@
 
 A scenario packages the initial macroscopic profiles, the domain, the kinetic
 model and default numerics (boundary, nv, vmax, CFL, final time).  Explicit
-run options always override the defaults.
+run options always override the defaults (`with_overrides`).
 
 Custom scenarios come from JSON files, either deriving from a bundled one:
 
@@ -34,6 +34,7 @@ import numpy as np
 from .chu import ChuReduced3V
 from .config import Boundary, parse_boundary
 from .errors import ConfigError
+from .grid import PhaseGrid
 from .systems import KineticSystem, Monatomic1V
 
 _JUMP_NODE_TOL = 1e-9
@@ -61,6 +62,11 @@ class Scenario:
     profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     riemann: tuple | None = None  # ((rho,u,T)_L, (rho,u,T)_R, x_jump)
     description: str = ""
+
+    def grid(self, nx) -> PhaseGrid:
+        """The scenario's phase grid with nx space intervals."""
+        nx = _typed("nx", nx, int)
+        return PhaseGrid(x0=self.x0, x1=self.x1, nx=nx, nv=self.nv, vmax=self.vmax)
 
     def initial_moments(self, x: np.ndarray, dof: int):
         """(rho, u, T) at the nodes; a node sitting exactly on a Riemann jump
@@ -224,6 +230,33 @@ _SCALAR_KEYS = {
 }
 
 
+def _scenario_fields(data: dict) -> dict:
+    """The Scenario fields that scenario-file keys set: "domain" sets x0 and
+    x1, "boundary" and the scalar keys set their own; an unknown key is refused."""
+    unknown = sorted(data.keys() - {"domain", "boundary", *_SCALAR_KEYS})
+    if unknown:
+        raise ConfigError(f"unknown scenario keys {unknown}")
+    fields = {}
+    for key, value in data.items():
+        if key == "domain":
+            fields["x0"], fields["x1"] = _parse_domain(value)
+        elif key == "boundary":
+            fields["boundary"] = parse_boundary(value)
+        else:
+            fields[key] = _typed(key, value, _SCALAR_KEYS[key])
+    if "model" in fields:
+        make_system(fields["model"])  # validates
+    return fields
+
+
+def with_overrides(spec, **overrides) -> Scenario:
+    """The scenario of spec with scenario-file keys overridden; a None
+    override keeps the scenario's value."""
+    scen = load_scenario(spec)
+    fields = _scenario_fields({k: v for k, v in overrides.items() if v is not None})
+    return dataclasses.replace(scen, **fields) if fields else scen
+
+
 def _scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("scenario JSON must be an object")
@@ -232,60 +265,30 @@ def _scenario_from_dict(data: dict) -> Scenario:
     if base_name is not None:
         if base_name not in SCENARIOS:
             raise ConfigError(f"unknown base scenario {base_name!r}")
-        base = SCENARIOS[base_name]
-        overrides = {}
-        if "domain" in data:
-            domain = data.pop("domain")
-            overrides["x0"], overrides["x1"] = _parse_domain(domain)
-        if "boundary" in data:
-            overrides["boundary"] = parse_boundary(data.pop("boundary"))
-        for key, kind in _SCALAR_KEYS.items():
-            if key in data:
-                overrides[key] = _typed(key, data.pop(key), kind)
-        if data:
-            raise ConfigError(f"unknown scenario keys {sorted(data)} with 'base'")
-        if "model" in overrides:
-            make_system(overrides["model"])  # validates
-        return dataclasses.replace(base, **overrides)
+        return dataclasses.replace(SCENARIOS[base_name], **_scenario_fields(data))
 
     required = ("name", "model", "domain", "boundary", "nv", "vmax", "cfl", "t_final", "initial")
     missing = [key for key in required if key not in data]
     if missing:
         raise ConfigError(f"scenario JSON missing keys: {missing}")
-    unknown = sorted(data.keys() - {*required, "description"})
-    if unknown:
-        raise ConfigError(f"unknown scenario keys {unknown}")
-    x0, x1 = _parse_domain(data["domain"])
-    initial = data["initial"]
+    initial = data.pop("initial")
+    fields = _scenario_fields(data)
     if not isinstance(initial, dict) or "kind" not in initial:
         raise ConfigError("scenario 'initial' must be an object with a 'kind'")
-    profile, riemann = _parse_initial(initial, x0, x1)
-    scalars = {
-        key: _typed(key, data[key], kind) for key, kind in _SCALAR_KEYS.items() if key in data
-    }
-    scalars.setdefault("description", "custom scenario")
-    make_system(scalars["model"])  # validates
-    return Scenario(
-        x0=x0,
-        x1=x1,
-        boundary=parse_boundary(data["boundary"]),
-        profile=profile,
-        riemann=riemann,
-        **scalars,
-    )
+    profile, riemann = _parse_initial(initial, fields["x0"], fields["x1"])
+    fields.setdefault("description", "custom scenario")
+    return Scenario(profile=profile, riemann=riemann, **fields)
 
 
 def _typed(key, value, kind):
-    """value converted to kind, or a ConfigError naming the scenario key."""
+    """value converted to kind, or a ConfigError naming the key."""
     try:
         typed = kind(value)
         if kind is int and typed != float(value):  # refuse a truncation, as the CLI does
             raise ValueError
         return typed
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(
-            f"scenario key {key!r} expects {kind.__name__}, got {value!r}"
-        ) from None
+        raise ConfigError(f"{key!r} expects {kind.__name__}, got {value!r}") from None
 
 
 def _parse_initial(initial: dict, x0: float, x1: float):

@@ -16,10 +16,11 @@ from .moments import Moments, maxwellian_rows, validate_positive, velocity_momen
 
 
 class KineticSystem:
-    """Interface: subclasses set n_components/gamma and implement the hooks."""
+    """Interface: subclasses set n_components/gamma/dof and implement the hooks."""
 
     n_components: int
     gamma: float
+    dof: int  # velocity-space degrees of freedom N in E = rho*u^2/2 + (N/2) rho T
     name: str
 
     def moments(self, field: np.ndarray, grid: PhaseGrid, validate: bool = True) -> Moments:
@@ -46,22 +47,14 @@ class KineticSystem:
             raise ValueError(f"field shape {field.shape} != expected {expected}")
         return field
 
-    @property
-    def dof(self) -> int:
-        """Velocity-space degrees of freedom N in E = rho*u^2/2 + (N/2) rho T."""
-        raise NotImplementedError
-
 
 class Monatomic1V(KineticSystem):
     """One scalar distribution over a 1D velocity grid; E = rho u^2/2 + rho T/2."""
 
     n_components = 1
     gamma = 3.0
+    dof = 1
     name = "1v"
-
-    @property
-    def dof(self) -> int:
-        return 1
 
     def moments(self, field: np.ndarray, grid: PhaseGrid, validate: bool = True) -> Moments:
         field = self.check_field(field, grid)

@@ -173,6 +173,28 @@ def test_run_case_rejects_bad_tokens():
         run_case("smooth", integrator="LatEuler", interp="none", eps=1e-2, nx=16)
 
 
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (run_case, {"nx": 8.7}),
+        (run_case, {"nv": 20.7}),
+        (run_case, {"cfl": "abc"}),
+        (run_case, {"vmax": "x"}),
+        (run_case, {"t_final": "y"}),
+        (cfl_sweep, {"nv": 20.7}),
+    ],
+    ids=["nx", "nv", "cfl", "vmax", "t_final", "cfl_sweep-nv"],
+)
+def test_bad_overrides_are_config_errors(call, bad):
+    """An override is a scenario field: a value that is not of its type, or an
+    integer that would be truncated, is refused before any run."""
+    kwargs = {"integrator": "RK2", "eps": 1.0, "nx": 16, "t_final": 0.02}
+    if call is cfl_sweep:
+        kwargs["cfl_list"] = [2.0]
+    with pytest.raises(ConfigError, match=f"'{next(iter(bad))}' expects"):
+        call("smooth", **{**kwargs, **bad})
+
+
 def test_lattice_token_with_interp_runs_its_integrator_at_the_lattice_step():
     """An explicit interpolation on a lattice token serves the feet that are
     not node-aligned: LatEuler + weno23 is Euler1 + weno23 at dt = dx/dv."""

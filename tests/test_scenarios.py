@@ -216,7 +216,11 @@ def test_load_scenario_refuses_malformed_standalone_input(change, match):
 
 @pytest.mark.parametrize(
     "change, match",
-    [({"nv": 30.5}, "'nv' expects int"), ({"domain": [0, "inf"]}, "domain must be finite")],
+    [
+        ({"nv": 30.5}, "'nv' expects int"),
+        ({"domain": [0, "inf"]}, "domain must be finite"),
+        ({"cfl": None}, "'cfl' expects float"),  # only keyword overrides drop None
+    ],
 )
 def test_load_scenario_refuses_malformed_base_overrides(change, match):
     with pytest.raises(ConfigError, match=match):
