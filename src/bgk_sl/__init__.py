@@ -35,7 +35,7 @@ from .integrators import (
     TimeStepper,
     tableau_step,
 )
-from .lattice import LatticeTransport, lattice_dt
+from .lattice import LatticeTransport
 from .moments import Moments, relaxation_solve, velocity_moments
 from .riemann import GasState, RiemannSolution, riemann_profile
 from .scenarios import SCENARIOS, Scenario, load_scenario, make_system, with_overrides

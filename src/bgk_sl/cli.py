@@ -6,8 +6,8 @@
                       --eps 1e-4,1e-6 --nx 40 --levels 4 --out orders.csv
     bgk-sl cfl-sweep  --scenario smooth --scheme RK2 --interp weno23 \
                       --eps 1e-4 --nx 160 --tfinal 0.3 --out sweep.csv
-    bgk-sl cost       --scenario smooth --scheme LatBDF3,BDF3 --eps 1e-4 \
-                      --nx 40 --levels 3 --out cost.csv
+    bgk-sl cost       --scenario smooth --scheme BDF3 --interp weno35 --cfl lattice \
+                      --eps 1e-4 --nx 40 --levels 3 --out cost.csv
 
 Options may come from a JSON config file (--config file.json with keys named
 like the long flags); explicit command-line flags win on conflict.  Output is
@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nv", help="velocity nodes per half-axis")
         p.add_argument("--vmax", help="velocity grid extent")
         p.add_argument("--cfl", help="CFL number" + (
-            ", comma-separated sweep values" if name == "cfl-sweep" else ""))
+            ", comma-separated sweep values" if name == "cfl-sweep"
+            else ", or lattice for dt = dx/dv"))
         p.add_argument("--tfinal", help="final time")
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument(
@@ -238,7 +239,7 @@ def _cmd_run(opts: dict) -> RunResult:
         interp=opts.get("interp"),
         eps=_as_float(_require(opts, "eps"), "eps"),
         nx=_as_int(_require(opts, "nx"), "nx"),
-        cfl=_optional(opts, "cfl"),
+        cfl=opts.get("cfl"),
         **_common_kwargs(opts),
     )
 
@@ -250,7 +251,7 @@ def _cmd_converge(opts: dict) -> list[dict]:
         interp=opts.get("interp"),
         eps_list=_float_list(_require(opts, "eps"), "eps"),
         nx_list=_nx_ladder(opts, default_nx=40, default_levels=4),
-        cfl=_optional(opts, "cfl"),
+        cfl=opts.get("cfl"),
         **_common_kwargs(opts),
     )
 
@@ -273,7 +274,7 @@ def _cmd_cost(opts: dict) -> list[dict]:
         schemes=[(tok, opts.get("interp")) for tok in _tokens(_require(opts, "scheme"), "scheme")],
         eps=_as_float(_require(opts, "eps"), "eps"),
         nx_list=_nx_ladder(opts, default_nx=40, default_levels=3),
-        cfl=_optional(opts, "cfl"),
+        cfl=opts.get("cfl"),
         **_common_kwargs(opts),
     )
 

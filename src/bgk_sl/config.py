@@ -6,6 +6,7 @@ accepted on the command line.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -38,19 +39,14 @@ class Boundary(enum.Enum):
     FREEFLOW = "freeflow"
 
 
-# Per --scheme token: (integrator, default interpolation, lattice).  A lattice
-# token marches its integrator at the lattice step dt = dx/dv, where every
-# characteristic foot over a multiple of dt is a node, with the interpolation
-# of its order for the feet that are not; the others march at dt = cfl*dx/vmax.
+# Per --scheme token: (integrator, default interpolation).  Any of them marches
+# at dt = dx/dv under cfl="lattice" (`PhaseGrid.dt_from_cfl`).
 SCHEMES = {
-    "Euler1": (Integrator.EULER1, Interp.LINEAR, False),
-    "RK2": (Integrator.RK2, Interp.WENO23, False),
-    "RK3": (Integrator.RK3, Interp.WENO23, False),
-    "BDF2": (Integrator.BDF2, Interp.WENO23, False),
-    "BDF3": (Integrator.BDF3, Interp.WENO23, False),
-    "LatEuler": (Integrator.EULER1, Interp.LINEAR, True),
-    "LatBDF2": (Integrator.BDF2, Interp.WENO23, True),
-    "LatBDF3": (Integrator.BDF3, Interp.WENO35, True),
+    "Euler1": (Integrator.EULER1, Interp.LINEAR),
+    "RK2": (Integrator.RK2, Interp.WENO23),
+    "RK3": (Integrator.RK3, Interp.WENO23),
+    "BDF2": (Integrator.BDF2, Interp.WENO23),
+    "BDF3": (Integrator.BDF3, Interp.WENO23),
 }
 
 
@@ -91,5 +87,5 @@ class SchemeConfig:
     eps: float  # relaxation time (Knudsen number); math.inf disables collisions
 
     def __post_init__(self):
-        if not (self.eps > 0.0):  # also rejects NaN
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if not (isinstance(self.eps, numbers.Real) and self.eps > 0.0):  # also rejects NaN
+            raise ConfigError(f"eps must be a positive number, got {self.eps!r}")

@@ -84,7 +84,13 @@ class PhaseGrid:
     def n_vel(self) -> int:
         return 2 * self.nv + 1
 
-    def dt_from_cfl(self, cfl: float) -> float:
+    def dt_from_cfl(self, cfl: float | str) -> float:
+        """The step of CFL number cfl; cfl = "lattice" gives dx/dv, whose feet
+        over any multiple of it land on nodes (effective CFL nv)."""
+        if cfl == "lattice":
+            return self.dx / self.dv
+        if not (0.0 < cfl < np.inf):  # also refuses NaN
+            raise ConfigError(f"cfl must be positive and finite, got {cfl}")
         return cfl * self.dx / self.vmax
 
 

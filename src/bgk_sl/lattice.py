@@ -4,8 +4,8 @@ When the time step satisfies dv*dt = dx, every characteristic foot
 x_i - v_j*m*dt with integer m lands exactly on a grid node: the foot of
 velocity index j is j*m nodes away.  Transport then becomes an exact integer
 gather (no interpolation, no numerical diffusion), at the price of tying the
-time step to the grids: the effective CFL number is nv.  The lattice scheme
-tokens march their integrators at this step (`config.SCHEMES`).
+time step to the grids: the effective CFL number is nv.  cfl = "lattice"
+marches any integrator at this step (`PhaseGrid.dt_from_cfl`).
 
 A `LatticeTransport` is the gather of one shift s, built once by the
 transport's per-tau plan cache (`transport`).  Row i of velocity column j
@@ -32,11 +32,6 @@ from .grid import PhaseGrid
 from .weno import check_shapes
 
 _INT_TOL = 1e-9
-
-
-def lattice_dt(grid: PhaseGrid) -> float:
-    """The unique time step with dv*dt = dx."""
-    return grid.dx / grid.dv
 
 
 def snap_to_integers(r):

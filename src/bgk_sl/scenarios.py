@@ -57,7 +57,7 @@ class Scenario:
     boundary: Boundary
     nv: int
     vmax: float
-    cfl: float
+    cfl: float | str  # a CFL number, or "lattice" (`PhaseGrid.dt_from_cfl`)
     t_final: float
     profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     riemann: tuple | None = None  # ((rho,u,T)_L, (rho,u,T)_R, x_jump)
@@ -65,7 +65,7 @@ class Scenario:
 
     def grid(self, nx) -> PhaseGrid:
         """The scenario's phase grid with nx space intervals."""
-        nx = _typed("nx", nx, int)
+        nx = typed_value("nx", nx, int)
         return PhaseGrid(x0=self.x0, x1=self.x1, nx=nx, nv=self.nv, vmax=self.vmax)
 
     def initial_moments(self, x: np.ndarray, dof: int):
@@ -242,8 +242,10 @@ def _scenario_fields(data: dict) -> dict:
             fields["x0"], fields["x1"] = _parse_domain(value)
         elif key == "boundary":
             fields["boundary"] = parse_boundary(value)
+        elif key == "cfl" and isinstance(value, str) and value == "lattice":
+            fields["cfl"] = value
         else:
-            fields[key] = _typed(key, value, _SCALAR_KEYS[key])
+            fields[key] = typed_value(key, value, _SCALAR_KEYS[key])
     if "model" in fields:
         make_system(fields["model"])  # validates
     return fields
@@ -280,9 +282,11 @@ def _scenario_from_dict(data: dict) -> Scenario:
     return Scenario(profile=profile, riemann=riemann, **fields)
 
 
-def _typed(key, value, kind):
-    """value converted to kind, or a ConfigError naming the key."""
+def typed_value(key, value, kind):
+    """value converted to kind (a str must be one), or a ConfigError naming the key."""
     try:
+        if kind is str and not isinstance(value, str):
+            raise TypeError
         typed = kind(value)
         if kind is int and typed != float(value):  # refuse a truncation, as the CLI does
             raise ValueError

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import legendre, polynomial
 
-from bgk_sl import ChuReduced3V, Interp, Monatomic1V, PhaseGrid
+from bgk_sl import ChuReduced3V, Integrator, Interp, Monatomic1V, PhaseGrid
 from bgk_sl.moments import maxwellian_rows, velocity_basis
 from bgk_sl.weno import GHOST_WIDTH, Workspace, _differences, _indicators
 
@@ -15,6 +15,14 @@ from bgk_sl.weno import GHOST_WIDTH, Workspace, _differences, _indicators
 # suite itself does through pytest's `pythonpath` setting
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+# The lattice runs the suite pins, keyed by scheme label: an integrator of
+# each order with the interpolation of that order, at cfl = "lattice".
+LATTICE_RUNS = {
+    "Euler1Lin": (Integrator.EULER1, Interp.LINEAR),
+    "BDF2W23": (Integrator.BDF2, Interp.WENO23),
+    "BDF3W35": (Integrator.BDF3, Interp.WENO35),
+}
 
 
 def fitted_slope(h_list, err_list) -> float:

@@ -30,7 +30,6 @@ from bgk_sl import (
     cfl_sweep,
     convergence_study,
     l1_norm,
-    lattice_dt,
     load_scenario,
     make_system,
     riemann_profile,
@@ -41,6 +40,7 @@ from bgk_sl import transport as transport_module
 from bgk_sl.moments import maxwellian_rows, relaxation_solve, velocity_basis
 
 from conftest import (
+    LATTICE_RUNS,
     cells,
     fitted_slope,
     interpolate_at,
@@ -52,15 +52,10 @@ MACHINE_EPS = np.finfo(float).eps
 
 
 def _all_scheme_combos(grid):
-    """(integrator, interpolation, dt) of every scheme token: a lattice token
-    with its own interpolation at its lattice step, every other token with
-    every interpolation at CFL 4."""
-    combos = []
-    for integ, default, lattice in SCHEMES.values():
-        if lattice:
-            combos.append((integ, default, lattice_dt(grid)))
-        else:
-            combos.extend((integ, ip, grid.dt_from_cfl(4.0)) for ip in Interp)
+    """(integrator, interpolation, dt) of every scheme token with every
+    interpolation at CFL 4, and of each lattice run at cfl = "lattice"."""
+    combos = [(integ, ip, grid.dt_from_cfl(4.0)) for integ, _ in SCHEMES.values() for ip in Interp]
+    combos += [(integ, ip, grid.dt_from_cfl("lattice")) for integ, ip in LATTICE_RUNS.values()]
     return combos
 
 
@@ -69,8 +64,8 @@ def _all_scheme_combos(grid):
 # ---------------------------------------------------------------------------
 def test_equilibrium_preservation():
     """100 steps on a uniform global Maxwellian leave (rho, u, T) unchanged
-    to 1e-12, for every scheme token x interpolation x kinetic system and for
-    eps in {1, 1e-6}."""
+    to 1e-12, for every scheme token x interpolation and every lattice run,
+    x kinetic system and for eps in {1, 1e-6}."""
     grid = PhaseGrid(-1.0, 1.0, 16, 20, 10.0)
     worst = 0.0
     for (integ, ip, dt), eps, system in itertools.product(
@@ -343,24 +338,16 @@ def test_weno35_transport_refinement_slope():
 # ---------------------------------------------------------------------------
 # 8. lattice transport is the exact limit of interpolated transport
 # ---------------------------------------------------------------------------
-# The base scheme each lattice token is at the lattice step dt = dx/dv.
-LATTICE_BASES = {
-    "LatEuler": (Integrator.EULER1, Interp.LINEAR),
-    "LatBDF2": (Integrator.BDF2, Interp.WENO23),
-    "LatBDF3": (Integrator.BDF3, Interp.WENO35),
-}
-
-
 def test_lattice_matches_interpolated_on_aligned_steps(monkeypatch):
     """When dv*dt = dx every characteristic foot is a grid node, so the
     lattice first-order scheme (exact gathers) and the same scheme with every
     foot interpolated linearly agree to 1e-13 at every step.
 
-    And a lattice token is its base scheme at the lattice step: LatEuler,
-    LatBDF2 and LatBDF3 run by `run_case` end on the field of Euler1 + linear,
-    BDF2 + weno23 and BDF3 + weno35 marched at dt = lattice_dt(grid), bit for
-    bit, on the four non-trivial bundled scenarios at eps 1e-2 and 1e-6 and
-    nx = 80, shortened last steps included (24 cases)."""
+    And cfl = "lattice" is the scheme at dt = dx/dv: Euler1 + linear, BDF2 +
+    weno23 and BDF3 + weno35 run by `run_case` at cfl = "lattice" end on the
+    field of the same scheme marched at dt = dx/dv, bit for bit, on the four
+    non-trivial bundled scenarios at eps 1e-2 and 1e-6 and nx = 80, shortened
+    last steps included (24 cases)."""
     grid = PhaseGrid(-1.0, 1.0, 64, 12, 6.0)
     system = Monatomic1V()
     x = grid.x
@@ -368,8 +355,8 @@ def test_lattice_matches_interpolated_on_aligned_steps(monkeypatch):
         1.0 + 0.2 * np.sin(np.pi * x), 0.3 * np.exp(-8 * x**2), 1.0 + 0.1 * np.cos(np.pi * x), grid
     )
     f0[:, -1, :] = f0[:, 0, :]
-    integ, ip, _ = SCHEMES["LatEuler"]
-    dt = lattice_dt(grid)
+    integ, ip = LATTICE_RUNS["Euler1Lin"]
+    dt = grid.dt_from_cfl("lattice")
     scheme = SchemeConfig(integrator=integ, interp=ip, boundary=Boundary.PERIODIC, eps=0.01)
     lattice, interpolated = (TimeStepper(f0, grid, system, scheme) for _ in range(2))
     for _ in range(5):
@@ -389,10 +376,10 @@ def test_lattice_matches_interpolated_on_aligned_steps(monkeypatch):
 
     monkeypatch.setattr(harness, "TimeStepper", Recording)
     shortened = 0
-    for name, eps, (token, (integ, ip)) in itertools.product(
-        ("smooth", "riemann", "riemann-chu", "smooth-chu"), (1e-2, 1e-6), LATTICE_BASES.items()
+    for name, eps, (label, (integ, ip)) in itertools.product(
+        ("smooth", "riemann", "riemann-chu", "smooth-chu"), (1e-2, 1e-6), LATTICE_RUNS.items()
     ):
-        res = run_case(name, integrator=token, eps=eps, nx=80)
+        res = run_case(name, integrator=integ, interp=ip, eps=eps, nx=80, cfl="lattice")
         scen = load_scenario(name)
         system = make_system(scen.model)
         grid = PhaseGrid(scen.x0, scen.x1, 80, scen.nv, scen.vmax)
@@ -401,10 +388,10 @@ def test_lattice_matches_interpolated_on_aligned_steps(monkeypatch):
             f0[:, -1, :] = f0[:, 0, :]
         scheme = SchemeConfig(integrator=integ, interp=ip, boundary=scen.boundary, eps=eps)
         stepper = TimeStepper(f0, grid, system, scheme)
-        for dt in TimeControl(dt=lattice_dt(grid), t_final=scen.t_final).steps():
+        for dt in TimeControl(dt=grid.dx / grid.dv, t_final=scen.t_final).steps():
             stepper.step(dt)
-        assert res.meta["dt"] == lattice_dt(grid)
-        assert np.array_equal(marched[-1].f, stepper.f), (name, eps, token)
+        assert res.meta["dt"] == grid.dx / grid.dv
+        assert np.array_equal(marched[-1].f, stepper.f), (name, eps, label)
         shortened += res.meta["shortened_final_step"]
     assert len(marched) == 24 and shortened > 0
 
@@ -416,10 +403,10 @@ def test_lattice_pure_transport_is_exact_index_shift():
     rng = np.random.default_rng(7)
     f0 = rng.uniform(0.5, 2.0, size=(1, grid.n_space, grid.n_vel))
     f0[:, -1, :] = f0[:, 0, :]
-    integ, ip, _ = SCHEMES["LatEuler"]
+    integ, ip = LATTICE_RUNS["Euler1Lin"]
     scheme = SchemeConfig(integrator=integ, interp=ip, boundary=Boundary.PERIODIC, eps=math.inf)
     stepper = TimeStepper(f0, grid, Monatomic1V(), scheme)
-    stepper.step(lattice_dt(grid))
+    stepper.step(grid.dt_from_cfl("lattice"))
     expect = np.empty_like(f0)
     for j, jv in enumerate(grid.jv):
         src = (np.arange(grid.n_space) - jv) % grid.nx
@@ -465,7 +452,7 @@ def test_optimal_cfl_decreases_with_interpolation_order():
 def test_l_stability_probe():
     """One step with dt/eps = 1e6 from a far-from-equilibrium state ends
     within 1e-5 relative moment-weighted distance of the target Maxwellian,
-    for every scheme token."""
+    for every scheme token and every lattice run."""
     grid = PhaseGrid(0.0, 1.0, 16, 20, 10.0)
     system = Monatomic1V()
     f0 = uniform_mixture_field(
@@ -474,8 +461,10 @@ def test_l_stability_probe():
     target = system.equilibrium(system.moments(f0, grid), grid)
     weight = 1.0 + grid.v**2
     wnorm = float((np.abs(target[0]) * weight).sum())
-    for token, (integ, default, lattice) in SCHEMES.items():
-        dt, ip = (lattice_dt(grid), default) if lattice else (1.0, Interp.WENO23)
+    runs = [(token, integ, Interp.WENO23, 1.0) for token, (integ, _) in SCHEMES.items()]
+    lattice_dt = grid.dt_from_cfl("lattice")
+    runs += [(label, integ, ip, lattice_dt) for label, (integ, ip) in LATTICE_RUNS.items()]
+    for token, integ, ip, dt in runs:
         scheme = SchemeConfig(integrator=integ, interp=ip,
                               boundary=Boundary.PERIODIC, eps=dt / 1e6)
         stepper = TimeStepper(f0, grid, system, scheme)

@@ -108,7 +108,7 @@ def test_missing_required_flag_is_config_error(capsys):
     assert "config error:" in err and "--scheme" in err
 
 
-@pytest.mark.parametrize("token", ["RK9", "LatRK2"])
+@pytest.mark.parametrize("token", ["RK9", "LatRK2", "LatEuler", "LatBDF3"])
 def test_unknown_scheme_is_config_error(capsys, token):
     code, _, err = _run_inprocess(
         ["run", "--scenario", "smooth", "--scheme", token, "--eps", "1", "--nx", "16"],
@@ -117,7 +117,7 @@ def test_unknown_scheme_is_config_error(capsys, token):
     assert code == 2
     assert err.splitlines() == [
         f"config error: unknown integrator {token!r} "
-        "(choose one of Euler1|RK2|RK3|BDF2|BDF3|LatEuler|LatBDF2|LatBDF3)"
+        "(choose one of Euler1|RK2|RK3|BDF2|BDF3)"
     ]
 
 
@@ -143,26 +143,28 @@ def test_non_finite_grid_input_is_config_error(tmp_path, capsys, args, names):
 
 
 def test_lattice_with_interp_runs_its_integrator_with_that_interp(tmp_path, capsys):
-    """--scheme LatEuler --interp weno23 is Euler1 + weno23 at the lattice step."""
+    """--scheme Euler1 --interp weno23 --cfl lattice is Euler1 + weno23 at the
+    lattice step."""
     out = tmp_path / "lat.csv"
     code, _, err = _run_inprocess(
         [
-            "run", "--scenario", "smooth", "--scheme", "LatEuler", "--interp", "weno23",
-            "--eps", "1", "--nx", "16", "--tfinal", "0.02", "--seed-meta", "--out", str(out),
+            "run", "--scenario", "smooth", "--scheme", "Euler1", "--interp", "weno23",
+            "--cfl", "lattice", "--eps", "1", "--nx", "16", "--tfinal", "0.02", "--seed-meta",
+            "--out", str(out),
         ],
         capsys,
     )
     assert code == 0, err
     comments, header, rows = _read_csv(out)
-    assert "# interp=weno23" in comments and "# scheme=LatEulerW23" in comments
-    assert "# cfl_actual=20" in comments
+    assert "# interp=weno23" in comments and "# scheme=Euler1W23" in comments
+    assert "# cfl_requested=lattice" in comments and "# cfl_actual=20" in comments
     assert header == ["x", "rho", "u", "T", "E"] and len(rows) == 17
 
 
 def test_interp_none_is_unknown(capsys):
     code, _, err = _run_inprocess(
         [
-            "run", "--scenario", "smooth", "--scheme", "LatEuler", "--interp", "none",
+            "run", "--scenario", "smooth", "--scheme", "Euler1", "--interp", "none",
             "--eps", "1", "--nx", "16",
         ],
         capsys,
@@ -178,7 +180,8 @@ def test_help_lists_every_scheme_token_and_interpolation(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
     out = capsys.readouterr().out
-    assert "Euler1|RK2|RK3|BDF2|BDF3|LatEuler|LatBDF2|LatBDF3\n" in out
+    assert "integrator: Euler1|RK2|RK3|BDF2|BDF3\n" in out
+    assert "CFL number, or lattice for dt = dx/dv\n" in out
     assert "interpolation: linear|weno23|weno35\n" in out and "|none" not in out
 
 
@@ -427,6 +430,31 @@ def test_cost_subcommand_table(tmp_path, capsys):
     assert header == ["scheme", "nx", "wall_seconds", "err_L1_rho"]
     assert [r[0] for r in rows] == ["Euler1W23", "Euler1W23", "RK2W23", "RK2W23"]
     assert [r[1] for r in rows] == ["16", "32", "16", "32"]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["run", "--nx", "16"], 0),
+        (["converge", "--nx", "16", "--levels", "2"], 0),
+        (["cost", "--nx", "16", "--levels", "2"], 0),
+        (["cfl-sweep", "--nx", "16"], 2),
+    ],
+    ids=["run", "converge", "cost", "cfl-sweep"],
+)
+def test_cfl_lattice_is_a_step_size(tmp_path, capsys, args, code):
+    """--cfl lattice marches at dt = dx/dv in every command but cfl-sweep,
+    which adjusts each CFL so that dt divides t_final and so refuses it."""
+    out = tmp_path / "lat.csv"
+    got, _, err = _run_inprocess(
+        [*args, "--scenario", "smooth", "--scheme", "BDF2", "--eps", "1", "--tfinal", "0.3",
+         "--cfl", "lattice", "--out", str(out)],
+        capsys,
+    )
+    assert got == code, err
+    if code == 2:
+        assert err == "config error: --cfl expects a number, got 'lattice'\n"
+        assert not out.exists()
 
 
 def test_console_entry_point_runs():

@@ -10,7 +10,6 @@ from bgk_sl import (
     Interp,
     PhaseGrid,
     RunResult,
-    SCHEMES,
     cfl_sweep,
     convergence_study,
     cost_study,
@@ -19,11 +18,12 @@ from bgk_sl import (
     refinement_error,
     restrict,
     run_case,
-    lattice_dt,
     scheme_label,
 )
 from bgk_sl import harness
 from bgk_sl.harness import DEFAULT_CFL_SWEEP, _check_doubling, admissible_cfl
+
+from conftest import LATTICE_RUNS
 
 
 def test_restrict_takes_every_other_node():
@@ -85,10 +85,7 @@ def test_scheme_labels():
     assert scheme_label(Integrator.RK2, Interp.WENO23) == "RK2W23"
     assert scheme_label(Integrator.BDF3, Interp.WENO35) == "BDF3W35"
     assert scheme_label(Integrator.EULER1, Interp.LINEAR) == "Euler1Lin"
-    # a lattice token run with its own interpolation is named by the token alone
-    assert scheme_label("LatBDF2", Interp.WENO23) == "LatBDF2"
-    assert scheme_label("LatBDF3", Interp.WENO35) == "LatBDF3"
-    assert scheme_label("LatEuler", Interp.WENO23) == "LatEulerW23"
+    assert list(LATTICE_RUNS) == [scheme_label(*run) for run in LATTICE_RUNS.values()]
 
 
 def test_run_case_metadata_and_profiles():
@@ -120,46 +117,61 @@ def test_run_case_shortened_final_step_flag():
 
 
 def test_run_case_lattice_overrides_cfl():
-    res = run_case("smooth", integrator="LatEuler", eps=1e-2, nx=100, t_final=0.1)
+    res = run_case("smooth", integrator="Euler1", eps=1e-2, nx=100, t_final=0.1, cfl="lattice")
     # lattice CFL is nv regardless of the scenario's requested CFL
-    assert res.meta["cfl_actual"] == 20.0
+    assert res.meta["cfl_requested"] == "lattice" and res.meta["cfl_actual"] == 20.0
     assert res.meta["dt"] == pytest.approx(res.meta["cfl_actual"] * 0.02 / 10.0)
-    assert res.meta["interp"] == "linear"  # the interpolation LatEuler runs with
+    assert res.meta["interp"] == "linear" and res.meta["scheme"] == "Euler1Lin"
 
 
 @pytest.mark.parametrize(
-    "token, t_final, steps",
+    "token, cfl, t_final, steps",
     [
-        ("LatEuler", 0.1, (0, 1)),  # dt = dx/dv = 0.04: two steps and a shortened one
-        ("LatBDF2", 0.1, (2, 1)),  # the shortened step is also a BDF restart
-        ("LatBDF2", 0.08, (1, 0)),
-        ("BDF2", 0.1, (2, 0)),  # dt = 4*dx/vmax = 0.008 at cfl 4: 12 steps and a short one
+        ("Euler1", "lattice", 0.1, (0, 1)),  # dt = dx/dv = 0.04: two steps and a shortened one
+        ("BDF2", "lattice", 0.1, (2, 1)),  # the shortened step is also a BDF restart
+        ("BDF2", "lattice", 0.08, (1, 0)),
+        ("BDF2", None, 0.1, (2, 0)),  # dt = 4*dx/vmax = 0.008 at cfl 4: 12 steps and a short one
     ],
-    ids=["LatEuler", "LatBDF2", "LatBDF2-aligned", "BDF2"],
+    ids=["Euler1-lattice", "BDF2-lattice", "BDF2-lattice-aligned", "BDF2"],
 )
-def test_run_case_books_a_lattice_runs_shortened_step_as_offlattice(token, t_final, steps):
-    """meta counts (predictor_steps, offlattice_steps): a lattice token's
-    shortened last step is its one step off the lattice."""
-    res = run_case("smooth", integrator=token, eps=1e-2, nx=100, t_final=t_final)
+def test_run_case_books_a_lattice_runs_shortened_step_as_offlattice(token, cfl, t_final, steps):
+    """meta counts (predictor_steps, offlattice_steps): the shortened last
+    step of a run at cfl = "lattice" is its one step off the lattice."""
+    res = run_case("smooth", integrator=token, eps=1e-2, nx=100, t_final=t_final, cfl=cfl)
     assert (res.meta["predictor_steps"], res.meta["offlattice_steps"]) == steps
 
 
-@pytest.mark.parametrize("token", ["LatEuler", "LatBDF2", "LatBDF3"])
-def test_lattice_token_is_its_base_scheme_at_the_lattice_step(token):
-    """A lattice token means one thing: its base integrator, with the token's
-    interpolation, at dt = dx/dv. On a dyadic grid (dx = 1/32, dv = 1/2) CFL
-    nv gives that dt exactly, and the two runs agree bit for bit, shortened
-    last step included."""
-    integrator, interp, _ = SCHEMES[token]
-    kw = dict(eps=1e-2, nx=64, t_final=0.3)
-    lat = run_case("smooth", integrator=token, **kw)
-    base = run_case("smooth", integrator=integrator.value, interp=interp.value,
-                    cfl=20.0, **kw)
-    assert lat.meta["dt"] == base.meta["dt"] == 1.0 / 16.0
-    assert lat.meta["cfl_actual"] == base.meta["cfl_actual"] == 20.0
-    assert lat.meta["shortened_final_step"] and base.meta["shortened_final_step"]
+def _assert_same_march(a, b):
+    """Two runs took the same steps, a shortened last one included, and end
+    on the same profiles, bit for bit."""
+    assert a.meta["dt"] == b.meta["dt"] and a.meta["cfl_actual"] == b.meta["cfl_actual"]
+    assert a.meta["shortened_final_step"] and b.meta["shortened_final_step"]
     for name in ("rho", "u", "T"):
-        assert np.array_equal(getattr(lat, name), getattr(base, name)), name
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("label", list(LATTICE_RUNS))
+def test_lattice_cfl_is_cfl_nv_on_a_dyadic_grid(label):
+    """cfl = "lattice" means one thing: dt = dx/dv. On a dyadic grid
+    (dx = 1/32, dv = 1/2) CFL nv gives that dt exactly, and the two runs
+    agree bit for bit, shortened last step included."""
+    integrator, interp = LATTICE_RUNS[label]
+    kw = dict(integrator=integrator, interp=interp, eps=1e-2, nx=64, t_final=0.3)
+    lat = run_case("smooth", cfl="lattice", **kw)
+    nv = run_case("smooth", cfl=20.0, **kw)
+    assert lat.meta["dt"] == 1.0 / 16.0 and lat.meta["cfl_actual"] == 20.0
+    _assert_same_march(lat, nv)
+
+
+def test_latbdf2_is_bdf2_at_the_lattice_step():
+    """The token LatBDF2 is an alias of BDF2 at cfl = "lattice", whatever
+    cfl is asked for."""
+    kw = dict(eps=1e-2, nx=64, t_final=0.3)
+    alias = run_case("smooth", integrator="LatBDF2", cfl=2.0, **kw)
+    base = run_case("smooth", integrator="BDF2", cfl="lattice", **kw)
+    assert alias.meta["scheme"] == base.meta["scheme"] == "BDF2W23"
+    assert alias.meta["offlattice_steps"] == base.meta["offlattice_steps"] == 1
+    _assert_same_march(alias, base)
 
 
 def test_run_case_rejects_bad_tokens():
@@ -170,7 +182,9 @@ def test_run_case_rejects_bad_tokens():
     with pytest.raises(ConfigError):
         run_case("nowhere", integrator="RK2", eps=1e-2, nx=16)
     with pytest.raises(ConfigError, match="unknown interpolation"):
-        run_case("smooth", integrator="LatEuler", interp="none", eps=1e-2, nx=16)
+        run_case("smooth", integrator="Euler1", interp="none", eps=1e-2, nx=16)
+    with pytest.raises(ConfigError, match="unknown integrator 'LatEuler'"):
+        run_case("smooth", integrator="LatEuler", eps=1e-2, nx=16)
 
 
 @pytest.mark.parametrize(
@@ -179,11 +193,12 @@ def test_run_case_rejects_bad_tokens():
         (run_case, {"nx": 8.7}),
         (run_case, {"nv": 20.7}),
         (run_case, {"cfl": "abc"}),
+        (run_case, {"cfl": np.array([1.0, 2.0])}),
         (run_case, {"vmax": "x"}),
         (run_case, {"t_final": "y"}),
         (cfl_sweep, {"nv": 20.7}),
     ],
-    ids=["nx", "nv", "cfl", "vmax", "t_final", "cfl_sweep-nv"],
+    ids=["nx", "nv", "cfl", "cfl-array", "vmax", "t_final", "cfl_sweep-nv"],
 )
 def test_bad_overrides_are_config_errors(call, bad):
     """An override is a scenario field: a value that is not of its type, or an
@@ -195,14 +210,36 @@ def test_bad_overrides_are_config_errors(call, bad):
         call("smooth", **{**kwargs, **bad})
 
 
+@pytest.mark.parametrize(
+    "call, kwargs, match",
+    [
+        (cost_study, {"schemes": [("RK2", None)], "nx_list": [16.7, 32.2]}, "'nx' expects int"),
+        (convergence_study, {"integrator": "RK2", "eps_list": [1.0], "nx_list": [16.7, 32.2]},
+         "'nx' expects int"),
+        (cfl_sweep, {"integrator": "RK2", "cfl_list": ["abc"]}, "'cfl' expects float"),
+        (cfl_sweep, {"integrator": "RK2", "cfl_list": ["lattice"]}, "'cfl' expects float"),
+        (run_case, {"integrator": "RK2", "nx": 16, "eps": "x"}, "eps must be a positive number"),
+    ],
+    ids=["cost_study-nx", "convergence_study-nx", "cfl_sweep-abc", "cfl_sweep-lattice",
+         "run_case-eps"],
+)
+def test_non_numeric_study_inputs_are_config_errors(call, kwargs, match):
+    """A grid size that would be truncated, a CFL that is not a number (the
+    lattice step cannot be adjusted to divide t_final) and a non-numeric eps
+    are refused before any run."""
+    kwargs.setdefault("eps", 1.0)
+    with pytest.raises(ConfigError, match=match):
+        call("smooth", t_final=0.02, **kwargs)
+
+
 def test_lattice_token_with_interp_runs_its_integrator_at_the_lattice_step():
-    """An explicit interpolation on a lattice token serves the feet that are
-    not node-aligned: LatEuler + weno23 is Euler1 + weno23 at dt = dx/dv."""
-    res = run_case("smooth", integrator="LatEuler", interp="weno23", eps=1e-2, nx=16,
-                   t_final=0.3)
+    """At cfl = "lattice" the interpolation serves the feet that are not
+    node-aligned: Euler1 + weno23 marches at dt = dx/dv."""
+    res = run_case("smooth", integrator="Euler1", interp="weno23", eps=1e-2, nx=16,
+                   t_final=0.3, cfl="lattice")
     grid = PhaseGrid(-1.0, 1.0, 16, 20, 10.0)
-    assert res.meta["dt"] == lattice_dt(grid)
-    assert res.meta["interp"] == "weno23" and res.meta["scheme"] == "LatEulerW23"
+    assert res.meta["dt"] == grid.dx / grid.dv
+    assert res.meta["interp"] == "weno23" and res.meta["scheme"] == "Euler1W23"
     assert res.meta["offlattice_steps"] == 1 and res.meta["shortened_final_step"]
     assert np.all(res.rho > 0) and np.all(res.T > 0)
 
@@ -276,9 +313,9 @@ def test_cfl_sweep_rows_and_lattice_rejection():
         grid = PhaseGrid(-1.0, 1.0, 16, 20, 10.0)
         dt = grid.dt_from_cfl(row["cfl_actual"])
         assert abs(0.04 / dt - round(0.04 / dt)) < 1e-9
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'cfl' expects float"):
         cfl_sweep(
-            "smooth", integrator="LatEuler", eps=1.0, cfl_list=(2.0,), nx=16, t_final=0.04
+            "smooth", integrator="Euler1", eps=1.0, cfl_list=("lattice",), nx=16, t_final=0.04
         )
     for cfl_list, t_final in (((0.0,), 0.04), ((math.inf,), 0.04), ((2.0,), math.nan)):
         with pytest.raises(ConfigError):

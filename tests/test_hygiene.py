@@ -1,4 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses, and
+no module-level function or class is left that the package neither uses nor
+exports."""
 import ast
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bgk_sl"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+INIT = PACKAGE / "__init__.py"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -29,3 +32,39 @@ def test_no_unused_module_imports(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("import os\nfrom math import pi, inf\nimport numpy as np\nx = np.pi + inf\n")
     assert _unused_imports(tree) == ["os", "pi"]
+
+
+def _dead_definitions(modules: dict[str, ast.Module], init: ast.Module) -> list[str]:
+    """module.name of each module-level function or class that no module
+    loads by name or attribute and that init does not import."""
+    used = {alias.asname or alias.name for node in ast.walk(init)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    )
+
+
+def test_no_dead_module_level_definitions():
+    """Every module-level function or class is used by the package or exported
+    from it: source that only tests call does not stay."""
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert _dead_definitions(modules, ast.parse(INIT.read_text(encoding="utf-8"))) == []
+
+
+def test_a_dead_definition_is_found():
+    modules = {
+        "a": ast.parse("def used():\n    return helper()\ndef helper():\n    pass\n"
+                       "def orphan():\n    pass\nclass Old:\n    pass\n"),
+        "b": ast.parse("import a\nx = a.used()\n"),
+    }
+    init = ast.parse("from .a import Old\n")
+    assert _dead_definitions(modules, init) == ["a.orphan"]

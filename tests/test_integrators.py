@@ -23,7 +23,6 @@ from bgk_sl import (
     PhaseGrid,
     RK2_TABLEAU,
     RK3_TABLEAU,
-    SCHEMES,
     TABLEAUS,
     SchemeConfig,
     StepContext,
@@ -36,8 +35,9 @@ from bgk_sl import (
 )
 from bgk_sl import integrators
 from bgk_sl.integrators import RK2_ALPHA, RK3_GAMMA
-from bgk_sl.lattice import lattice_dt
 from bgk_sl.transport import InterpolatedTransport
+
+from conftest import LATTICE_RUNS
 
 
 GRID = PhaseGrid(0.0, 1.0, 16, 6, 3.0)
@@ -198,7 +198,7 @@ def test_euler_tableau_is_foot_then_relaxation_bitwise(lattice):
     rng = np.random.default_rng(35)
     f = _maxwellian_field(1.1, 0.2, 0.9) * rng.uniform(0.9, 1.1, (1, GRID.n_space, GRID.n_vel))
     ctx = _ctx(0.05, kind=Interp.WENO35)
-    dt = lattice_dt(GRID) if lattice else 0.03
+    dt = GRID.dt_from_cfl("lattice") if lattice else 0.03
     expect = ctx.relax(ctx.transport.shifted(f, dt), dt)
     assert np.array_equal(tableau_step(ctx, [f], dt, EULER_TABLEAU), expect)
 
@@ -337,9 +337,9 @@ def test_steps_equal_textbook_arithmetic_bitwise(eps):
         (Integrator.EULER1, Interp.LINEAR),
         (Integrator.RK3, Interp.WENO35),
         (Integrator.BDF3, Interp.WENO35),
-        SCHEMES["LatBDF2"][:2],
+        LATTICE_RUNS["BDF2W23"],
     ],
-    ids=["Euler1", "RK3", "BDF3", "LatBDF2"],
+    ids=["Euler1", "RK3", "BDF3", "BDF2"],
 )
 def test_read_only_start_field_marches_and_is_never_written(integrator, interp):
     """The stepper holds field0 without a copy, and no step, the shortened
@@ -349,7 +349,7 @@ def test_read_only_start_field_marches_and_is_never_written(integrator, interp):
     before = f.copy()
     stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=interp))
     assert stepper.f is f
-    dt = lattice_dt(GRID)
+    dt = GRID.dt_from_cfl("lattice")
     returned = []
     for dt_k in [dt] * 4 + [0.4 * dt]:
         stepper.step(dt_k)
@@ -376,18 +376,19 @@ def test_collisionless_steps_never_return_a_step_buffer(integrator):
 
 
 def test_bdf2_step_allocates_only_its_new_field():
-    """After the startup a LatBDF2 step at nx = 3200 transports into the step
-    context's two buffers, so it peaks at most 1.25 field-sizes of traced
-    memory above the fields it holds: the relaxed field it returns and its
-    row-sized moments (2.15 when every transport allocated its result)."""
+    """After the startup a BDF2 step at the lattice step and nx = 3200
+    transports into the step context's two buffers, so it peaks at most 1.25
+    field-sizes of traced memory above the fields it holds: the relaxed field
+    it returns and its row-sized moments (2.15 when every transport allocated
+    its result)."""
     grid = PhaseGrid(0.0, 1.0, 3200, 30, 10.0)
-    integrator, interp, _ = SCHEMES["LatBDF2"]
+    integrator, interp = LATTICE_RUNS["BDF2W23"]
     scheme = SchemeConfig(
         integrator=integrator, interp=interp, boundary=Boundary.FREEFLOW, eps=1e-6
     )
     f = SYSTEM.from_macro(1.0 + 0.1 * np.sin(2.0 * np.pi * grid.x), 0.2, 1.0, grid)
     stepper = TimeStepper(f, grid, SYSTEM, scheme)
-    dt = lattice_dt(grid)
+    dt = grid.dt_from_cfl("lattice")
     for _ in range(3):
         stepper.step(dt)
     assert stepper.predictor_steps == 1
@@ -403,34 +404,29 @@ def test_bdf2_step_allocates_only_its_new_field():
 
 
 @pytest.mark.parametrize(
-    "token, kind, tab",
-    [
-        ("LatEuler", Interp.LINEAR, EULER_TABLEAU),
-        ("LatBDF2", Interp.WENO23, RK2_TABLEAU),
-        ("LatBDF3", Interp.WENO35, RK3_TABLEAU),
-    ],
-    ids=["LatEuler", "LatBDF2", "LatBDF3"],
+    "label, tab",
+    [("Euler1Lin", EULER_TABLEAU), ("BDF2W23", RK2_TABLEAU), ("BDF3W35", RK3_TABLEAU)],
+    ids=["Euler1Lin", "BDF2W23", "BDF3W35"],
 )
-def test_offlattice_step_is_order_matched_interpolated_dirk(token, kind, tab):
-    """A lattice token's step that is not node-aligned is the DIRK of its
-    integrator (a BDF history's same-order startup) on the interpolation of
-    matching order, bit for bit."""
-    integrator, interp, _ = SCHEMES[token]
-    assert interp is kind
+def test_offlattice_step_is_order_matched_interpolated_dirk(label, tab):
+    """A lattice run's step that is not node-aligned is the DIRK of its
+    integrator (a BDF history's same-order startup) on its interpolation, bit
+    for bit."""
+    integrator, interp = LATTICE_RUNS[label]
     rng = np.random.default_rng(36)
     f = _maxwellian_field(1.1, 0.05, 1.0) * rng.uniform(0.9, 1.1, (1, GRID.n_space, GRID.n_vel))
     stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=interp, eps=0.2))
-    dt = 0.37 * lattice_dt(GRID)
+    dt = 0.37 * GRID.dt_from_cfl("lattice")
     stepper.step(dt)
     assert stepper.predictor_steps == int(TABLEAUS[integrator][1] is not None)
-    assert np.array_equal(stepper.f, tableau_step(_ctx(0.2, kind=kind), [f], dt, tab))
+    assert np.array_equal(stepper.f, tableau_step(_ctx(0.2, kind=interp), [f], dt, tab))
 
 
 def test_lattice_bdf_startup_borrows_interpolation():
     f = _maxwellian_field(rho=1.1, u=0.05, T=1.0)
-    integrator, interp, _ = SCHEMES["LatBDF2"]
+    integrator, interp = LATTICE_RUNS["BDF2W23"]
     stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, interp=interp))
-    dt = lattice_dt(GRID)
+    dt = GRID.dt_from_cfl("lattice")
     stepper.step(dt)  # startup predictor (interpolated DIRK2)
     assert stepper.predictor_steps == 1
     stepper.step(dt)  # true lattice BDF2 step
@@ -522,15 +518,15 @@ def test_relax_allocates_one_field_and_solves_in_place(system):
     assert peak <= 1.25 * g.nbytes, f"peak {peak / g.nbytes:.2f} field-sizes"
 
 
-def _march_peak(scenario, integrator, interp, lattice, nx, t_final=None):
+def _march_peak(scenario, integrator, interp, cfl, nx, t_final=None):
     """Traced peak of building a TimeStepper on a scenario's start field and
-    marching it to t_final at eps = 1e-6, in sizes of that field; a lattice
-    scheme marches at the lattice step."""
+    marching it at cfl (None: the scenario's) to t_final at eps = 1e-6, in
+    sizes of that field."""
     scen = load_scenario(scenario)
     system = make_system(scen.model)
     grid = PhaseGrid(scen.x0, scen.x1, nx, scen.nv, scen.vmax)
     scheme = SchemeConfig(integrator=integrator, interp=interp, boundary=scen.boundary, eps=1e-6)
-    dt = lattice_dt(grid) if lattice else grid.dt_from_cfl(scen.cfl)
+    dt = grid.dt_from_cfl(scen.cfl if cfl is None else cfl)
     control = TimeControl(dt=dt, t_final=scen.t_final if t_final is None else t_final)
     assert control.has_short_step
     f0 = system.from_macro(*scen.initial_moments(grid.x, system.dof), grid)
@@ -548,25 +544,25 @@ def _march_peak(scenario, integrator, interp, lattice, nx, t_final=None):
 
 
 @pytest.mark.parametrize(
-    "scenario, integrator, interp, lattice, nx, t_final, bound",
+    "scenario, integrator, interp, cfl, nx, t_final, bound",
     [
         # Measured 6.74 (8.32 when every plan kept a field-sized window
         # index and every step allocated its transported fields; 12.57 when
         # the stepper also copied field0 and kept the history and plans of
         # the old dt through the shortened last step)
-        ("riemann", *SCHEMES["LatBDF2"], 800, None, 7.05),
+        ("riemann", *LATTICE_RUNS["BDF2W23"], "lattice", 800, None, 7.05),
         # Measured 9.33 (9.67 when each DIRK flux was a new array and lived
         # through the last stage; 14.11 when the step also held each stage's
         # g and relaxed value through the next stage's transports)
-        ("riemann-chu", Integrator.RK3, Interp.WENO35, False, 100, 0.0251, 9.8),
+        ("riemann-chu", Integrator.RK3, Interp.WENO35, None, 100, 0.0251, 9.8),
     ],
-    ids=["LatBDF2", "RK3-weno35"],
+    ids=["BDF2-lattice", "RK3-weno35"],
 )
 def test_march_peak_holds_only_the_live_fields(
-    scenario, integrator, interp, lattice, nx, t_final, bound
+    scenario, integrator, interp, cfl, nx, t_final, bound
 ):
     """Whole-march traced peak, shortened last step included, in field-sizes."""
-    peak = _march_peak(scenario, integrator, interp, lattice, nx, t_final)
+    peak = _march_peak(scenario, integrator, interp, cfl, nx, t_final)
     assert peak <= bound, f"march peak {peak:.2f} field-sizes > {bound}"
 
 

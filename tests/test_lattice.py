@@ -15,7 +15,6 @@ from bgk_sl import (
     Interpolator,
     LatticeTransport,
     PhaseGrid,
-    lattice_dt,
 )
 from bgk_sl.boundaries import map_nodes
 from bgk_sl.lattice import node_shift
@@ -25,7 +24,8 @@ GRID = PhaseGrid(0.0, 1.0, 20, 5, 2.5)  # dx = 0.05, dv = 0.5
 
 
 def test_lattice_dt_satisfies_alignment_identity():
-    dt = lattice_dt(GRID)
+    dt = GRID.dt_from_cfl("lattice")
+    assert dt == GRID.dx / GRID.dv
     assert dt * GRID.dv == pytest.approx(GRID.dx, rel=1e-15)
     # the CFL a lattice run records, nv, is consistent with the generic definition
     cfl = dt * GRID.vmax / GRID.dx
@@ -33,7 +33,7 @@ def test_lattice_dt_satisfies_alignment_identity():
 
 
 def test_node_shift_detects_alignment():
-    dt = lattice_dt(GRID)
+    dt = GRID.dt_from_cfl("lattice")
     assert node_shift(GRID, dt) == 1
     assert node_shift(GRID, 3 * dt) == 3
     assert node_shift(GRID, -2 * dt) == -2
@@ -61,7 +61,7 @@ def test_conforming_dt_checks_stage_offsets():
     Euler, BDF2, BDF3) is node-aligned, so their started steps are pure
     gathers; the inner stage offsets of the RK2 and RK3 DIRKs, which start
     the BDF histories, are not."""
-    dt = lattice_dt(GRID)
+    dt = GRID.dt_from_cfl("lattice")
     shifts = {
         name: [node_shift(GRID, c * dt) for c in _foot_offsets(tab)]
         for name, tab in [("Euler", EULER_TABLEAU), ("BDF2", BDF2_TABLEAU),
@@ -166,7 +166,7 @@ def test_alternating_shifts_on_one_transport():
     """One transport serves a sweep of shifts, each from its own cached gather."""
     tr = InterpolatedTransport(GRID, Interpolator(Interp.WENO23), Boundary.REFLECTIVE)
     f = _rand_field(GRID, 28)
-    dt = lattice_dt(GRID)
+    dt = GRID.dt_from_cfl("lattice")
     for shift in (1, 2, 1, -1, 2, 1, 3, 1):
         assert np.array_equal(
             tr.shifted(f, shift * dt), _uncached_gather(GRID, Boundary.REFLECTIVE, f, shift)

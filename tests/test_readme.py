@@ -1,9 +1,15 @@
-"""The README's Python API names resolve and its scheme table lists the
-scheme tokens: stale docs fail here."""
+"""The README's Python API names resolve, its scheme table lists the scheme
+tokens and its command lines run: stale docs fail here."""
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import bgk_sl
+from bgk_sl.cli import _COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +36,42 @@ def test_python_api_names_are_exported():
 def test_scheme_table_lists_every_scheme_token():
     tokens = re.findall(r"^\| `(\w+)`\s*\|", _section("Numerical schemes"), re.M)
     assert tokens == list(bgk_sl.SCHEMES)
+
+
+def _command_lines() -> list[list[str]]:
+    """The arguments of each `bgk-sl` line of the "Command line" block."""
+    block = re.search(r"```bash\n(.*?)```", _section("Command line"), re.S)
+    assert block, "README.md has no bash block under 'Command line'"
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("bgk-sl ")]
+
+
+def _params():
+    for args in _command_lines():
+        lattice = "lattice" in args
+        marks = ()
+        if args[0] == "cost" and lattice:
+            marks = pytest.mark.xfail(
+                strict=True,
+                reason="its nx = 320 BDF3 + weno35 reference run reaches T < 0 at step 10, "
+                "node 214 (ROADMAP item 1: positivity)",
+            )
+        yield pytest.param(args, id=args[0] + ("-lattice" if lattice else ""), marks=marks)
+
+
+@pytest.mark.parametrize("args", _params())
+def test_readme_command_runs(tmp_path, args):
+    """Each README command exits 0 and writes its command's header."""
+    out = tmp_path / "out.csv"
+    if "--out" in args:
+        args = args[: args.index("--out")] + args[args.index("--out") + 2 :]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgk_sl.cli", *args, "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text(encoding="utf-8").splitlines()[0] == ",".join(_COLUMNS[args[0]])
+
+
+def test_readme_lists_each_command():
+    assert sorted({args[0] for args in _command_lines()}) == sorted(_COLUMNS)

@@ -98,6 +98,7 @@ def test_load_scenario_base_overrides():
     sc2 = load_scenario({"base": "smooth", "boundary": "reflective", "domain": [0.0, 2.0]})
     assert sc2.boundary is Boundary.REFLECTIVE
     assert (sc2.x0, sc2.x1) == (0.0, 2.0)
+    assert load_scenario({"base": "riemann", "cfl": "lattice"}).cfl == "lattice"
 
 
 def test_load_scenario_rejects_unknown_keys_and_base():
@@ -220,6 +221,10 @@ def test_load_scenario_refuses_malformed_standalone_input(change, match):
         ({"nv": 30.5}, "'nv' expects int"),
         ({"domain": [0, "inf"]}, "domain must be finite"),
         ({"cfl": None}, "'cfl' expects float"),  # only keyword overrides drop None
+        ({"cfl": "Lattice"}, "'cfl' expects float"),
+        ({"name": None}, "'name' expects str"),
+        ({"model": 1}, "'model' expects str"),
+        ({"description": ["d"]}, "'description' expects str"),
     ],
 )
 def test_load_scenario_refuses_malformed_base_overrides(change, match):

@@ -468,7 +468,8 @@ def test_plan_build_holds_no_field_sized_index():
     grid = PhaseGrid(0.0, 1.0, 3200, 30, 10.0)
     size = grid.n_space * grid.n_vel * np.dtype(float).itemsize
     tr = _transport(grid, Interp.WENO23, Boundary.FREEFLOW)
-    tau = (1.0 - math.sqrt(2.0) / 2.0) * grid.dx / grid.dv  # the DIRK2 stage of LatBDF2
+    # the DIRK2 stage of BDF2 at the lattice step
+    tau = (1.0 - math.sqrt(2.0) / 2.0) * grid.dx / grid.dv
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
