@@ -12,14 +12,15 @@
 Options may come from a JSON config file (--config file.json with keys named
 like the long flags); explicit command-line flags win on conflict.  Output is
 CSV (UTF-8, header row, 17 significant digits); without --out it goes to
-stdout.  Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(with any partial output flushed and marked).
+stdout.  Exit codes: 0 success, 1 stdout closed by its reader, 2 configuration
+error, 3 numerical failure (with any partial output flushed and marked).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -34,6 +35,7 @@ from .harness import (
     cost_study,
     run_case,
 )
+from .scenarios import typed_value
 
 # CSV columns of each command, shared by the table of a finished command and
 # the partial table of a failed one.  Study rows are dicts keyed by the
@@ -62,8 +64,15 @@ _CONFIG_KEYS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is one stderr line and exit code 2, as a config error is."""
+
+    def error(self, message):
+        self.exit(2, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bgk-sl",
         description="semi-Lagrangian discrete-velocity BGK solver",
     )
@@ -109,6 +118,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run_command(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader went away: devnull takes the interpreter's last flush quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run_command(args: argparse.Namespace) -> int:
     opts = {}
     try:
         opts = _merge_options(args)
@@ -136,7 +156,7 @@ def main(argv=None) -> int:
 # option handling
 # --------------------------------------------------------------------------
 def _merge_options(args: argparse.Namespace) -> dict:
-    """Config-file values fill in flags the user left unset."""
+    """Config-file values fill in unset flags; an option set by neither is left out."""
     opts = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     if args.config:
         try:
@@ -150,10 +170,12 @@ def _merge_options(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_opts.items():
-            if opts.get(key) is None:
+            if opts[key] is None:
                 opts[key] = value
-    if opts.get("seed_meta") is None:
-        opts["seed_meta"] = False
+    opts = {key: value for key, value in opts.items() if value is not None}
+    opts["seed_meta"] = typed_value("seed_meta", opts.get("seed_meta", False), bool)
+    if "out" in opts:
+        opts["out"] = typed_value("out", opts["out"], str)
     return opts
 
 
@@ -163,58 +185,34 @@ def _require(opts: dict, key: str):
     return opts[key]
 
 
-def _as_float(value, key):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{key} expects a number, got {value!r}") from None
-
-
-def _as_int(value, key):
-    try:
-        return int(str(value))
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{key} expects an integer, got {value!r}") from None
-
-
-def _tokens(value, key) -> list:
-    """The items of a list option, a JSON list or comma-separated tokens; at
-    least one."""
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = [tok.strip() for tok in str(value).split(",") if tok.strip()]
+def _tokens(value, key, kind=str) -> list:
+    """The items of a list option, a JSON list or comma-separated tokens, each
+    of kind; at least one."""
+    if isinstance(value, str):
+        value = [tok.strip() for tok in value.split(",") if tok.strip()]
+    items = list(value) if isinstance(value, (list, tuple)) else [value]
     if not items:
         raise ConfigError(f"--{key} expects at least one value, got {value!r}")
-    return items
-
-
-def _float_list(value, key):
-    return [_as_float(v, key) for v in _tokens(value, key)]
-
-
-def _optional(opts: dict, key: str, parse=_as_float, default=None):
-    """The parsed value of an option, or default when it is unset."""
-    return default if opts.get(key) is None else parse(opts[key], key)
+    return [typed_value(key, item, kind) for item in items]
 
 
 def _common_kwargs(opts: dict) -> dict:
-    """run_case options every command passes through; None keeps the scenario's."""
+    """Scenario fields every command hands to run_case unparsed (`with_overrides`)."""
     return {
         "boundary": opts.get("bc"),
-        "nv": _optional(opts, "nv", _as_int),
-        "vmax": _optional(opts, "vmax"),
-        "t_final": _optional(opts, "tfinal"),
+        "nv": opts.get("nv"),
+        "vmax": opts.get("vmax"),
+        "t_final": opts.get("tfinal"),
     }
 
 
 def _cfl_list(opts: dict) -> list[float]:
-    return _optional(opts, "cfl", _float_list, list(DEFAULT_CFL_SWEEP))
+    return _tokens(opts["cfl"], "cfl", float) if "cfl" in opts else list(DEFAULT_CFL_SWEEP)
 
 
 def _nx_ladder(opts: dict, default_nx: int, default_levels: int) -> list[int]:
-    base = _optional(opts, "nx", _as_int, default_nx)
-    levels = _optional(opts, "levels", _as_int, default_levels)
+    base = typed_value("nx", opts.get("nx", default_nx), int)
+    levels = typed_value("levels", opts.get("levels", default_levels), int)
     if levels < 2:
         raise ConfigError(f"--levels must be >= 2, got {levels}")
     return [base * 2**k for k in range(levels)]
@@ -237,8 +235,8 @@ def _cmd_run(opts: dict) -> RunResult:
         _require(opts, "scenario"),
         integrator=_require(opts, "scheme"),
         interp=opts.get("interp"),
-        eps=_as_float(_require(opts, "eps"), "eps"),
-        nx=_as_int(_require(opts, "nx"), "nx"),
+        eps=typed_value("eps", _require(opts, "eps"), float),
+        nx=_require(opts, "nx"),
         cfl=opts.get("cfl"),
         **_common_kwargs(opts),
     )
@@ -249,7 +247,7 @@ def _cmd_converge(opts: dict) -> list[dict]:
         _require(opts, "scenario"),
         integrator=_require(opts, "scheme"),
         interp=opts.get("interp"),
-        eps_list=_float_list(_require(opts, "eps"), "eps"),
+        eps_list=_tokens(_require(opts, "eps"), "eps", float),
         nx_list=_nx_ladder(opts, default_nx=40, default_levels=4),
         cfl=opts.get("cfl"),
         **_common_kwargs(opts),
@@ -261,9 +259,9 @@ def _cmd_cfl_sweep(opts: dict) -> list[dict]:
         _require(opts, "scenario"),
         integrator=_require(opts, "scheme"),
         interp=opts.get("interp"),
-        eps=_as_float(_require(opts, "eps"), "eps"),
+        eps=typed_value("eps", _require(opts, "eps"), float),
         cfl_list=_cfl_list(opts),
-        nx=_optional(opts, "nx", _as_int, 160),
+        nx=typed_value("nx", opts.get("nx", 160), int),
         **_common_kwargs(opts),
     )
 
@@ -272,7 +270,7 @@ def _cmd_cost(opts: dict) -> list[dict]:
     return cost_study(
         _require(opts, "scenario"),
         schemes=[(tok, opts.get("interp")) for tok in _tokens(_require(opts, "scheme"), "scheme")],
-        eps=_as_float(_require(opts, "eps"), "eps"),
+        eps=typed_value("eps", _require(opts, "eps"), float),
         nx_list=_nx_ladder(opts, default_nx=40, default_levels=3),
         cfl=opts.get("cfl"),
         **_common_kwargs(opts),
@@ -295,9 +293,7 @@ def _fmt(value) -> str:
 
 
 def _meta(opts: dict, **extra) -> list[str]:
-    items = {key: opts.get(key) for key in _CONFIG_KEYS if opts.get(key) is not None}
-    items["rng_seed"] = "none"  # the solver is deterministic; no RNG involved
-    items.update(extra)
+    items = {**opts, "rng_seed": "none", **extra}  # the solver is deterministic; no RNG
     lines = []
     for key in sorted(items):
         value = items[key]

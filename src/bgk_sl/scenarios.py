@@ -283,12 +283,13 @@ def _scenario_from_dict(data: dict) -> Scenario:
 
 
 def typed_value(key, value, kind):
-    """value converted to kind (a str must be one), or a ConfigError naming the key."""
+    """value converted to kind (a str must be one, a bool is never a number),
+    or a ConfigError naming the key: the one converter of option values."""
     try:
-        if kind is str and not isinstance(value, str):
+        if isinstance(value, bool) != (kind is bool) or kind is str and not isinstance(value, str):
             raise TypeError
         typed = kind(value)
-        if kind is int and typed != float(value):  # refuse a truncation, as the CLI does
+        if kind is int and typed != float(value):  # refuse a truncation
             raise ValueError
         return typed
     except (TypeError, ValueError, OverflowError):
@@ -306,14 +307,14 @@ def _parse_initial(initial: dict, x0: float, x1: float):
         raise ConfigError(f"unknown keys {unknown} in the initial {kind!r} block")
     try:
         if kind == "uniform":
-            state = tuple(float(initial[key]) for key in ("rho", "u", "T"))
+            state = tuple(typed_value(key, initial[key], float) for key in ("rho", "u", "T"))
         else:
-            left = tuple(float(v) for v in initial["left"])
-            right = tuple(float(v) for v in initial["right"])
-            x_jump = float(initial.get("x_jump", 0.5 * (x0 + x1)))
+            left = tuple(typed_value("left", v, float) for v in initial["left"])
+            right = tuple(typed_value("right", v, float) for v in initial["right"])
+            x_jump = typed_value("x_jump", initial.get("x_jump", 0.5 * (x0 + x1)), float)
     except KeyError as err:
         raise ConfigError(f"initial {kind!r} block is missing key {err.args[0]!r}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ConfigError) as err:
         raise ConfigError(f"initial {kind!r} block has a bad value: {err}") from None
     if kind == "uniform":
         _check_state(kind, *state)
@@ -338,8 +339,8 @@ def _check_state(kind, rho, u, T):
 
 def _parse_domain(domain):
     try:
-        x0, x1 = (float(v) for v in domain)
-    except (TypeError, ValueError) as err:
+        x0, x1 = (typed_value("domain", v, float) for v in domain)
+    except (TypeError, ValueError, ConfigError) as err:
         raise ConfigError(f"domain must be [x0, x1], got {domain!r}") from err
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise ConfigError(f"domain must be finite, got {domain!r}")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import legendre, polynomial
 
-from bgk_sl import ChuReduced3V, Integrator, Interp, Monatomic1V, PhaseGrid
+from bgk_sl import Boundary, ChuReduced3V, Integrator, Interp, Monatomic1V, PhaseGrid
 from bgk_sl.moments import maxwellian_rows, velocity_basis
 from bgk_sl.weno import GHOST_WIDTH, Workspace, _differences, _indicators
 
@@ -174,3 +174,31 @@ def uniform_mixture_field(system, grid: PhaseGrid, parts) -> np.ndarray:
 
 def make_system(name: str):
     return Monatomic1V() if name == "1v" else ChuReduced3V()
+
+
+def free_molecular_field(scen, grid: PhaseGrid, system, t):
+    """The exact field of scen at eps = inf and time t, and the mask of the
+    (space, velocity) entries whose foot sits on the Riemann jump.
+
+    Each entry is the scenario's equilibrium (the Chu pair for chu) of its
+    profile at the foot x_i - v_j t: wrapped for periodic data, folded with
+    v -> -v at reflective walls, and left as is for the shock tubes, whose
+    profiles extend past the domain.  At the jump the initial node holds the
+    average of the two states, not the profile, so the mask marks it."""
+    exact = np.empty((system.n_components, grid.n_space, grid.n_vel))
+    on_jump = np.zeros((grid.n_space, grid.n_vel), dtype=bool)
+    length = scen.x1 - scen.x0
+    for j, v in enumerate(grid.v):
+        foot, flipped = grid.x - v * t, np.zeros(grid.n_space, dtype=bool)
+        if scen.boundary is Boundary.PERIODIC:
+            foot = scen.x0 + np.mod(foot - scen.x0, length)
+        elif scen.boundary is Boundary.REFLECTIVE:
+            s = np.mod(foot - scen.x0, 2.0 * length)
+            flipped = s > length
+            foot = scen.x0 + np.where(flipped, 2.0 * length - s, s)
+        profile = (np.broadcast_to(m, foot.shape) for m in scen.profile(foot))
+        eq = system.from_macro(*profile, grid)
+        exact[:, :, j] = np.where(flipped, eq[:, :, grid.n_vel - 1 - j], eq[:, :, j])
+        if scen.riemann is not None:
+            on_jump[:, j] = np.abs(foot - scen.riemann[2]) <= 1e-9
+    return exact, on_jump

@@ -43,6 +43,7 @@ from conftest import (
     LATTICE_RUNS,
     cells,
     fitted_slope,
+    free_molecular_field,
     interpolate_at,
     smoothness_indicators,
     uniform_mixture_field,
@@ -412,6 +413,27 @@ def test_lattice_pure_transport_is_exact_index_shift():
         src = (np.arange(grid.n_space) - jv) % grid.nx
         expect[0, :, j] = f0[0, src, j]
     assert np.array_equal(stepper.f, expect)
+
+
+@pytest.mark.parametrize("token", list(SCHEMES))
+@pytest.mark.parametrize("name", ["riemann", "riemann-chu", "smooth-chu"])
+def test_free_molecular_lattice_march_is_exact(name, token):
+    """With collisions disabled, every scheme at its default interpolation
+    marches 12 lattice steps to the exact free-molecular field: the initial
+    equilibrium carried along the characteristics, through freeflow and
+    reflective boundaries, to round-off."""
+    scen = load_scenario(name)
+    grid = scen.grid(80)
+    system = make_system(scen.model)
+    integrator, interp = SCHEMES[token]
+    scheme = SchemeConfig(integrator=integrator, interp=interp, boundary=scen.boundary, eps=math.inf)
+    f0 = system.from_macro(*scen.initial_moments(grid.x, system.dof), grid)
+    stepper = TimeStepper(f0, grid, system, scheme)
+    dt = grid.dt_from_cfl("lattice")
+    for _ in range(12):
+        stepper.step(dt)
+    exact, on_jump = free_molecular_field(scen, grid, system, 12 * dt)
+    assert np.abs(stepper.f - exact)[:, ~on_jump].max() <= 1e-14 * np.abs(exact).max()
 
 
 # ---------------------------------------------------------------------------

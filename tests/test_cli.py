@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bgk_sl import harness
+from bgk_sl import ConfigError, harness, with_overrides
 from bgk_sl.cli import main
 
 
@@ -453,8 +453,117 @@ def test_cfl_lattice_is_a_step_size(tmp_path, capsys, args, code):
     )
     assert got == code, err
     if code == 2:
-        assert err == "config error: --cfl expects a number, got 'lattice'\n"
+        assert err == "config error: 'cfl' expects float, got 'lattice'\n"
         assert not out.exists()
+
+
+RUN_BASE = {"scenario": "smooth", "scheme": "RK2", "eps": "1", "nx": "16", "tfinal": "0.02"}
+
+
+@pytest.mark.parametrize(
+    "command, key, flag, number",
+    [
+        ("run", "eps", "0.5", 0.5),
+        ("run", "nx", "24", 24),
+        ("run", "nv", "20", 20.0),  # an integral JSON float is an integer
+        ("run", "vmax", "8", 8),
+        ("run", "cfl", "2.5", 2.5),
+        ("run", "tfinal", "0.03", 0.03),
+        ("converge", "levels", "3", 3),
+        ("converge", "eps", "1,0.5", [1, 0.5]),
+        ("cfl-sweep", "cfl", "2,8", [2, 8]),
+    ],
+)
+def test_numeric_option_as_flag_or_json_number_writes_the_same_csv(
+    tmp_path, capsys, command, key, flag, number
+):
+    """A number given as a flag and as a JSON number in --config is the same
+    value: both pass through the one converter."""
+    opts = {**RUN_BASE, "levels": "2"} if command == "converge" else dict(RUN_BASE)
+    opts.pop(key, None)
+    args = [command, *(tok for k, v in opts.items() for tok in (f"--{k}", v))]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: number}))
+    tables = []
+    for extra in ([f"--{key}", flag], ["--config", str(cfg)]):
+        code, out, err = _run_inprocess([*args, *extra], capsys)
+        assert code == 0, err
+        tables.append(out)
+    assert tables[0] == tables[1]
+
+
+STILL_RUN = {"scheme": "Euler1", "eps": 1, "nx": 8}
+
+
+@pytest.mark.parametrize(
+    "config, still, message",
+    [
+        pytest.param({"vmax": True}, {}, "'vmax' expects float, got True", id="vmax-true"),
+        pytest.param({"cfl": True}, {}, "'cfl' expects float, got True", id="cfl-true"),
+        pytest.param({"eps": False}, {}, "'eps' expects float, got False", id="eps-false"),
+        pytest.param({"nx": True}, {}, "'nx' expects int, got True", id="nx-true"),
+        pytest.param({"nv": "20.0"}, {}, "'nv' expects int, got '20.0'", id="nv-string-fraction"),
+        pytest.param({"seed_meta": "false"}, {}, "'seed_meta' expects bool, got 'false'",
+                     id="seed_meta-string"),
+        pytest.param({"out": 1}, {}, "'out' expects str, got 1", id="out-number"),
+        pytest.param({}, {"base": "smooth", "nv": True}, "'nv' expects int, got True",
+                     id="scenario-nv-true"),
+        pytest.param({}, {"base": "smooth", "domain": [False, True]}, "domain must be [x0, x1]",
+                     id="scenario-domain-bools"),
+        pytest.param({}, {"initial": {"kind": "uniform", "rho": True, "u": 0, "T": 1}},
+                     "'rho' expects float, got True", id="scenario-rho-true"),
+    ],
+)
+def test_option_of_the_wrong_type_exits_2_with_one_line(tmp_path, config, still, message):
+    """A boolean is never a number, a config file's seed_meta is a JSON
+    boolean and its out a string; each mistyped value exits 2 with one line
+    and no output.  Run as a subprocess: at worst a bad out would close the
+    runner's own stdout."""
+    scenario = tmp_path / "still.json"
+    scenario.write_text(json.dumps(still if "base" in still else {**UNIFORM_SCENARIO, **still}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**STILL_RUN, "scenario": str(scenario), **config}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgk_sl.cli", "run", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("config error: ")
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("override", ["nv", "vmax", "cfl", "t_final"])
+def test_api_refuses_a_bool_as_a_number(override):
+    with pytest.raises(ConfigError, match=f"'{override}' expects"):
+        with_overrides("smooth", **{override: True})
+
+
+@pytest.mark.parametrize("nx", ["16", "2000"])
+def test_closed_stdout_ends_quietly_with_exit_1(nx):
+    """A reader that closes the pipe at once (as `| head -1` does) ends the
+    run with exit code 1 and nothing on stderr, whether the table fills the
+    stdout buffer or only reaches the pipe at the last flush."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "bgk_sl.cli", "run", "--scenario", "smooth", "--scheme",
+         "Euler1", "--eps", "1e-2", "--nx", nx, "--tfinal", "0.001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [([], "command"), (["run", "--nx"], "--nx"), (["run", "--bogus", "1"], "--bogus 1")],
+    ids=["no-command", "missing-value", "unknown-flag"],
+)
+def test_argument_error_is_one_config_error_line(capsys, argv, names):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ") and names in err
 
 
 def test_console_entry_point_runs():

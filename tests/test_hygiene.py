@@ -1,7 +1,9 @@
-"""Source hygiene: no module of the package imports a name it never uses, and
-no module-level function or class is left that the package neither uses nor
-exports."""
+"""Source hygiene: no module of the package imports a name it never uses, no
+module-level function or class is left that the package neither uses nor
+exports, and importing the package leaves the command-line layer out."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,13 @@ def test_a_dead_definition_is_found():
     }
     init = ast.parse("from .a import Old\n")
     assert _dead_definitions(modules, init) == ["a.orphan"]
+
+
+def test_importing_the_package_leaves_the_cli_out():
+    """`import bgk_sl` loads none of the command-line modules, so library
+    users, and the benchmark, never run cli.py's code."""
+    probe = "import sys, bgk_sl; print(sorted({'bgk_sl.cli', 'argparse', 'csv'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout == "[]\n"
