@@ -8,7 +8,7 @@ fluid-limit reference.
 """
 from .boundaries import extend_field, map_nodes
 from .chu import ChuReduced3V
-from .config import SCHEMES, Boundary, Integrator, Interp, SchemeConfig
+from .config import DEFAULT_INTERP, Boundary, Integrator, Interp, SchemeConfig
 from .errors import ConfigError, DegenerateStateError, NumericalError
 from .grid import PhaseGrid, TimeControl
 from .harness import (

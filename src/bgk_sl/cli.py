@@ -10,10 +10,11 @@
                       --eps 1e-4 --nx 40 --levels 3 --out cost.csv
 
 Options may come from a JSON config file (--config file.json with keys named
-like the long flags); explicit command-line flags win on conflict.  Output is
-CSV (UTF-8, header row, 17 significant digits); without --out it goes to
-stdout.  Exit codes: 0 success, 1 stdout closed by its reader, 2 configuration
-error, 3 numerical failure (with any partial output flushed and marked).
+like the command's own long flags); explicit command-line flags win on
+conflict.  Output is CSV (UTF-8, header row, 17 significant digits); without
+--out it goes to stdout.  Exit codes: 0 success, 1 stdout closed by its
+reader, 2 configuration error, 3 numerical failure (with any partial output
+flushed and marked).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .config import SCHEMES, Boundary, Interp
+from .config import Boundary, Integrator, Interp, typed_value
 from .errors import ConfigError, NumericalError
 from .harness import (
     DEFAULT_CFL_SWEEP,
@@ -35,7 +36,6 @@ from .harness import (
     cost_study,
     run_case,
 )
-from .scenarios import typed_value
 
 # CSV columns of each command, shared by the table of a finished command and
 # the partial table of a failed one.  Study rows are dicts keyed by the
@@ -46,23 +46,6 @@ _COLUMNS = {
     "cfl-sweep": ["cfl_requested", "cfl_actual", "err_L2_rho"],
     "cost": ["scheme", "nx", "wall_seconds", "err_L1_rho"],
 }
-
-_CONFIG_KEYS = (
-    "scenario",
-    "scheme",
-    "interp",
-    "bc",
-    "eps",
-    "nx",
-    "nv",
-    "vmax",
-    "cfl",
-    "tfinal",
-    "levels",
-    "out",
-    "seed_meta",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """An argument error is one stderr line and exit code 2, as a config error is."""
@@ -88,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="bundled scenario name or scenario JSON file")
         p.add_argument(
             "--scheme",
-            help="integrator: " + "|".join(SCHEMES)
+            help="integrator: " + "|".join(m.value for m in Integrator)
             + (" (comma-separated list)" if name == "cost" else ""),
         )
         p.add_argument("--interp", help="interpolation: " + "|".join(m.value for m in Interp))
@@ -156,8 +139,9 @@ def _run_command(args: argparse.Namespace) -> int:
 # option handling
 # --------------------------------------------------------------------------
 def _merge_options(args: argparse.Namespace) -> dict:
-    """Config-file values fill in unset flags; an option set by neither is left out."""
-    opts = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    """Config-file values fill in unset flags; an option set by neither is left
+    out.  A config key must be a flag of the command."""
+    opts = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -166,7 +150,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file {args.config!r}: {err}") from err
         if not isinstance(file_opts, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_opts) - set(_CONFIG_KEYS)
+        unknown = set(file_opts) - set(opts)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_opts.items():
@@ -235,7 +219,7 @@ def _cmd_run(opts: dict) -> RunResult:
         _require(opts, "scenario"),
         integrator=_require(opts, "scheme"),
         interp=opts.get("interp"),
-        eps=typed_value("eps", _require(opts, "eps"), float),
+        eps=_require(opts, "eps"),
         nx=_require(opts, "nx"),
         cfl=opts.get("cfl"),
         **_common_kwargs(opts),
@@ -259,7 +243,7 @@ def _cmd_cfl_sweep(opts: dict) -> list[dict]:
         _require(opts, "scenario"),
         integrator=_require(opts, "scheme"),
         interp=opts.get("interp"),
-        eps=typed_value("eps", _require(opts, "eps"), float),
+        eps=_require(opts, "eps"),
         cfl_list=_cfl_list(opts),
         nx=typed_value("nx", opts.get("nx", 160), int),
         **_common_kwargs(opts),
@@ -270,7 +254,7 @@ def _cmd_cost(opts: dict) -> list[dict]:
     return cost_study(
         _require(opts, "scenario"),
         schemes=[(tok, opts.get("interp")) for tok in _tokens(_require(opts, "scheme"), "scheme")],
-        eps=typed_value("eps", _require(opts, "eps"), float),
+        eps=_require(opts, "eps"),
         nx_list=_nx_ladder(opts, default_nx=40, default_levels=3),
         cfl=opts.get("cfl"),
         **_common_kwargs(opts),

@@ -1,12 +1,11 @@
-"""Scheme configuration: integrator / interpolation / boundary selectors.
+"""Run-option vocabulary: integrator / interpolation / boundary selectors and
+the one converter of option values.
 
-The string values of the enums, and the keys of `SCHEMES`, are the tokens
-accepted on the command line.
+The string values of the enums are the tokens accepted on the command line.
 """
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -39,42 +38,43 @@ class Boundary(enum.Enum):
     FREEFLOW = "freeflow"
 
 
-# Per --scheme token: (integrator, default interpolation).  Any of them marches
-# at dt = dx/dv under cfl="lattice" (`PhaseGrid.dt_from_cfl`).
-SCHEMES = {
-    "Euler1": (Integrator.EULER1, Interp.LINEAR),
-    "RK2": (Integrator.RK2, Interp.WENO23),
-    "RK3": (Integrator.RK3, Interp.WENO23),
-    "BDF2": (Integrator.BDF2, Interp.WENO23),
-    "BDF3": (Integrator.BDF3, Interp.WENO23),
+# Each integrator's interpolation when none is given.  Any of them marches at
+# dt = dx/dv under cfl="lattice" (`PhaseGrid.dt_from_cfl`).
+DEFAULT_INTERP = {
+    Integrator.EULER1: Interp.LINEAR,
+    Integrator.RK2: Interp.WENO23,
+    Integrator.RK3: Interp.WENO23,
+    Integrator.BDF2: Interp.WENO23,
+    Integrator.BDF3: Interp.WENO23,
 }
 
-
-def _match(token, choices, what: str) -> str:
-    """The choice equal to token, ignoring case and surrounding blanks."""
-    for choice in choices:
-        if choice.lower() == str(token).strip().lower():
-            return choice
-    raise ConfigError(f"unknown {what} {token!r} (choose one of {'|'.join(choices)})")
+_CHOICE_NAMES = {Integrator: "integrator", Interp: "interpolation", Boundary: "boundary condition"}
 
 
-def parse_scheme(token: str | Integrator) -> str:
-    """The `SCHEMES` key a token names; an integrator names its own token."""
-    if isinstance(token, Integrator):
-        return token.value
-    return _match(token, SCHEMES, "integrator")
-
-
-def parse_interp(token: str | Interp) -> Interp:
-    if isinstance(token, Interp):
+def parse_choice(kind, token):
+    """The member of the enum kind whose value equals token, ignoring case and
+    surrounding blanks; a member of kind names itself."""
+    if isinstance(token, kind):
         return token
-    return Interp(_match(token, [m.value for m in Interp], "interpolation"))
+    for member in kind:
+        if member.value.lower() == str(token).strip().lower():
+            return member
+    choices = "|".join(member.value for member in kind)
+    raise ConfigError(f"unknown {_CHOICE_NAMES[kind]} {token!r} (choose one of {choices})")
 
 
-def parse_boundary(token: str | Boundary) -> Boundary:
-    if isinstance(token, Boundary):
-        return token
-    return Boundary(_match(token, [m.value for m in Boundary], "boundary condition"))
+def typed_value(key, value, kind):
+    """value converted to kind (a str must be one, a bool is never a number),
+    or a ConfigError naming the key: the one converter of option values."""
+    try:
+        if isinstance(value, bool) != (kind is bool) or kind is str and not isinstance(value, str):
+            raise TypeError
+        typed = kind(value)
+        if kind is int and typed != float(value):  # refuse a truncation
+            raise ValueError
+        return typed
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} expects {kind.__name__}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -87,5 +87,7 @@ class SchemeConfig:
     eps: float  # relaxation time (Knudsen number); math.inf disables collisions
 
     def __post_init__(self):
-        if not (isinstance(self.eps, numbers.Real) and self.eps > 0.0):  # also rejects NaN
-            raise ConfigError(f"eps must be a positive number, got {self.eps!r}")
+        eps = typed_value("eps", self.eps, float)
+        if not eps > 0.0:  # also rejects NaN
+            raise ConfigError(f"eps must be a positive number, got {eps!r}")
+        object.__setattr__(self, "eps", eps)

@@ -15,24 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
-    SCHEMES,
-    Boundary,
-    Integrator,
-    Interp,
-    SchemeConfig,
-    parse_interp,
-    parse_scheme,
+    DEFAULT_INTERP, Boundary, Integrator, Interp, SchemeConfig, parse_choice, typed_value
 )
 from .errors import ConfigError, NumericalError
 from .grid import PhaseGrid, TimeControl, check_step_count
 from .integrators import TimeStepper
-from .scenarios import make_system, typed_value, with_overrides
+from .scenarios import make_system, with_overrides
 
 
 def scheme_label(scheme: str | Integrator, interp: Interp) -> str:
     """The scheme token with an interpolation suffix."""
     suffix = {Interp.LINEAR: "Lin", Interp.WENO23: "W23", Interp.WENO35: "W35"}
-    return f"{parse_scheme(scheme)}{suffix[interp]}"
+    return f"{parse_choice(Integrator, scheme).value}{suffix[interp]}"
 
 
 @dataclass
@@ -66,22 +60,22 @@ def run_case(
 ) -> RunResult:
     """March one configuration to its final time and report the moments.
 
-    `integrator` is a `SCHEMES` token.  The overrides `boundary` to `t_final`
-    are scenario fields (see `scenarios.with_overrides`); None keeps the
+    `integrator` is an `Integrator` or its token, and `eps` a positive number
+    (`config.typed_value`).  The overrides `boundary` to `t_final` are
+    scenario fields (see `scenarios.with_overrides`); None keeps the
     scenario's, and cfl="lattice" marches at dt = dx/dv.
     """
     scen = with_overrides(scenario, boundary=boundary, nv=nv, vmax=vmax, cfl=cfl, t_final=t_final)
     # "LatBDF2" is BDF2 at cfl="lattice", kept while bench/workloads.py and
     # bench/test_bench.py run it; it goes when a benchmark-only change moves them off it.
     alias = str(integrator).strip().lower() == "latbdf2"
-    token = "BDF2" if alias else parse_scheme(integrator)
+    integrator = Integrator.BDF2 if alias else parse_choice(Integrator, integrator)
     cfl = "lattice" if alias else scen.cfl
-    base, default = SCHEMES[token]
-    interp = parse_interp(interp) if interp is not None else default
+    interp = DEFAULT_INTERP[integrator] if interp is None else parse_choice(Interp, interp)
 
     grid = scen.grid(nx)
     system = make_system(scen.model)
-    scheme = SchemeConfig(integrator=base, interp=interp, boundary=scen.boundary, eps=eps)
+    scheme = SchemeConfig(integrator=integrator, interp=interp, boundary=scen.boundary, eps=eps)
     dt = grid.dt_from_cfl(cfl)
     control = TimeControl(dt=dt, t_final=scen.t_final)
 
@@ -95,11 +89,11 @@ def run_case(
     meta = {
         "scenario": scen.name,
         "model": scen.model,
-        "scheme": scheme_label(token, interp),
-        "integrator": token,
+        "scheme": scheme_label(integrator, interp),
+        "integrator": integrator.value,
         "interp": interp.value,
         "boundary": scen.boundary.value,
-        "eps": eps,
+        "eps": scheme.eps,
         "nx": grid.nx,
         "nv": grid.nv,
         "vmax": grid.vmax,
@@ -214,7 +208,8 @@ def convergence_study(
                 err = refinement_error(coarse, fine)
                 order = math.log2(prev_err / err) if prev_err not in (None, 0.0) else None
                 rows.append(
-                    {"eps": eps, "nx": coarse.meta["nx"], "err_l1_rho": err, "order": order}
+                    {"eps": coarse.meta["eps"], "nx": coarse.meta["nx"], "err_l1_rho": err,
+                     "order": order}
                 )
                 coarse, prev_err = fine, err
     return rows
@@ -244,7 +239,6 @@ def cfl_sweep(
     divides the final time exactly (the published cfl_actual column), so
     every run finishes with uniform steps on both grids.
     """
-    token = parse_scheme(integrator)
     scen = with_overrides(
         scenario, t_final=t_final, nv=run_kwargs.pop("nv", None), vmax=run_kwargs.pop("vmax", None)
     )
@@ -256,8 +250,7 @@ def cfl_sweep(
     cfl_pairs = []
     for cfl_req in cfl_list:  # every request is refused or adjusted before any run
         cfl_req = typed_value("cfl", cfl_req, float)  # the lattice step cannot be adjusted
-        if not (0.0 < cfl_req < math.inf):
-            raise ConfigError(f"CFL values must be positive and finite, got {cfl_req}")
+        probe.dt_from_cfl(cfl_req)  # refuses a CFL that is not positive and finite
         cfl_act = admissible_cfl(cfl_req, probe, t_final)[0]
         # the fine run takes twice the steps; its TimeControl would refuse it
         # only after the coarse run has marched
@@ -267,7 +260,7 @@ def cfl_sweep(
     with _keeping_rows(rows):
         for cfl_req, cfl_act in cfl_pairs:
             coarse, fine = (
-                run_case(scen, integrator=token, eps=eps, nx=n, cfl=cfl_act, **run_kwargs)
+                run_case(scen, integrator=integrator, eps=eps, nx=n, cfl=cfl_act, **run_kwargs)
                 for n in (nx, 2 * nx)
             )
             err = refinement_error(coarse, fine, l2_norm)

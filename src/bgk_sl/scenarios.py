@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .chu import ChuReduced3V
-from .config import Boundary, parse_boundary
+from .config import Boundary, parse_choice, typed_value
 from .errors import ConfigError
 from .grid import PhaseGrid
 from .systems import KineticSystem, Monatomic1V
@@ -241,7 +241,7 @@ def _scenario_fields(data: dict) -> dict:
         if key == "domain":
             fields["x0"], fields["x1"] = _parse_domain(value)
         elif key == "boundary":
-            fields["boundary"] = parse_boundary(value)
+            fields["boundary"] = parse_choice(Boundary, value)
         elif key == "cfl" and isinstance(value, str) and value == "lattice":
             fields["cfl"] = value
         else:
@@ -280,20 +280,6 @@ def _scenario_from_dict(data: dict) -> Scenario:
     profile, riemann = _parse_initial(initial, fields["x0"], fields["x1"])
     fields.setdefault("description", "custom scenario")
     return Scenario(profile=profile, riemann=riemann, **fields)
-
-
-def typed_value(key, value, kind):
-    """value converted to kind (a str must be one, a bool is never a number),
-    or a ConfigError naming the key: the one converter of option values."""
-    try:
-        if isinstance(value, bool) != (kind is bool) or kind is str and not isinstance(value, str):
-            raise TypeError
-        typed = kind(value)
-        if kind is int and typed != float(value):  # refuse a truncation
-            raise ValueError
-        return typed
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} expects {kind.__name__}, got {value!r}") from None
 
 
 def _parse_initial(initial: dict, x0: float, x1: float):

@@ -18,12 +18,12 @@ import pytest
 from bgk_sl import (
     Boundary,
     ChuReduced3V,
+    DEFAULT_INTERP,
     Integrator,
     Interp,
     Interpolator,
     Monatomic1V,
     PhaseGrid,
-    SCHEMES,
     SchemeConfig,
     TimeControl,
     TimeStepper,
@@ -55,7 +55,7 @@ MACHINE_EPS = np.finfo(float).eps
 def _all_scheme_combos(grid):
     """(integrator, interpolation, dt) of every scheme token with every
     interpolation at CFL 4, and of each lattice run at cfl = "lattice"."""
-    combos = [(integ, ip, grid.dt_from_cfl(4.0)) for integ, _ in SCHEMES.values() for ip in Interp]
+    combos = [(integ, ip, grid.dt_from_cfl(4.0)) for integ in Integrator for ip in Interp]
     combos += [(integ, ip, grid.dt_from_cfl("lattice")) for integ, ip in LATTICE_RUNS.values()]
     return combos
 
@@ -305,13 +305,7 @@ def test_weno35_transport_refinement_slope():
     the exact solution is the shifted initial condition.  One interpolation
     per step over ~1/dx steps turns the pointwise stencil error into a global
     O(dx^5) error: the fitted slope must be 5 +/- 0.4."""
-    from bgk_sl import SCENARIOS
-
-    scen = SCENARIOS["smooth"]
-
-    def u0(x):
-        return 0.1 * np.exp(-((10.0 * x - 1.0) ** 2)) - 0.2 * np.exp(-((10.0 * x + 3.0) ** 2))
-
+    scen = load_scenario("smooth")
     system = Monatomic1V()
     scheme = SchemeConfig(
         integrator=Integrator.EULER1, interp=Interp.WENO35, boundary=scen.boundary, eps=math.inf
@@ -319,18 +313,14 @@ def test_weno35_transport_refinement_slope():
     ns = [80, 160, 320, 640]
     errs = []
     for nx in ns:
-        grid = PhaseGrid(scen.x0, scen.x1, nx, scen.nv, scen.vmax)
+        grid = scen.grid(nx)
         f0 = system.from_macro(*scen.initial_moments(grid.x, system.dof), grid)
         f0[:, -1, :] = f0[:, 0, :]  # periodic: node nx is node 0
         stepper = TimeStepper(f0, grid, system, scheme)
         for dt in TimeControl(dt=grid.dt_from_cfl(scen.cfl), t_final=scen.t_final).steps():
             stepper.step(dt)
-        foot = grid.x[:, None] - grid.v[None, :] * scen.t_final
-        foot = scen.x0 + np.mod(foot - scen.x0, scen.x1 - scen.x0)
-        # rho = T = 1 Maxwellian at the feet: its u varies along v, so it is
-        # written pointwise rather than as `maxwellian_rows`
-        f_exact = np.exp(-((grid.v[None, :] - u0(foot)) ** 2) / 2.0) * (1.0 / np.sqrt(2.0 * np.pi))
-        diff = stepper.f[0] - f_exact
+        exact, _ = free_molecular_field(scen, grid, system, scen.t_final)
+        diff = stepper.f[0] - exact[0]
         errs.append(float(np.abs(diff[:-1]).sum() * grid.dx * grid.dv))
     slope = -fitted_slope(ns, errs)
     assert abs(slope - 5.0) <= 0.4, f"slope {slope:.3f}, errs {errs}"
@@ -415,9 +405,9 @@ def test_lattice_pure_transport_is_exact_index_shift():
     assert np.array_equal(stepper.f, expect)
 
 
-@pytest.mark.parametrize("token", list(SCHEMES))
+@pytest.mark.parametrize("integrator", list(DEFAULT_INTERP), ids=lambda m: m.value)
 @pytest.mark.parametrize("name", ["riemann", "riemann-chu", "smooth-chu"])
-def test_free_molecular_lattice_march_is_exact(name, token):
+def test_free_molecular_lattice_march_is_exact(name, integrator):
     """With collisions disabled, every scheme at its default interpolation
     marches 12 lattice steps to the exact free-molecular field: the initial
     equilibrium carried along the characteristics, through freeflow and
@@ -425,8 +415,8 @@ def test_free_molecular_lattice_march_is_exact(name, token):
     scen = load_scenario(name)
     grid = scen.grid(80)
     system = make_system(scen.model)
-    integrator, interp = SCHEMES[token]
-    scheme = SchemeConfig(integrator=integrator, interp=interp, boundary=scen.boundary, eps=math.inf)
+    scheme = SchemeConfig(integrator=integrator, interp=DEFAULT_INTERP[integrator],
+                          boundary=scen.boundary, eps=math.inf)
     f0 = system.from_macro(*scen.initial_moments(grid.x, system.dof), grid)
     stepper = TimeStepper(f0, grid, system, scheme)
     dt = grid.dt_from_cfl("lattice")
@@ -483,7 +473,7 @@ def test_l_stability_probe():
     target = system.equilibrium(system.moments(f0, grid), grid)
     weight = 1.0 + grid.v**2
     wnorm = float((np.abs(target[0]) * weight).sum())
-    runs = [(token, integ, Interp.WENO23, 1.0) for token, (integ, _) in SCHEMES.items()]
+    runs = [(integ.value, integ, Interp.WENO23, 1.0) for integ in Integrator]
     lattice_dt = grid.dt_from_cfl("lattice")
     runs += [(label, integ, ip, lattice_dt) for label, (integ, ip) in LATTICE_RUNS.items()]
     for token, integ, ip, dt in runs:

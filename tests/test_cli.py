@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from bgk_sl import ConfigError, harness, with_overrides
-from bgk_sl.cli import main
+from bgk_sl.cli import _COLUMNS, main
 
 
 VACUUM_SCENARIO = {
@@ -224,6 +224,35 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"scenario": "smooth", "mesh": 40}))
     code, _, err = _run_inprocess(["run", "--config", str(cfg)], capsys)
     assert code == 2 and "unknown config keys" in err and "mesh" in err
+
+
+@pytest.mark.parametrize("command", ["run", "cfl-sweep"])
+def test_config_key_that_is_not_a_flag_of_the_command_exits_2(tmp_path, capsys, command):
+    """levels is a flag of converge and cost only: a run or a sweep refuses it
+    in a config file rather than ignore it."""
+    cfg = tmp_path / "cfg.json"
+    config = {"scenario": "equilibrium", "scheme": "Euler1", "eps": 1, "nx": 8, "cfl": 2}
+    cfg.write_text(json.dumps({**config, "levels": 3}))
+    code, out, err = _run_inprocess([command, "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: unknown config keys: ['levels']\n"
+
+
+@pytest.mark.parametrize("command", ["run", "converge", "cfl-sweep", "cost"])
+def test_every_flag_of_a_command_is_a_config_key(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    config = {
+        "scenario": "smooth", "scheme": "Euler1", "interp": "linear", "bc": "periodic",
+        "eps": 1, "nx": 8, "nv": 8, "vmax": 8, "cfl": 2, "tfinal": 0.01,
+        "out": str(out), "seed_meta": True,
+    }
+    if command in ("converge", "cost"):
+        config["levels"] = 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = _run_inprocess([command, "--config", str(cfg)], capsys)
+    assert code == 0, err
+    assert _read_csv(out)[1] == _COLUMNS[command]
 
 
 @pytest.mark.parametrize("model", ["1v", "chu"])

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from bgk_sl import (
+    Boundary,
     ConfigError,
     Integrator,
     Interp,
     PhaseGrid,
     RunResult,
+    SchemeConfig,
     cfl_sweep,
     convergence_study,
     cost_study,
@@ -218,7 +220,7 @@ def test_bad_overrides_are_config_errors(call, bad):
          "'nx' expects int"),
         (cfl_sweep, {"integrator": "RK2", "cfl_list": ["abc"]}, "'cfl' expects float"),
         (cfl_sweep, {"integrator": "RK2", "cfl_list": ["lattice"]}, "'cfl' expects float"),
-        (run_case, {"integrator": "RK2", "nx": 16, "eps": "x"}, "eps must be a positive number"),
+        (run_case, {"integrator": "RK2", "nx": 16, "eps": "x"}, "'eps' expects float, got 'x'"),
     ],
     ids=["cost_study-nx", "convergence_study-nx", "cfl_sweep-abc", "cfl_sweep-lattice",
          "run_case-eps"],
@@ -230,6 +232,28 @@ def test_non_numeric_study_inputs_are_config_errors(call, kwargs, match):
     kwargs.setdefault("eps", 1.0)
     with pytest.raises(ConfigError, match=match):
         call("smooth", t_final=0.02, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [True, False, "x", 0.0, -1.0, math.nan])
+def test_eps_is_refused_unless_a_positive_number(bad):
+    """eps goes through the one converter, which never takes a boolean for a
+    number, and must be > 0, in a SchemeConfig as in a run."""
+    with pytest.raises(ConfigError, match="eps"):
+        SchemeConfig(Integrator.RK2, Interp.WENO23, Boundary.PERIODIC, eps=bad)
+    with pytest.raises(ConfigError, match="eps"):
+        run_case("smooth", integrator="Euler1", eps=bad, nx=8, t_final=0.0)
+
+
+def test_eps_as_a_numeric_string_runs_as_the_number():
+    text, number = (
+        run_case("smooth", integrator="RK2", eps=eps, nx=16, t_final=0.02) for eps in ("0.01", 0.01)
+    )
+    assert text.rho.tobytes() == number.rho.tobytes()
+    assert text.meta["eps"] == 0.01 and type(text.meta["eps"]) is float
+    (row,) = convergence_study(
+        "smooth", integrator="Euler1", eps_list=["0.01"], nx_list=[8, 16], t_final=0.02
+    )
+    assert row["eps"] == 0.01 and type(row["eps"]) is float
 
 
 def test_lattice_token_with_interp_runs_its_integrator_at_the_lattice_step():
@@ -359,11 +383,16 @@ def test_cfl_sweep_refuses_a_fine_run_above_the_step_bound_before_any_run(monkey
         raise AssertionError("run_case called")
 
     monkeypatch.setattr(harness, "run_case", counting)
-    with pytest.raises(ConfigError, match="steps"):
-        cfl_sweep(
-            "smooth", integrator="RK3", eps=1e-4, cfl_list=[2.0, FINE_RUN_TOO_LONG],
-            nx=160, t_final=0.32,
-        )
+    # and a request that is not positive and finite (`PhaseGrid.dt_from_cfl`)
+    for cfl_list, match in (
+        ([2.0, FINE_RUN_TOO_LONG], "steps"),
+        ([2.0, -1.0], "positive and finite"),
+        ([float("nan")], "positive and finite"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            cfl_sweep(
+                "smooth", integrator="RK3", eps=1e-4, cfl_list=cfl_list, nx=160, t_final=0.32
+            )
     assert calls == []
 
 

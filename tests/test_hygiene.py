@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses, no
-module-level function or class is left that the package neither uses nor
-exports, and importing the package leaves the command-line layer out."""
+module-level function, class or constant is left that the package neither
+uses nor exports, and importing the package leaves the command-line layer out."""
 import ast
 import subprocess
 import sys
@@ -36,9 +36,20 @@ def test_an_unused_import_is_found():
     assert _unused_imports(tree) == ["os", "pi"]
 
 
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds: a function, a class or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return []
+
+
 def _dead_definitions(modules: dict[str, ast.Module], init: ast.Module) -> list[str]:
-    """module.name of each module-level function or class that no module
-    loads by name or attribute and that init does not import."""
+    """module.name of each module-level function, class or constant that no
+    module loads by name or attribute and that init does not import."""
     used = {alias.asname or alias.name for node in ast.walk(init)
             if isinstance(node, ast.ImportFrom) for alias in node.names}
     for tree in modules.values():
@@ -48,28 +59,30 @@ def _dead_definitions(modules: dict[str, ast.Module], init: ast.Module) -> list[
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return sorted(
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in modules.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+        for name in _bound_names(node)
+        if name not in used
     )
 
 
 def test_no_dead_module_level_definitions():
-    """Every module-level function or class is used by the package or exported
-    from it: source that only tests call does not stay."""
+    """Every module-level function, class or constant is used by the package
+    or exported from it: source that only tests read does not stay."""
     modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
     assert _dead_definitions(modules, ast.parse(INIT.read_text(encoding="utf-8"))) == []
 
 
 def test_a_dead_definition_is_found():
     modules = {
-        "a": ast.parse("def used():\n    return helper()\ndef helper():\n    pass\n"
-                       "def orphan():\n    pass\nclass Old:\n    pass\n"),
-        "b": ast.parse("import a\nx = a.used()\n"),
+        "a": ast.parse("def used():\n    return helper() + LIMIT\ndef helper():\n    pass\n"
+                       "def orphan():\n    pass\nclass Old:\n    pass\n"
+                       "LIMIT = 3\nTABLE: dict = {}\nUNUSED = (1, 2)\n"),
+        "b": ast.parse("import a\nx = a.used() + len(a.TABLE)\n"),
     }
     init = ast.parse("from .a import Old\n")
-    assert _dead_definitions(modules, init) == ["a.orphan"]
+    assert _dead_definitions(modules, init) == ["a.UNUSED", "a.orphan", "b.x"]
 
 
 def test_importing_the_package_leaves_the_cli_out():

@@ -34,8 +34,8 @@ def test_python_api_names_are_exported():
 
 
 def test_scheme_table_lists_every_scheme_token():
-    tokens = re.findall(r"^\| `(\w+)`\s*\|", _section("Numerical schemes"), re.M)
-    assert tokens == list(bgk_sl.SCHEMES)
+    rows = re.findall(r"^\| `(\w+)`\s*\|.*\| `(\w+)`\s*\|$", _section("Numerical schemes"), re.M)
+    assert rows == [(m.value, ip.value) for m, ip in bgk_sl.DEFAULT_INTERP.items()]
 
 
 def _command_lines() -> list[list[str]]:
