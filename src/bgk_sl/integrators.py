@@ -125,8 +125,9 @@ TABLEAUS = {
 @dataclass
 class StepContext:
     """Everything a single step needs: grids, physics, transport, stiffness,
-    and the transport buffers its steps gather into (see `foot`), which the
-    context owns until `clear`."""
+    the buffers its steps transport into (see `buffer`) and the schedule of
+    each tableau and step size (see `schedule`), which the context owns
+    until `clear`."""
 
     grid: PhaseGrid
     system: KineticSystem
@@ -135,22 +136,31 @@ class StepContext:
 
     def __post_init__(self):
         self._buffers: dict[int, np.ndarray] = {}
+        self._schedules: dict[tuple[Tableau, float], Schedule] = {}
 
-    def foot(self, field, tau, slot: int):
-        """The field at the feet over tau, in the context's transport buffer
-        `slot`, allocated on first use and held until `clear`.
-
-        The caller may scale and add into the result until the next foot into
-        the same slot, but must never return it as a step's new field.
-        """
+    def buffer(self, slot: int, rows: int, shape) -> np.ndarray:
+        """The context's buffer `slot`, `rows` arrays of `shape` stacked,
+        allocated on first use or when the rows or shape change, and held
+        until `clear`.  A step may scale and add into it, but must never
+        return it, or a row of it, as its new field."""
+        shape = (rows,) + tuple(shape)
         out = self._buffers.get(slot)
-        if out is None or out.shape != np.shape(field):
-            out = self._buffers[slot] = np.empty(np.shape(field))
-        return self.transport.shifted(field, tau, out=out)
+        if out is None or out.shape != shape:
+            out = self._buffers[slot] = np.empty(shape)
+        return out
+
+    def schedule(self, tab: Tableau, dt: float) -> Schedule:
+        """The schedule of `tableau_step` for tab at step dt, built once."""
+        key = (tab, dt)
+        sched = self._schedules.get(key)
+        if sched is None:
+            sched = self._schedules[key] = Schedule.build(self.transport, tab, dt)
+        return sched
 
     def clear(self) -> None:
-        """Drop the transport buffers and the transport's plans."""
+        """Drop the buffers, the schedules and the transport's plans."""
         self._buffers.clear()
+        self._schedules.clear()
         self.transport.clear()
 
     def relax(self, g, coeff_dt):
@@ -167,6 +177,74 @@ class StepContext:
         return relaxation_solve(g, m_eq, coeff_dt / self.eps, out=m_eq)
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """When `tableau_step` transports which field to which stage's feet.
+
+    Fields are numbered history first, f^n = 0, f^{n-1} = 1, ..., then the
+    stage fluxes K_0, K_1, ... in the order a step forms them.  Stage l sums
+    its terms (field, tau, scale) in a fixed order: the history states, then
+    the fluxes of the earlier stages.  A field is transported *early*, as
+    soon as it exists, to each group of two or more of its feet that share
+    one interpolation window, when every earlier term of those feet's stages
+    is early too; each result is then added at once into its stage's sum,
+    which the step holds from its start in its own row of the sum buffer.
+    Every other term is *lazy*: transported when its stage runs, as a step
+    without shared windows transports every term.  So each stage adds its
+    terms in the same order either way, and the sums are the same bits.
+    """
+
+    early: tuple  # per field: ((taus, ((stage, scale), ...)), ...), one per shared window
+    lazy: tuple  # per stage: ((field, tau, scale), ...) in summing order
+    row: tuple  # per stage: its row of the sum buffer
+    scratch: int  # rows of the scratch buffer
+    last_read: tuple  # per flux: the last stage with a lazy term of it, or -1
+
+    @classmethod
+    def build(cls, transport: InterpolatedTransport, tab: Tableau, dt: float) -> Schedule:
+        w, a, c = tab.history, tab.a, tab.c
+        nu, nfields = tab.stages, len(w) + tab.stages
+        terms = [
+            [(k, (c[l] + k) * dt, w[k]) for k in range(len(w))]
+            + [(len(w) + k, (c[l] - c[k]) * dt, dt * a[l][k]) for k in range(l) if a[l][k] != 0.0]
+            for l in range(nu)
+        ]
+        early = [[] for _ in range(nfields)]
+        is_early = set()  # (stage, field) of every early term
+        ready = [True] * nu  # every term of the stage seen so far is early
+        for field in range(nfields):
+            feet = [(l, tau, scale) for l in range(nu) for f, tau, scale in terms[l] if f == field]
+            ready_feet = [foot for foot in feet if ready[foot[0]]]
+            for group in transport.windows([tau for _, tau, _ in ready_feet]):
+                if len(group) > 1:
+                    group = [ready_feet[i] for i in group]
+                    early[field].append(
+                        (tuple(tau for _, tau, _ in group), tuple((l, s) for l, _, s in group))
+                    )
+                    is_early.update((l, field) for l, _, _ in group)
+            for l, _, _ in feet:
+                ready[l] = (l, field) in is_early
+        lazy = tuple(tuple(t for t in terms[l] if (l, t[0]) not in is_early) for l in range(nu))
+        # rows: the stages whose f^n term is early, in the order f^n's groups
+        # fill them, then one row the other stages share
+        held = [l for _, feet in early[0] for l, _ in feet]
+        row = tuple(held.index(l) if l in held else len(held) for l in range(nu))
+        sizes = [len(taus) for groups in early[1:] for taus, _ in groups]
+        sizes += [1 for l in range(nu) for field, _, _ in lazy[l] if field > 0]
+        last_read = [-1] * nfields  # the history states are the caller's
+        for l in range(nu):
+            for field, _, _ in lazy[l]:
+                if field >= len(w):
+                    last_read[field] = l
+        return cls(
+            early=tuple(tuple(groups) for groups in early),
+            lazy=lazy,
+            row=row,
+            scratch=max(sizes, default=0),
+            last_read=tuple(last_read),
+        )
+
+
 def _add_scaled(g, h, scale):
     """g += scale*h in place, scaling h in place: h must be a scratch array."""
     h *= scale
@@ -180,42 +258,71 @@ def tableau_step(ctx: StepContext, history, dt, tab: Tableau):
     upstream with weight w_k, and the earlier stage fluxes, each evaluated at
     this stage's foot (offset (c_l - c_k)*dt upstream of where flux k lives).
     The stage flux is recovered without dividing by eps:
-    K_l = (F_l - g_l)/(a_ll*dt).  The stage sum g is formed in the context's
-    buffer 0 and each further history term and each transported flux in its
-    buffer 1.  The flux is formed in the array of the stage's relaxed value,
-    and each flux is released after the last stage that reads it: a stage
-    allocates one field-sized array, its relaxed value, which becomes its
-    flux or, at the last stage, the new field.
+    K_l = (F_l - g_l)/(a_ll*dt).
+
+    The context's `schedule` says when each term is transported.  A field's
+    feet that share one WENO window are transported together as soon as the
+    field exists, f^n and the history at the start of the step and each flux
+    right after its stage, so the window is gathered, differenced and its
+    indicators formed once while it is in cache; each result is added at
+    once into its stage's sum, held from the start of the step in the
+    context's buffer 0 (one row per such stage), and a flux is released as
+    soon as no later stage transports it.  Every other term is transported
+    when its stage runs: the stage sum into the last row of buffer 0, each
+    further term into buffer 1, which also takes the early results of every
+    field after f^n.  The terms of each stage are added in one order either
+    way.  The flux is formed in the array of the stage's relaxed value: a
+    stage allocates one field-sized array, its relaxed value, which becomes
+    its flux or, at the last stage, the new field.
     """
-    w, a, c = tab.history, tab.a, tab.c
+    w, a = tab.history, tab.a
     if len(history) < len(w):
         raise ConfigError(f"tableau reads {len(w)} history states, got {len(history)}")
-    nu = tab.stages
-    # the last stage that reads flux k, or -1 when no stage does
-    last_read = [
-        max((m for m in range(k + 1, nu) if a[m][k] != 0.0), default=-1) for k in range(nu)
-    ]
-    flux = [None] * nu
+    nu, sched = tab.stages, ctx.schedule(tab, dt)
+    shape = np.shape(history[0])
+    sums = ctx.buffer(0, max(sched.row) + 1, shape)
+    scratch = ctx.buffer(1, sched.scratch, shape) if sched.scratch else None
+    fields = list(history[: len(w)]) + [None] * nu
+
+    def send(field):
+        """Transport a new field to each window of its early feet and add the
+        results into their stages' sums."""
+        for taus, feet in sched.early[field]:
+            if field == 0:  # the first term of each stage: its row of the sums
+                first = sched.row[feet[0][0]]
+                out = ctx.transport.shifted(fields[0], taus, out=sums[first : first + len(taus)])
+                if w[0] != 1.0:
+                    out *= w[0]
+                continue
+            out = ctx.transport.shifted(fields[field], taus, out=scratch[: len(taus)])
+            for h, (l, scale) in zip(out, feet):
+                _add_scaled(sums[sched.row[l]], h, scale)
+
+    for k in range(len(w)):
+        send(k)
     for l in range(nu):
-        g = ctx.foot(history[0], c[l] * dt, 0)
-        if w[0] != 1.0:
-            g *= w[0]
-        for k in range(1, len(w)):
-            _add_scaled(g, ctx.foot(history[k], (c[l] + k) * dt, 1), w[k])
-        for k in range(l):
-            a_lk = a[l][k]
-            if a_lk != 0.0:
-                _add_scaled(g, ctx.foot(flux[k], (c[l] - c[k]) * dt, 1), dt * a_lk)
-                if last_read[k] == l:
-                    flux[k] = None
+        g = sums[sched.row[l]]
+        for field, tau, scale in sched.lazy[l]:
+            if field == 0:
+                ctx.transport.shifted(fields[0], tau, out=g)
+                if w[0] != 1.0:
+                    g *= w[0]
+            else:
+                _add_scaled(g, ctx.transport.shifted(fields[field], tau, out=scratch[0]), scale)
+            if sched.last_read[field] == l:
+                fields[field] = None
         out = ctx.relax(g, a[l][l] * dt)
         if l == nu - 1:
-            # with collisions off, relax returns the buffer g itself
+            # with collisions off, relax returns the sum g itself
             return g.copy() if out is g else out
-        if last_read[l] >= 0:
-            # into the relaxed value's own array, unless that is the buffer g
-            flux[l] = np.subtract(out, g, out=None if out is g else out)
-            flux[l] /= a[l][l] * dt
+        flux = len(w) + l
+        if sched.early[flux] or sched.last_read[flux] >= 0:
+            # into the relaxed value's own array, unless that is the sum g
+            fields[flux] = np.subtract(out, g, out=None if out is g else out)
+            fields[flux] /= a[l][l] * dt
+            send(flux)
+            if sched.last_read[flux] < 0:
+                fields[flux] = None
         del out
 
 
@@ -227,15 +334,15 @@ class TimeStepper:
 
     Owns the running field, the history of earlier fields and one step
     context, whose transport takes node-aligned feet by exact gather for
-    every scheme and whose two buffers every step gathers its transported
-    fields into.  Every step is `tableau_step` with the integrator's tableau
-    (`TABLEAUS`); while the stepper holds fewer equally spaced states than
-    the tableau has history weights, it takes the integrator's startup DIRK
-    instead, and after each step it keeps the newest len(history) - 1 states.
-    A step of a new size, for any scheme, first drops the history (the
-    history feet assume equal spacing), the buffers and the transport's
-    plans of the old size, so the step runs without them.  A counter exposes
-    how many startup (predictor) steps were taken.
+    every scheme and whose buffers every step transports its fields into.
+    Every step is `tableau_step` with the integrator's tableau (`TABLEAUS`);
+    while the stepper holds fewer equally spaced states than the tableau has
+    history weights, it takes the integrator's startup DIRK instead, and
+    after each step it keeps the newest len(history) - 1 states.  A step of a
+    new size, for any scheme, first drops the history (the history feet
+    assume equal spacing), the buffers, the step schedules and the
+    transport's plans of the old size, so the step runs without them.  A
+    counter exposes how many startup (predictor) steps were taken.
 
     `field0` is taken as it is (`np.asarray`), not copied.  Each step
     allocates its new field; the buffers stay the context's and are never

@@ -54,8 +54,15 @@ are that column's nodes shifted by one common amount, so an InterpPlan
 evaluates, in every column q, the points cell_q + t_q + i (node units),
 i = 0..rows-1.  The fraction t_q, and with it every Newton coefficient,
 gamma_k and rho, is then a per-column constant, stored as a (ncols,) row, and
-the stencils of all rows are slices of one window of rows + width
-consecutive nodes per column, gathered with a single take.
+the stencils of all rows are slices of one Window of rows + 2*width - 1
+consecutive nodes per column, gathered with a single take.  The window
+depends on the anchor cells only, and the differences and the indicators
+on the window only: t enters through the coefficients and weights alone.
+So a plan may carry a stack of k fraction rows over one window (`at` makes
+one from another plan, sharing its window index); apply() then gathers
+each block's window, forms its differences and squared indicators once,
+and blends them k times, into a (k, ncomp, rows, ncols) result, bit for bit
+the k results of one-row plans.  A one-row plan is the case k = 1.
 
 Source map.  A plan reads its node plane through a `source` index: node n of
 column c is element source[n, c] of the flat (node, column) plane of each
@@ -65,29 +72,34 @@ velocity flip folded into the window index, so every window is gathered
 straight from the field; the identity index np.arange(n*c).reshape(n, c)
 reads the field's own plane.
 
-Window index.  A plan whose rows fit one block of one component keeps the
+Window index.  A Window whose rows fit one block of one component keeps the
 whole window index and gathers each block with one take of its rows.  A
-larger plan keeps no field-sized index.  Most of its window rows are
+larger one keeps no field-sized index.  Most of its window rows are
 regular: each column reads the node row below the one it read in the row
 before, index[w + 1] = index[w] + ncols, so the regular rows of a block at
 row `start` read one block's index pattern from the field shifted by `start`
-node rows.  The plan keeps that pattern and the irregular rows, in transport
-plans the edge rows whose stencils reach the ghost region, and the gather
-overwrites those rows with their own entries.  The regular rows are found from the index
-itself, so a plan is correct for any source.
+node rows.  The window keeps that pattern and the irregular rows, in
+transport plans the edge rows whose stencils reach the ghost region, and the
+gather overwrites those rows with their own entries.  The regular rows are
+found from the index itself, so a window is correct for any source.  Plans
+of one anchor row share one Window, and with it one index.
 
 Workspace.  The differences, indicators and weights live in scratch arrays
 drawn from one process-wide Workspace, POOL.  apply() evaluates its rows in
 blocks of at most BLOCK_POINTS points, all of one shape, and each block is
 one cycle of the pool, which keeps the arrays of its last cycle only: the
-scratch is sized by the block, not by the field, and stays in cache.
-Consecutive blocks, applies, steps and runs of one configuration reuse the
-same arrays, and an apply of another configuration (another grid, say)
-replaces them.  Each array is an anonymous memory map of its own, outside
-the malloc heap.  The result goes to the caller's `out`, or else is
-allocated once per apply, and each block's blend writes straight into its
-rows, so it never aliases the pool.  The pool is not for concurrent
-solvers: two threads applying plans at once would share its arrays.
+scratch is sized by the block, not by the field, and stays in cache.  A
+block takes the same arrays for any number of fraction rows: every blend
+but the last writes its weights into arrays no later blend reads (the
+window and the indicators' spent scratch), and the last consumes the
+indicators in place.  Consecutive blocks, applies, steps and runs of one
+configuration reuse the same arrays, and an apply of another configuration
+(another grid, say) replaces them.  Each array is an anonymous memory map
+of its own, outside the malloc heap.  The result goes to the caller's `out`,
+or else is allocated once per apply, and each block's blends write straight
+into its rows, so it never aliases the pool.  The pool is not for
+concurrent solvers: two threads applying plans at once would share its
+arrays.
 """
 from __future__ import annotations
 
@@ -171,12 +183,14 @@ def _differences(win, order, ws):
     return diffs
 
 
-def _indicators(kind, diffs, rows, ws, eps):
+def _indicators(kind, diffs, rows, ws, eps, dead=None):
     """Smoothness indicators plus eps, beta_k + eps, of the candidate stencils,
     left to right.
 
     `diffs` are the window's differences from _differences(win, 2 or 3, ws);
     d0^2 + eps and the squared highest differences are formed once and shared.
+    The list `dead`, if given, receives a rows-sized view of each scratch
+    array the indicators leave unread.
     """
     lo = len(diffs) - 1
     d = diffs[0]
@@ -188,6 +202,8 @@ def _indicators(kind, diffs, rows, ws, eps):
         ssq = np.multiply(s, s, out=ws.get(s.shape))
         ssq *= 13.0 / 12.0
         b_l = np.add(d0sq, ssq[:, :rows], out=ws.get(d0.shape))
+        if dead is not None:
+            dead.append(ssq[:, :rows])
         return [b_l, np.add(d0sq, ssq[:, 1:], out=d0sq)]  # one scratch array fewer
     s, t3 = diffs[1], diffs[2]  # s[:, k] = S_{k-1}; t3[:, k] = S_k - S_{k-1}
     t3sq = np.multiply(t3, t3, out=ws.get(t3.shape))
@@ -204,42 +220,49 @@ def _indicators(kind, diffs, rows, ws, eps):
         beta *= 13.0 / 48.0
         beta += d0sq
         beta += t3sq[:, k : k + rows]
+    if dead is not None:
+        dead += [d0sq, t3sq[:, :rows]]
     return betas
 
 
-def _weno23_blend(betas, diffs, coef, ratio, rows, ws):
-    """q (i_r S_0 + rho i_l S_1) / (i_r + rho i_l), with i_k = (beta_k + eps)^2
-    and rho = gamma_r / gamma_l; consumes the indicators.  The result
-    overwrites the first differences, all read by then: fewer scratch arrays
-    keep more of a block in cache."""
-    b_l, b_r = betas
+def _weno23_blend(ind, diffs, coef, weights, rows, work, spare):
+    """q (i_r S_0 + rho i_l S_1) / (i_r + rho i_l), from the squared
+    indicators i_k = (beta_k + eps)^2 and rho = gamma_r / gamma_l.
+
+    With spare=None the blend consumes the indicators; else it writes rho i_l
+    and the weight sum into the two `spare` arrays and leaves the indicators
+    intact.  Either way the result overwrites the first differences, all read by then:
+    fewer scratch arrays keep more of a block in cache."""
+    i_l, i_r = ind
+    rho_l, den = ind if spare is None else spare
     s = diffs[1]
-    (q,) = coef
-    b_l *= b_l
-    b_l *= ratio  # rho i_l
-    b_r *= b_r  # i_r
-    num = np.multiply(b_r, s[:, :rows], out=diffs[0][:, :rows])
-    b_r += b_l
-    b_l *= s[:, 1 : rows + 1]
-    num += b_l
-    num /= b_r
+    (q,), (ratio,) = coef, weights
+    num = np.multiply(i_r, s[:, :rows], out=diffs[0][:, :rows])
+    np.multiply(i_l, ratio, out=rho_l)
+    np.add(i_r, rho_l, out=den)
+    rho_l *= s[:, 1 : rows + 1]
+    num += rho_l
+    num /= den
     num *= q
     return num
 
 
-def _weno35_blend(betas, diffs, coef, linear, rows, ws):
+def _weno35_blend(ind, diffs, coef, linear, rows, work, spare):
     """Weighted cubic corrections over the weight sum, with the weights
-    gamma_k / (beta_k + eps)^2; consumes the indicators."""
-    for beta, gamma in zip(betas, linear):
-        beta *= beta
-        np.divide(gamma, beta, out=beta)
-    a_l, a_c, a_r = betas
+    gamma_k / i_k of the squared indicators i_k = (beta_k + eps)^2, summed in
+    the three `work` arrays.  With spare=None the weights overwrite the
+    indicators; else they go to the three `spare` arrays."""
+    alphas = ind if spare is None else spare
+    for i_k, a_k, gamma in zip(ind, alphas, linear):
+        np.divide(gamma, i_k, out=a_k)
+    a_l, a_c, a_r = alphas
     s, t3 = diffs[1], diffs[2]
     q, c_lc, c_r = coef
-    den = np.add(a_l, a_c, out=ws.get(a_l.shape))
+    den, num, tmp = work
+    np.add(a_l, a_c, out=den)
     # quadratic terms: left and centre share S_0, right has S_1
-    num = np.multiply(den, s[:, 1 : rows + 1], out=ws.get(a_l.shape))
-    tmp = np.multiply(a_r, s[:, 2 : rows + 2], out=ws.get(a_l.shape))
+    np.multiply(den, s[:, 1 : rows + 1], out=num)
+    np.multiply(a_r, s[:, 2 : rows + 2], out=tmp)
     num += tmp
     num *= q
     # cubic terms
@@ -256,7 +279,8 @@ def _weno35_blend(betas, diffs, coef, linear, rows, ws):
     return num
 
 
-_BLEND = {Interp.WENO23: _weno23_blend, Interp.WENO35: _weno35_blend}
+#: per kind: the blend, and how many block-sized arrays it sums in
+_BLEND = {Interp.WENO23: (_weno23_blend, 0), Interp.WENO35: (_weno35_blend, 3)}
 
 
 def _window_index(source, first, w0, w1):
@@ -287,35 +311,34 @@ def _window_pattern(source, first, wrows, stride):
     return base, np.concatenate(rows), np.concatenate(entries)
 
 
-def check_shapes(field, data_shape, out, result_shape) -> None:
+def check_shapes(field, data_shape, out, result_shape, lead=()) -> None:
     """Raise ValueError unless field is (ncomp,) + data_shape and `out`, if
-    given, is (ncomp,) + result_shape."""
+    given, is lead + (ncomp,) + result_shape."""
     if field.ndim != 3 or field.shape[1:] != data_shape:
         raise ValueError(
             f"field shape {field.shape} does not match (ncomp, {data_shape[0]}, {data_shape[1]})"
         )
-    result_shape = (field.shape[0],) + result_shape
+    result_shape = lead + (field.shape[0],) + result_shape
     if out is not None and out.shape != result_shape:
         raise ValueError(f"out shape {out.shape} != result shape {result_shape}")
 
 
-class InterpPlan:
-    """The evaluation of a field at one rigid shift of rows, frozen for reuse.
+class Window:
+    """Which node values the stencils of one anchor row read.
 
-    Column q of the result holds the `rows` points cell[q] + t[q] + i
-    (i = 0..rows-1, node units) of column q of the node plane `source`, whose
-    entry [n, c] is the flat index, into each component's (n_nodes, ncols)
-    plane, of the value node n of column c reads.  Built once per shift
-    pattern; apply() then gathers one window of node values and blends it.
+    For kind width `width`, the points cell[q] + t + i (i = 0..rows-1, node
+    units, any fraction t in [0, 1)) of column q read the window of rows +
+    2*width - 1 consecutive nodes from cell[q] - width + 1 of column q of the
+    node plane `source`, whose entry [n, c] is the flat index, into each
+    component's (n_nodes, ncols) plane, of the value node n of column c
+    reads.  The window depends on the anchor cells, not on the fractions, so
+    every plan of one anchor row can share it (`InterpPlan.at`).
     """
 
-    def __init__(self, kind: Interp, eps: float, data_shape, cell, t, rows: int, source):
-        hi = GHOST_WIDTH[kind]
+    def __init__(self, width: int, data_shape, cell, rows: int, source):
+        hi = width
         lo = hi - 1
-        self.kind = kind
-        self._width = hi
-        self._weno = _BLEND.get(kind)
-        self.eps = float(eps)
+        self.width = width
         self.data_shape = (int(data_shape[0]), int(data_shape[1]))
         self.rows = int(rows)
         source = np.asarray(source)
@@ -328,12 +351,12 @@ class InterpPlan:
             raise ValueError(f"source must be a 2D integer index into the {size} data values")
         n_nodes, ncols = source.shape
         cell = np.asarray(cell, dtype=np.int64)
-        t = np.asarray(t, dtype=float)
-        if cell.shape != (ncols,) or t.shape != cell.shape:
+        if cell.shape != (ncols,):
             raise ValueError(
-                f"cell and t must be 1D rows of one entry per source column, got "
-                f"shapes {cell.shape} and {t.shape} for {ncols} columns"
+                f"cell must be a 1D row of one entry per source column, got shape "
+                f"{cell.shape} for {ncols} columns"
             )
+        self.ncols = ncols
         if ncols and (cell.min() < lo or cell.max() + self.rows - 1 + hi >= n_nodes):
             raise ValueError(f"stencil windows reach outside the {n_nodes} source nodes")
         first = (cell - lo)[None, :]  # window row w of column q reads source node first[q] + w
@@ -350,54 +373,8 @@ class InterpPlan:
             # one block's pattern, lowered by `low` so that every entry is an index
             self._low = min(0, int(base.min()))
             self._index = base - self._low + np.arange(block + lo + hi)[:, None] * stride
-        self.t = t
-        q = 0.5 * t * (t - 1.0)
-        # the Newton coefficients, and the weights: rho = gamma_r / gamma_l
-        # for WENO23, the linear weights gamma_k for WENO35
-        if kind is Interp.LINEAR:
-            self._coef, self._weights = (), ()
-        elif kind is Interp.WENO23:
-            self._coef = (q,)
-            self._weights = (1.0 + t) / (2.0 - t)
-        elif kind is Interp.WENO35:
-            self._coef = (q, q * (t + 1.0) / 3.0, q * (t - 2.0) / 3.0)
-            self._weights = (
-                (t - 2.0) * (t - 3.0) / 20.0,
-                -(t + 2.0) * (t - 3.0) / 10.0,
-                (t + 2.0) * (t + 1.0) / 20.0,
-            )
 
-    def apply(self, field, out=None) -> np.ndarray:
-        """Interpolate a field of shape (ncomp, n_nodes, ncols) at the planned
-        points; the result, of shape (ncomp, rows, ncols), goes to `out` if
-        given, which must not overlap the field, else to a new array.
-
-        The rows are evaluated in the fewest blocks of at most BLOCK_POINTS
-        points (components x rows x columns) each, but at least one row, and
-        each block is one cycle of POOL, so the scratch is sized by the block,
-        not by the field.  All blocks have one shape: the rows are split as
-        evenly as that allows, and the last block is shifted back to overlap
-        its neighbour.  Rows are independent, so the blocks write the very
-        values one pass over all rows would."""
-        field = np.asarray(field, dtype=float)
-        rows, halo = self.rows, 2 * self._width - 1
-        ncomp, ncols = field.shape[0], len(self.t)
-        check_shapes(field, self.data_shape, out, (rows, ncols))
-        flat = field.reshape(ncomp, -1)
-        if out is None:
-            out = np.empty((ncomp, rows, ncols))
-        most = max(1, BLOCK_POINTS // max(1, ncomp * ncols))  # rows a block may hold
-        nblocks = -(-rows // most)
-        block = -(-rows // nblocks) if nblocks else 0  # overlaps of under a row each
-        for k in range(nblocks):
-            start = min(k * block, rows - block)
-            POOL.reset()
-            win = POOL.get((ncomp, block + halo, ncols))
-            self._gather(flat, start, win, POOL)
-            self._blend(win, POOL, out[:, start : start + block])
-        return out
-
-    def _gather(self, flat, start, win, ws):
+    def gather(self, flat, start, win, ws):
         """Take the window rows start, start+1, ... of every column into win."""
         n = win.shape[1]
         if self._edges is None:  # the whole window index
@@ -413,16 +390,121 @@ class InterpPlan:
         if j0 < j1:
             win[:, self._edge_rows[j0:j1] - start] = flat.take(self._edges[j0:j1], axis=1)
 
-    def _blend(self, win, ws, out):
-        """Blend the windows `win` into `out`, whose rows they cover."""
-        rows, lo = out.shape[1], self._width - 1
-        diffs = _differences(win, self._width, ws)
-        np.multiply(diffs[0][:, lo : lo + rows], self.t, out=out)
-        out += win[:, lo : lo + rows]
+
+class InterpPlan:
+    """The evaluation of a field at the points of one window, at one fraction
+    row or at several, frozen for reuse.
+
+    Column q of a result holds the `rows` points cell[q] + t[q] + i
+    (i = 0..rows-1, node units) of the window's anchor row `cell`.  A row t of
+    one fraction per column gives one result; a (k, ncols) stack of rows
+    gives k results, stacked, from one gather of the window.  Built once per
+    shift pattern; apply() then gathers one window of node values and blends
+    it at each fraction row.
+    """
+
+    def __init__(self, kind: Interp, eps: float, window: Window, t):
+        self.kind = kind
+        self.eps = float(eps)
+        self.window = window
+        t = np.asarray(t, dtype=float)
+        if t.ndim not in (1, 2) or t.shape[-1] != window.ncols or 0 in t.shape[:-1]:
+            raise ValueError(
+                f"t must be a row, or a stack of rows, of one entry per source column, "
+                f"got shape {t.shape} for {window.ncols} columns"
+            )
+        self.t = t
+        self._lead = t.shape[:-1]  # () for one row, (k,) for a stack of k
+        self._weno, self._work = _BLEND.get(kind, (None, 0))
+        t = t.reshape(-1, window.ncols)
+        q = 0.5 * t * (t - 1.0)
+        # the Newton coefficients, and the weights: rho = gamma_r / gamma_l
+        # for WENO23, the linear weights gamma_k for WENO35
+        if kind is Interp.LINEAR:
+            coef, weights = (), ()
+        elif kind is Interp.WENO23:
+            coef, weights = (q,), ((1.0 + t) / (2.0 - t),)
+        elif kind is Interp.WENO35:
+            coef = (q, q * (t + 1.0) / 3.0, q * (t - 2.0) / 3.0)
+            weights = (
+                (t - 2.0) * (t - 3.0) / 20.0,
+                -(t + 2.0) * (t - 3.0) / 10.0,
+                (t + 2.0) * (t + 1.0) / 20.0,
+            )
+        # per fraction row: (t, Newton coefficients, weights)
+        self._fractions = [
+            (row, tuple(c[k] for c in coef), tuple(w[k] for w in weights))
+            for k, row in enumerate(t)
+        ]
+
+    def at(self, t) -> InterpPlan:
+        """The plan of the points at fractions t, a row or a stack of rows, in
+        this plan's window, whose index it shares."""
+        return InterpPlan(self.kind, self.eps, self.window, t)
+
+    def apply(self, field, out=None) -> np.ndarray:
+        """Interpolate a field of shape (ncomp, n_nodes, ncols) at the planned
+        points; the result, of shape (ncomp, rows, ncols), or (k, ncomp, rows,
+        ncols) for a stack of k fraction rows, goes to `out` if given, which
+        must not overlap the field, else to a new array.
+
+        The rows are evaluated in the fewest blocks of at most BLOCK_POINTS
+        points (components x rows x columns) each, but at least one row, and
+        each block is one cycle of POOL, so the scratch is sized by the block,
+        not by the field.  All blocks have one shape: the rows are split as
+        evenly as that allows, and the last block is shifted back to overlap
+        its neighbour.  Rows are independent, so the blocks write the very
+        values one pass over all rows would.  Each block gathers its window
+        once and blends it at every fraction row."""
+        field = np.asarray(field, dtype=float)
+        window = self.window
+        rows, halo = window.rows, 2 * window.width - 1
+        ncomp, ncols = field.shape[0], window.ncols
+        check_shapes(field, window.data_shape, out, (rows, ncols), self._lead)
+        flat = field.reshape(ncomp, -1)
+        if out is None:
+            out = np.empty(self._lead + (ncomp, rows, ncols))
+        outs = tuple(out) if self._lead else (out,)
+        most = max(1, BLOCK_POINTS // max(1, ncomp * ncols))  # rows a block may hold
+        nblocks = -(-rows // most)
+        block = -(-rows // nblocks) if nblocks else 0  # overlaps of under a row each
+        for k in range(nblocks):
+            start = min(k * block, rows - block)
+            POOL.reset()
+            win = POOL.get((ncomp, block + halo, ncols))
+            window.gather(flat, start, win, POOL)
+            if nblocks > 1:  # the block's rows of each result
+                self._blend(win, POOL, [o[:, start : start + block] for o in outs])
+            else:
+                self._blend(win, POOL, outs)
+        return out
+
+    def _blend(self, win, ws, outs):
+        """Blend the windows `win` at each fraction row k into outs[k], a
+        (ncomp, rows, ncols) array whose rows they cover.
+
+        The differences and the squared indicators i_k = (beta_k + eps)^2 are
+        formed once for all fractions.  Every blend but the last writes its
+        weights into arrays no later blend reads (the window and the
+        indicators' spent scratch); the last consumes the indicators in
+        place, as the one blend of a one-row plan does."""
+        width = self.window.width
+        rows, lo = outs[0].shape[1], width - 1
+        diffs = _differences(win, width, ws)
+        d0, v0 = diffs[0][:, lo : lo + rows], win[:, lo : lo + rows]
+        for out, (t, _, _) in zip(outs, self._fractions):
+            np.multiply(d0, t, out=out)
+            out += v0
         if self._weno is None:
             return
-        betas = _indicators(self.kind, diffs, rows, ws, self.eps)
-        out += self._weno(betas, diffs, self._coef, self._weights, rows, ws)
+        kept = len(outs) - 1  # the blends that leave the indicators intact
+        dead = [win[:, :rows]] if kept else None
+        ind = _indicators(self.kind, diffs, rows, ws, self.eps, dead)
+        for i_k in ind:
+            i_k *= i_k
+        work = [ws.get(ind[0].shape) for _ in range(self._work)] if self._work else None
+        for k, (out, (_, coef, weights)) in enumerate(zip(outs, self._fractions)):
+            out += self._weno(ind, diffs, coef, weights, rows, work, dead if k < kept else None)
 
 
 @dataclass(frozen=True)
@@ -444,6 +526,8 @@ class Interpolator:
         """Freeze the evaluation of (ncomp, n_nodes, ncols) fields, data_shape =
         (n_nodes, ncols), at the points cell[q] + t[q] + i, i = 0..rows-1, of
         column q of `source`, an integer plane whose entry [n, c] is the flat
-        (n_nodes, ncols) index node n of column c reads; cell and t are 1D
-        rows of one entry per source column."""
-        return InterpPlan(self.kind, self.eps, data_shape, cell, t, rows, source)
+        (n_nodes, ncols) index node n of column c reads; cell is a 1D row of
+        one entry per source column, t such a row or a (k, ncols) stack of
+        them, whose k results apply() stacks."""
+        window = Window(self.ghost, data_shape, cell, rows, source)
+        return InterpPlan(self.kind, self.eps, window, t)

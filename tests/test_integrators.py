@@ -33,7 +33,7 @@ from bgk_sl import (
     make_system,
     tableau_step,
 )
-from bgk_sl import integrators
+from bgk_sl import integrators, weno
 from bgk_sl.integrators import RK2_ALPHA, RK3_GAMMA
 from bgk_sl.transport import InterpolatedTransport
 
@@ -201,6 +201,36 @@ def test_euler_tableau_is_foot_then_relaxation_bitwise(lattice):
     dt = GRID.dt_from_cfl("lattice") if lattice else 0.03
     expect = ctx.relax(ctx.transport.shifted(f, dt), dt)
     assert np.array_equal(tableau_step(ctx, [f], dt, EULER_TABLEAU), expect)
+
+
+@pytest.mark.parametrize("eps", [0.05, math.inf])
+@pytest.mark.parametrize(
+    "tab, shared, alone", [(RK2_TABLEAU, 2, 3), (RK3_TABLEAU, 3, 6)], ids=["RK2", "RK3"]
+)
+def test_shared_windows_keep_every_bit_of_the_step(monkeypatch, tab, shared, alone, eps):
+    """Below CFL 1 all feet of one DIRK field read one WENO window, so a step
+    applies WENO once per field that has feet (f^n and every flux but the
+    last), and it returns, bit for bit, the step that transports each foot on
+    its own, with collisions or without."""
+    rng = np.random.default_rng(38)
+    f = _maxwellian_field(1.1, 0.2, 0.9) * rng.uniform(0.9, 1.1, (1, GRID.n_space, GRID.n_vel))
+    dt = 0.8 * GRID.dx / GRID.vmax
+    calls = []
+    apply = weno.InterpPlan.apply
+
+    def counting(plan, field, out=None):
+        calls.append(1)
+        return apply(plan, field, out)
+
+    monkeypatch.setattr(weno.InterpPlan, "apply", counting)
+    together = tableau_step(_ctx(eps, kind=Interp.WENO35), [f], dt, tab)
+    assert len(calls) == shared
+    monkeypatch.setattr(
+        InterpolatedTransport, "windows", lambda self, taus: [(i,) for i in range(len(taus))]
+    )
+    del calls[:]
+    assert np.array_equal(tableau_step(_ctx(eps, kind=Interp.WENO35), [f], dt, tab), together)
+    assert len(calls) == alone
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +576,19 @@ def _march_peak(scenario, integrator, interp, cfl, nx, t_final=None):
 @pytest.mark.parametrize(
     "scenario, integrator, interp, cfl, nx, t_final, bound",
     [
-        # Measured 6.74 (8.32 when every plan kept a field-sized window
-        # index and every step allocated its transported fields; 12.57 when
-        # the stepper also copied field0 and kept the history and plans of
-        # the old dt through the shortened last step)
+        # Measured 6.77 (6.74 before plans shared windows; 8.32 when every
+        # plan kept a field-sized window index and every step allocated its
+        # transported fields; 12.57 when the stepper also copied field0 and
+        # kept the history and plans of the old dt through the shortened last
+        # step)
         ("riemann", *LATTICE_RUNS["BDF2W23"], "lattice", 800, None, 7.05),
-        # Measured 9.33 (9.67 when each DIRK flux was a new array and lived
-        # through the last stage; 14.11 when the step also held each stage's
-        # g and relaxed value through the next stage's transports)
+        # Measured 9.03: the three stage sums and a two-row scratch buffer
+        # hold f^n's and K_0's shared-window results, and the six plans share
+        # one window index (6.71 with no window shared; 9.33 with one index
+        # per plan and one foot per transport; 9.67 when each DIRK flux was a
+        # new array and lived through the last stage; 14.11 when the step also
+        # held each stage's g and relaxed value through the next stage's
+        # transports)
         ("riemann-chu", Integrator.RK3, Interp.WENO35, None, 100, 0.0251, 9.8),
     ],
     ids=["BDF2-lattice", "RK3-weno35"],

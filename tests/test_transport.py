@@ -459,6 +459,46 @@ def test_shift_into_out_equals_a_new_result_bitwise(monkeypatch, kind, bc, ncomp
             assert np.array_equal(buf, expect), tau
 
 
+@pytest.mark.parametrize("nx, nv", [(40, 6), (800, 30)], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("bc", BOUNDARIES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_shared_window_equals_single_shifts_bitwise(kind, bc, nx, nv):
+    """Below CFL 1 the feet of every tau in (0, dt] read one window: a
+    shift to k = 1, 2 or 3 of them at once stacks, bit for bit, the k
+    single shifts of a fresh transport, on a field of one WENO block and on
+    one of several (2 x 801 x 61 points: three blocks, with edge rows)."""
+    grid = PhaseGrid(0.0, 1.0, nx, nv, 8.0)
+    f = _field(grid, ncomp=2, seed=nx + len(bc.value))
+    dt = 0.9 * grid.dx / grid.vmax
+    taus = (0.436 * dt, 0.718 * dt, dt)
+    singles = [_transport(grid, kind, bc).shifted(f, tau) for tau in taus]
+    tr = _transport(grid, kind, bc)
+    assert tr.windows(taus) == [(0, 1, 2)]
+    if nx == 800:
+        assert f.size > 2 * weno.BLOCK_POINTS
+    for k in (1, 2, 3):
+        buf = np.full((k,) + f.shape, np.nan)
+        assert tr.shifted(f, taus[:k], out=buf) is buf
+        for got, expect in zip(buf, singles):
+            assert np.array_equal(got, expect), k
+        assert np.array_equal(tr.shifted(f, taus[-k:]), singles[-k:])
+
+
+def test_windows_group_the_feet_that_share_one():
+    """Feet that cross a cell boundary between two taus, and node-aligned
+    ones, read no common window: they are groups of their own, and a stacked
+    shift across them is refused."""
+    grid = PhaseGrid(0.0, 1.0, 20, 4, 2.0)
+    tr = _transport(grid, Interp.WENO35)
+    dt = grid.dx / grid.dv  # column j moves j nodes: the lattice step
+    taus = (0.1 * dt, 0.2 * dt, 0.6 * dt, dt, -0.2 * dt)
+    assert tr.windows(taus) == [(0, 1), (2,), (3,), (4,)]
+    with pytest.raises(ConfigError, match="window"):
+        tr.shifted(_field(grid), (0.2 * dt, 0.6 * dt))
+    with pytest.raises(ConfigError, match="window"):
+        tr.shifted(_field(grid), (0.2 * dt, dt))
+
+
 def test_plan_build_holds_no_field_sized_index():
     """Building the plan of one off-lattice tau on a field of many blocks
     (nx = 3200, 61 columns) peaks below 1.5 field-sizes of traced memory and

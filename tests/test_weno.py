@@ -300,7 +300,7 @@ def test_plan_of_many_blocks_reads_any_source(monkeypatch, kind):
         with monkeypatch.context() as patch:
             patch.setattr(weno, "BLOCK_POINTS", 7 * ncols)  # 7 rows of one component
             plan = interp.plan((n_nodes, ncols), cell, t, rows=rows, source=source)
-            assert plan._index.shape[0] < rows  # one block's pattern, shifted per block
+            assert plan.window._index.shape[0] < rows  # one block's pattern, shifted per block
             assert np.array_equal(plan.apply(data), whole)
             assert np.array_equal(plan.apply(data[:1]), whole[:1])
 
