@@ -198,7 +198,7 @@ class Schedule:
     lazy: tuple  # per stage: ((field, tau, scale), ...) in summing order
     row: tuple  # per stage: its row of the sum buffer
     scratch: int  # rows of the scratch buffer
-    last_read: tuple  # per flux: the last stage with a lazy term of it, or -1
+    last_read: tuple  # per field: the last stage with a lazy term of it if a flux, else -1
 
     @classmethod
     def build(cls, transport: InterpolatedTransport, tab: Tableau, dt: float) -> Schedule:
