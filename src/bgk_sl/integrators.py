@@ -12,11 +12,16 @@ which is L-stable and remains well-defined as eps -> 0.  Schemes differ only
 in how they form g, and one function, `tableau_step`, forms it for all of
 them from a `Tableau`: stage l sums the history f^n, f^{n-1}, ... with the
 tableau's history weights, each transported (c_l + k)*dt upstream, plus the
-earlier stage fluxes, rewritten as K = (F - g)/(a_ll*dt) so that no 1/eps
-factor is ever formed.  A stiffly-accurate DIRK has the one history weight 1
-(backward Euler is the one-stage DIRK); a BDF method is the one-stage tableau
-over its history, started, and restarted after a change of step size, with
-the DIRK of the same order (`TABLEAUS`).
+earlier stage fluxes K = (F - g)/(a_ll*dt).  A non-final stage forms its
+flux straight from the Maxwellian, as its algebraic equal
+
+    K = (M[g] - g)/(eps + a_ll*dt),
+
+so no 1/eps factor is formed, and neither is the stage's relaxed value F;
+only the last stage relaxes.  A stiffly-accurate DIRK has the one history
+weight 1 (backward Euler is the one-stage DIRK); a BDF method is the
+one-stage tableau over its history, started, and restarted after a change
+of step size, with the DIRK of the same order (`TABLEAUS`).
 
 All steps are parameterized over one transport operator, which gathers
 node-aligned feet exactly and interpolates the others, and a kinetic system
@@ -164,17 +169,40 @@ class StepContext:
         self.transport.clear()
 
     def relax(self, g, coeff_dt):
-        """Implicit relaxation of g over an effective time coeff_dt.
+        """Implicit relaxation of g over an effective time coeff_dt:
+        F = (g + tau M[g])/(1 + tau), tau = coeff_dt/eps.
 
         With collisions disabled (eps = inf) this is the identity, and no
         moments are formed (pure transport works on any data).  The solve
-        overwrites the equilibrium, which is dead after it; g is kept.
+        overwrites the equilibrium, which is dead after it; g is kept.  A
+        non-final stage needs only its flux (F - g)/coeff_dt, which `flux`
+        forms without F.
         """
         if math.isinf(self.eps):
             return g
-        mom = self.system.moments(g, self.grid)
-        m_eq = self.system.equilibrium(mom, self.grid)
+        m_eq = self._equilibrium(g)
         return relaxation_solve(g, m_eq, coeff_dt / self.eps, out=m_eq)
+
+    def flux(self, g, coeff_dt):
+        """The stage flux K = (F - g)/coeff_dt of the relaxed value F of
+        `relax`, formed straight from the equilibrium as
+        K = (M[g] - g)/(eps + coeff_dt), its algebraic equal: F is never
+        formed, and no 1/eps factor either.
+
+        With collisions disabled (eps = inf) the flux is exactly zero, and
+        no moments are formed.  K overwrites the equilibrium, a new array;
+        g is kept.
+        """
+        if math.isinf(self.eps):
+            return np.zeros_like(g)
+        k = self._equilibrium(g)
+        k -= g
+        k *= 1.0 / (self.eps + coeff_dt)
+        return k
+
+    def _equilibrium(self, g):
+        """The Maxwellian M[g] of g's moments, a new array."""
+        return self.system.equilibrium(self.system.moments(g, self.grid), self.grid)
 
 
 @dataclass(frozen=True)
@@ -257,8 +285,10 @@ def tableau_step(ctx: StepContext, history, dt, tab: Tableau):
     Stage l sums the history states, f^{n-k} transported (c_l + k)*dt
     upstream with weight w_k, and the earlier stage fluxes, each evaluated at
     this stage's foot (offset (c_l - c_k)*dt upstream of where flux k lives).
-    The stage flux is recovered without dividing by eps:
-    K_l = (F_l - g_l)/(a_ll*dt).
+    A non-final stage forms its flux K_l = (M[g_l] - g_l)/(eps + a_ll*dt),
+    the algebraic equal of (F_l - g_l)/(a_ll*dt), without its relaxed value
+    F_l and without dividing by eps (`StepContext.flux`); the last stage
+    relaxes its sum into the new field.
 
     The context's `schedule` says when each term is transported.  A field's
     feet that share one WENO window are transported together as soon as the
@@ -271,9 +301,8 @@ def tableau_step(ctx: StepContext, history, dt, tab: Tableau):
     when its stage runs: the stage sum into the last row of buffer 0, each
     further term into buffer 1, which also takes the early results of every
     field after f^n.  The terms of each stage are added in one order either
-    way.  The flux is formed in the array of the stage's relaxed value: a
-    stage allocates one field-sized array, its relaxed value, which becomes
-    its flux or, at the last stage, the new field.
+    way.  A stage allocates one field-sized array, its sum's Maxwellian,
+    which becomes its flux or, relaxed, the new field at the last stage.
     """
     w, a = tab.history, tab.a
     if len(history) < len(w):
@@ -311,19 +340,16 @@ def tableau_step(ctx: StepContext, history, dt, tab: Tableau):
                 _add_scaled(g, ctx.transport.shifted(fields[field], tau, out=scratch[0]), scale)
             if sched.last_read[field] == l:
                 fields[field] = None
-        out = ctx.relax(g, a[l][l] * dt)
         if l == nu - 1:
+            out = ctx.relax(g, a[l][l] * dt)
             # with collisions off, relax returns the sum g itself
             return g.copy() if out is g else out
         flux = len(w) + l
         if sched.early[flux] or sched.last_read[flux] >= 0:
-            # into the relaxed value's own array, unless that is the sum g
-            fields[flux] = np.subtract(out, g, out=None if out is g else out)
-            fields[flux] /= a[l][l] * dt
+            fields[flux] = ctx.flux(g, a[l][l] * dt)
             send(flux)
             if sched.last_read[flux] < 0:
                 fields[flux] = None
-        del out
 
 
 # --------------------------------------------------------------------------

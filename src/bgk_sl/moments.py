@@ -105,8 +105,10 @@ def relaxation_solve(f, m_eq, tau, out=None):
 
     tau = a*dt/eps >= 0 is a scalar.  Limits: tau=0 returns f unchanged (bitwise);
     tau=inf returns the equilibrium M (fluid limit). L-stable for any tau.
-    The result goes to `out` if given, m_eq itself allowed, else to a new
-    array; f and m_eq are not touched unless passed as `out`.
+    The sum is multiplied by the scalar 1/(1 + tau), not divided by 1 + tau:
+    a field-sized division takes 2-3 times a multiplication.  The result goes
+    to `out` if given, m_eq itself allowed, else to a new array; f and m_eq
+    are not touched unless passed as `out`.
     """
     if math.isinf(tau):
         if out is None:
@@ -115,5 +117,5 @@ def relaxation_solve(f, m_eq, tau, out=None):
         return out
     out = np.multiply(m_eq, float(tau), out=out)
     out += f
-    out /= 1.0 + tau
+    out *= 1.0 / (1.0 + tau)
     return out

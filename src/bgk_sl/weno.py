@@ -36,33 +36,47 @@ of the definition):
 Weights.  The Jiang-Shu weights are alpha_k = gamma_k / (beta_k + eps)^2,
 normalised, with the linear weights gamma_k of the smooth-data blend.  eps
 is added once, to the shared d0^2 term, so every indicator comes out as
-beta_k + eps.  WENO35 divides its three gamma_k by (beta_k + eps)^2.  A
-division by a per-column row runs one row at a time, several times slower
-than a multiplication by it, so WENO23 divides by no per-column weight:
-with i_k = (beta_k + eps)^2 and the per-column ratio
-rho = gamma_r / gamma_l = (1 + t)/(2 - t), its weights are
+beta_k + eps.  Normalised weights need only their ratios, so neither kind
+divides by a per-column weight: a division by a (ncols,) row runs one row
+at a time, several times slower than a multiplication by it.  With
+i_k = (beta_k + eps)^2, WENO23 takes the per-column ratio
+rho = gamma_r / gamma_l = (1 + t)/(2 - t); its weights are
 i_r / (i_r + rho i_l) and rho i_l / (i_r + rho i_l), so its correction is
 
     q (i_r S_0 + rho i_l S_1) / (i_r + rho i_l).
 
+WENO35 weighs each stencil against the centre one.  A window's two ratios
+R_l = i_c / i_l and R_r = i_c / i_r are formed once, for all its
+fractions; with the per-column ratios rho_l = gamma_l / gamma_c =
+(2 - t)/(2 (2 + t)) and rho_r = gamma_r / gamma_c = (1 + t)/(2 (3 - t)) the
+weights are a_l = rho_l R_l, 1 and a_r = rho_r R_r, and the correction is
+
+    q [(a_l + 1) S_0 + a_r S_1 + (t+1)/3 (a_l T_l + T_c) + (t-2)/3 a_r T_r]
+      / (a_l + 1 + a_r),
+
+T_l, T_c, T_r = S_0 - S_-1, S_1 - S_0, S_2 - S_1.  So the one division per
+fraction is the normalisation, and WENO35 adds two per window.
+
 The products i_k S grow like the fifth power of the data, so WENO23 stays
-finite for |data| up to about 1e61; WENO35, whose weights are quotients,
-reaches about 1e77.  eps bounds i_k below, so small data never underflow.
+finite for |data| up to about 1e61.  Where a flat stencil meets a jump of
+height h, a WENO35 ratio is about h^4 / eps^2, so WENO35 stays finite up to
+about 1e73.  eps bounds i_k below, so small data never underflow.
 
 Rigid shift.  The characteristic feet x_i - v_j*tau of one velocity column
 are that column's nodes shifted by one common amount, so an InterpPlan
 evaluates, in every column q, the points cell_q + t_q + i (node units),
-i = 0..rows-1.  The fraction t_q, and with it every Newton coefficient,
-gamma_k and rho, is then a per-column constant, stored as a (ncols,) row, and
-the stencils of all rows are slices of one Window of rows + 2*width - 1
-consecutive nodes per column, gathered with a single take.  The window
-depends on the anchor cells only, and the differences and the indicators
-on the window only: t enters through the coefficients and weights alone.
-So a plan may carry a stack of k fraction rows over one window (`at` makes
-one from another plan, sharing its window index); apply() then gathers
-each block's window, forms its differences and squared indicators once,
-and blends them k times, into a (k, ncomp, rows, ncols) result, bit for bit
-the k results of one-row plans.  A one-row plan is the case k = 1.
+i = 0..rows-1.  The fraction t_q, and with it every Newton coefficient and
+every ratio rho of linear weights, is then a per-column constant, stored as
+a (ncols,) row, and the stencils of all rows are slices of one Window of
+rows + 2*width - 1 consecutive nodes per column, gathered with a single
+take.  The window depends on the anchor cells only, and the differences
+and the indicators on the window only: t enters through the coefficients
+and weights alone.  So a plan may carry a stack of k fraction rows over one
+window (`at` makes one from another plan, sharing its window index);
+apply() then gathers each block's window, forms its differences and what
+its blends share of the indicators once, and blends them k times, into a
+(k, ncomp, rows, ncols) result, bit for bit the k results of one-row plans.
+A one-row plan is the case k = 1.
 
 Source map.  A plan reads its node plane through a `source` index: node n of
 column c is element source[n, c] of the flat (node, column) plane of each
@@ -119,8 +133,8 @@ WENO_EPS_DEFAULT = 1e-6
 GHOST_WIDTH = {Interp.LINEAR: 1, Interp.WENO23: 2, Interp.WENO35: 3}
 
 #: the most points (components x rows x columns) one pass of apply()
-#: evaluates, but at least one row: the 6 (WENO23) to 12 (WENO35) scratch
-#: arrays of a block take 1.5-3 MB, about one L2 cache, while fields of up to
+#: evaluates, but at least one row: the 6 (WENO23) to 9 (WENO35) scratch
+#: arrays of a block take 1.5-2.3 MB, about one L2 cache, while fields of up to
 #: about 26k points (2 x 201 x 61 for the Chu shock tube at nx=200, 2 x 321 x
 #: 41 for the smooth ladder at nx=320) still take one pass and pay the fixed
 #: cost of a pass once
@@ -221,11 +235,28 @@ def _indicators(kind, diffs, rows, ws, eps, dead=None):
         beta += d0sq
         beta += t3sq[:, k : k + rows]
     if dead is not None:
-        dead += [d0sq, t3sq[:, :rows]]
+        dead.append(d0sq)
     return betas
 
 
-def _weno23_blend(ind, diffs, coef, weights, rows, work, spare):
+def _squares(ind):
+    """The squared indicators i_k = (beta_k + eps)^2 of WENO23, in place."""
+    for i_k in ind:
+        i_k *= i_k
+
+
+def _ratios(ind):
+    """The ratios R_l = i_c / i_l and R_r = i_c / i_r of the squared WENO35
+    indicators i_k = (beta_k + eps)^2, in place of beta_l + eps and
+    beta_r + eps: the two divisions of a window, shared by all its blends.
+    The centre indicator is left spent, for the blends' weight sum."""
+    b_l, b_c, b_r = ind
+    for b in (b_l, b_r):
+        np.divide(b_c, b, out=b)
+        b *= b
+
+
+def _weno23_blend(ind, diffs, coef, weights, rows, spare):
     """q (i_r S_0 + rho i_l S_1) / (i_r + rho i_l), from the squared
     indicators i_k = (beta_k + eps)^2 and rho = gamma_r / gamma_l.
 
@@ -247,40 +278,46 @@ def _weno23_blend(ind, diffs, coef, weights, rows, work, spare):
     return num
 
 
-def _weno35_blend(ind, diffs, coef, linear, rows, work, spare):
-    """Weighted cubic corrections over the weight sum, with the weights
-    gamma_k / i_k of the squared indicators i_k = (beta_k + eps)^2, summed in
-    the three `work` arrays.  With spare=None the weights overwrite the
-    indicators; else they go to the three `spare` arrays."""
-    alphas = ind if spare is None else spare
-    for i_k, a_k, gamma in zip(ind, alphas, linear):
-        np.divide(gamma, i_k, out=a_k)
-    a_l, a_c, a_r = alphas
+def _weno35_blend(ind, diffs, coef, weights, rows, spare):
+    """q [(a_l + 1) S_0 + a_r S_1 + (t+1)/3 (a_l T_l + T_c) + (t-2)/3 a_r T_r]
+    / (a_l + 1 + a_r), T the third differences of the stencils, from the
+    window's ratios R_k of _ratios and the per-column ratios rho_k =
+    gamma_k / gamma_c: the weights a_l = rho_l R_l, 1 and a_r = rho_r R_r are
+    the Jiang-Shu weights gamma_k / i_k over gamma_c / i_c.
+
+    With spare=None a_l and a_r overwrite the ratios; else they go to the two
+    `spare` arrays and the ratios stay intact.  Either way the weight sum
+    overwrites the spent centre indicator and the result the first
+    differences, all read by then."""
+    r_l, den, r_r = ind
+    a_l, a_r = (r_l, r_r) if spare is None else spare
     s, t3 = diffs[1], diffs[2]
-    q, c_lc, c_r = coef
-    den, num, tmp = work
-    np.add(a_l, a_c, out=den)
-    # quadratic terms: left and centre share S_0, right has S_1
-    np.multiply(den, s[:, 1 : rows + 1], out=num)
-    np.multiply(a_r, s[:, 2 : rows + 2], out=tmp)
-    num += tmp
-    num *= q
-    # cubic terms
-    a_l *= t3[:, :rows]
-    np.multiply(a_c, t3[:, 1 : rows + 1], out=tmp)
-    a_l += tmp
-    a_l *= c_lc
-    num += a_l
+    q, k_lc, k_r = coef
+    rho_l, rho_r = weights
+    np.multiply(r_l, rho_l, out=a_l)
+    np.multiply(r_r, rho_r, out=a_r)
+    np.add(a_l, 1.0, out=den)
+    # quadratic terms: left and centre share S_0
+    num = np.multiply(den, s[:, 1 : rows + 1], out=diffs[0][:, :rows])
     den += a_r
-    a_r *= t3[:, 2 : rows + 2]
-    a_r *= c_r
-    num += a_r
+    # cubic terms of the left and centre stencils
+    a_l *= t3[:, :rows]
+    a_l += t3[:, 1 : rows + 1]
+    a_l *= k_lc
+    num += a_l
+    # the right stencil's terms, a_r (S_1 + (t-2)/3 T_r)
+    np.multiply(t3[:, 2 : rows + 2], k_r, out=a_l)
+    a_l += s[:, 2 : rows + 2]
+    a_l *= a_r
+    num += a_l
     num /= den
+    num *= q
     return num
 
 
-#: per kind: the blend, and how many block-sized arrays it sums in
-_BLEND = {Interp.WENO23: (_weno23_blend, 0), Interp.WENO35: (_weno35_blend, 3)}
+#: per kind: what a window's blends share, formed in place of the
+#: indicators, and the blend
+_BLEND = {Interp.WENO23: (_squares, _weno23_blend), Interp.WENO35: (_ratios, _weno35_blend)}
 
 
 def _window_index(source, first, w0, w1):
@@ -415,22 +452,20 @@ class InterpPlan:
             )
         self.t = t
         self._lead = t.shape[:-1]  # () for one row, (k,) for a stack of k
-        self._weno, self._work = _BLEND.get(kind, (None, 0))
+        self._shared, self._weno = _BLEND.get(kind, (None, None))
         t = t.reshape(-1, window.ncols)
         q = 0.5 * t * (t - 1.0)
-        # the Newton coefficients, and the weights: rho = gamma_r / gamma_l
-        # for WENO23, the linear weights gamma_k for WENO35
+        # the Newton coefficients, and the ratios of the linear weights gamma_k:
+        # gamma_r / gamma_l for WENO23; gamma_l / gamma_c and gamma_r / gamma_c,
+        # with gamma_l, gamma_c, gamma_r = (2-t)(3-t)/20, (2+t)(3-t)/10,
+        # (1+t)(2+t)/20, for WENO35
         if kind is Interp.LINEAR:
             coef, weights = (), ()
         elif kind is Interp.WENO23:
             coef, weights = (q,), ((1.0 + t) / (2.0 - t),)
         elif kind is Interp.WENO35:
-            coef = (q, q * (t + 1.0) / 3.0, q * (t - 2.0) / 3.0)
-            weights = (
-                (t - 2.0) * (t - 3.0) / 20.0,
-                -(t + 2.0) * (t - 3.0) / 10.0,
-                (t + 2.0) * (t + 1.0) / 20.0,
-            )
+            coef = (q, (t + 1.0) / 3.0, (t - 2.0) / 3.0)
+            weights = ((2.0 - t) / (2.0 * (2.0 + t)), (1.0 + t) / (2.0 * (3.0 - t)))
         # per fraction row: (t, Newton coefficients, weights)
         self._fractions = [
             (row, tuple(c[k] for c in coef), tuple(w[k] for w in weights))
@@ -483,7 +518,8 @@ class InterpPlan:
         """Blend the windows `win` at each fraction row k into outs[k], a
         (ncomp, rows, ncols) array whose rows they cover.
 
-        The differences and the squared indicators i_k = (beta_k + eps)^2 are
+        The differences and, from the indicators, the squares i_k =
+        (beta_k + eps)^2 (WENO23) or the ratios R_k = i_c / i_k (WENO35) are
         formed once for all fractions.  Every blend but the last writes its
         weights into arrays no later blend reads (the window and the
         indicators' spent scratch); the last consumes the indicators in
@@ -500,11 +536,9 @@ class InterpPlan:
         kept = len(outs) - 1  # the blends that leave the indicators intact
         dead = [win[:, :rows]] if kept else None
         ind = _indicators(self.kind, diffs, rows, ws, self.eps, dead)
-        for i_k in ind:
-            i_k *= i_k
-        work = [ws.get(ind[0].shape) for _ in range(self._work)] if self._work else None
+        self._shared(ind)
         for k, (out, (_, coef, weights)) in enumerate(zip(outs, self._fractions)):
-            out += self._weno(ind, diffs, coef, weights, rows, work, dead if k < kept else None)
+            out += self._weno(ind, diffs, coef, weights, rows, dead if k < kept else None)
 
 
 @dataclass(frozen=True)

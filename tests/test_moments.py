@@ -204,12 +204,14 @@ def test_velocity_moments_within_dot_product_bound_of_exact_sums(grid):
 
 
 def test_relaxation_solve_equals_textbook_and_keeps_inputs(grid):
+    """The solve is (f + tau*M) times the scalar 1/(1 + tau), bit for bit, in
+    a new array, and touches neither input."""
     _, _, _, f = _nonequilibrium_rows(grid, 43)
     m = np.flip(f, axis=-1).copy()
     f_saved, m_saved = f.copy(), m.copy()
     for tau in (0.0, 1e-3, 0.6, 7.0, 1e8, np.float64(2.5), 3):
         out = relaxation_solve(f, m, tau)
-        assert np.array_equal(out, (f + tau * m) / (1.0 + tau))
+        assert np.array_equal(out, (f + tau * m) * (1.0 / (1.0 + tau)))
         assert not np.shares_memory(out, f) and not np.shares_memory(out, m)
     out = relaxation_solve(f, m, np.inf)
     assert np.array_equal(out, m) and not np.shares_memory(out, m)
