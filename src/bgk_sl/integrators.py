@@ -18,10 +18,13 @@ flux straight from the Maxwellian, as its algebraic equal
     K = (M[g] - g)/(eps + a_ll*dt),
 
 so no 1/eps factor is formed, and neither is the stage's relaxed value F;
-only the last stage relaxes.  A stiffly-accurate DIRK has the one history
-weight 1 (backward Euler is the one-stage DIRK); a BDF method is the
-one-stage tableau over its history, started, and restarted after a change
-of step size, with the DIRK of the same order (`TABLEAUS`).
+only the last stage relaxes.  Each field is transported to all of its feet
+when it is formed (`Schedule`); without collisions (eps = inf) every flux is
+zero and none is formed, so a DIRK step is one transport of f^n.  A
+stiffly-accurate DIRK has the one history weight 1 (backward Euler is the
+one-stage DIRK); a BDF method is the one-stage tableau over its history,
+started, and restarted after a change of step size, with the DIRK of the
+same order (`TABLEAUS`).
 
 All steps are parameterized over one transport operator, which gathers
 node-aligned feet exactly and interpolates the others, and a kinetic system
@@ -130,9 +133,10 @@ TABLEAUS = {
 @dataclass
 class StepContext:
     """Everything a single step needs: grids, physics, transport, stiffness,
-    the buffers its steps transport into (see `buffer`) and the schedule of
-    each tableau and step size (see `schedule`), which the context owns
-    until `clear`."""
+    the buffer its steps sum and transport into (see `buffer`) and the
+    schedule of each tableau and step size (see `schedule`), which the
+    context owns until `clear`.  Without collisions (eps = inf) a step forms
+    no flux and no moments."""
 
     grid: PhaseGrid
     system: KineticSystem
@@ -140,31 +144,33 @@ class StepContext:
     eps: float
 
     def __post_init__(self):
-        self._buffers: dict[int, np.ndarray] = {}
+        self._buffer: np.ndarray | None = None
         self._schedules: dict[tuple[Tableau, float], Schedule] = {}
 
-    def buffer(self, slot: int, rows: int, shape) -> np.ndarray:
-        """The context's buffer `slot`, `rows` arrays of `shape` stacked,
+    def buffer(self, rows: int, shape) -> np.ndarray:
+        """The context's step buffer, `rows` arrays of `shape` stacked,
         allocated on first use or when the rows or shape change, and held
         until `clear`.  A step may scale and add into it, but must never
         return it, or a row of it, as its new field."""
         shape = (rows,) + tuple(shape)
-        out = self._buffers.get(slot)
-        if out is None or out.shape != shape:
-            out = self._buffers[slot] = np.empty(shape)
-        return out
+        if self._buffer is None or self._buffer.shape != shape:
+            self._buffer = np.empty(shape)
+        return self._buffer
 
     def schedule(self, tab: Tableau, dt: float) -> Schedule:
-        """The schedule of `tableau_step` for tab at step dt, built once."""
+        """The schedule of `tableau_step` for tab at step dt, built once.
+        Building one drops the step buffer, sized for another schedule,
+        before its transport plans are built."""
         key = (tab, dt)
         sched = self._schedules.get(key)
         if sched is None:
-            sched = self._schedules[key] = Schedule.build(self.transport, tab, dt)
+            self._buffer = None  # sized for the old schedule: not held while plans build
+            sched = self._schedules[key] = Schedule.build(self, tab, dt)
         return sched
 
     def clear(self) -> None:
-        """Drop the buffers, the schedules and the transport's plans."""
-        self._buffers.clear()
+        """Drop the step buffer, the schedules and the transport's plans."""
+        self._buffer = None
         self._schedules.clear()
         self.transport.clear()
 
@@ -172,10 +178,10 @@ class StepContext:
         """Implicit relaxation of g over an effective time coeff_dt:
         F = (g + tau M[g])/(1 + tau), tau = coeff_dt/eps.
 
-        With collisions disabled (eps = inf) this is the identity, and no
-        moments are formed (pure transport works on any data).  The solve
-        overwrites the equilibrium, which is dead after it; g is kept.  A
-        non-final stage needs only its flux (F - g)/coeff_dt, which `flux`
+        With collisions disabled (eps = inf) this is the identity, g itself,
+        and no moments are formed (pure transport works on any data).  The
+        solve overwrites the equilibrium, which is dead after it; g is kept.
+        A non-final stage needs only its flux (F - g)/coeff_dt, which `flux`
         forms without F.
         """
         if math.isinf(self.eps):
@@ -187,14 +193,10 @@ class StepContext:
         """The stage flux K = (F - g)/coeff_dt of the relaxed value F of
         `relax`, formed straight from the equilibrium as
         K = (M[g] - g)/(eps + coeff_dt), its algebraic equal: F is never
-        formed, and no 1/eps factor either.
-
-        With collisions disabled (eps = inf) the flux is exactly zero, and
-        no moments are formed.  K overwrites the equilibrium, a new array;
-        g is kept.
+        formed, and no 1/eps factor either.  K overwrites the equilibrium, a
+        new array; g is kept.  With collisions disabled (eps = inf) the flux
+        is exactly zero, and a step forms none (`Schedule`).
         """
-        if math.isinf(self.eps):
-            return np.zeros_like(g)
         k = self._equilibrium(g)
         k -= g
         k *= 1.0 / (self.eps + coeff_dt)
@@ -207,76 +209,70 @@ class StepContext:
 
 @dataclass(frozen=True)
 class Schedule:
-    """When `tableau_step` transports which field to which stage's feet.
+    """Which stage sums `tableau_step` adds each field into, and through
+    which rows of its buffer.
 
     Fields are numbered history first, f^n = 0, f^{n-1} = 1, ..., then the
-    stage fluxes K_0, K_1, ... in the order a step forms them.  Stage l sums
-    its terms (field, tau, scale) in a fixed order: the history states, then
-    the fluxes of the earlier stages.  A field is transported *early*, as
-    soon as it exists, to each group of two or more of its feet that share
-    one interpolation window, when every earlier term of those feet's stages
-    is early too; each result is then added at once into its stage's sum,
-    which the step holds from its start in its own row of the sum buffer.
-    Every other term is *lazy*: transported when its stage runs, as a step
-    without shared windows transports every term.  So each stage adds its
-    terms in the same order either way, and the sums are the same bits.
+    stage fluxes K_0, K_1, ....  A step transports each field to all of its
+    feet as soon as it exists, the history at the start of the step and K_l
+    right after stage l: one `shifted` call per group of feet that read one
+    interpolation window, each result added at once into its stage's sum.
+    Stage l adds its terms in field order, the order in which the fields come
+    to exist, so every sum has the bits of a step that transports one foot at
+    a time when its stage runs.  f^n is the first term of every stage: its
+    groups write straight into the stages' rows of the step buffer, held from
+    the start of the step.  Every other field is transported into the
+    buffer's first rows: scratch rows ahead of the stages' rows, and the rows
+    of the stages already done.  Without collisions every flux is zero, so
+    only the last stage runs, with its history terms alone, and its sum is a
+    new array: a DIRK step is one transport of f^n.
     """
 
-    early: tuple  # per field: ((taus, ((stage, scale), ...)), ...), one per shared window
-    lazy: tuple  # per stage: ((field, tau, scale), ...) in summing order
-    row: tuple  # per stage: its row of the sum buffer
-    scratch: int  # rows of the scratch buffer
-    last_read: tuple  # per field: the last stage with a lazy term of it if a flux, else -1
+    sends: tuple  # per field: ((tau, rows, ((stage, scale), ...)), ...), one per window group
+    rows: int  # rows of the step buffer
 
     @classmethod
-    def build(cls, transport: InterpolatedTransport, tab: Tableau, dt: float) -> Schedule:
+    def build(cls, ctx: StepContext, tab: Tableau, dt: float) -> Schedule:
         w, a, c = tab.history, tab.a, tab.c
-        nu, nfields = tab.stages, len(w) + tab.stages
-        terms = [
-            [(k, (c[l] + k) * dt, w[k]) for k in range(len(w))]
-            + [(len(w) + k, (c[l] - c[k]) * dt, dt * a[l][k]) for k in range(l) if a[l][k] != 0.0]
-            for l in range(nu)
+        nu, collisions = tab.stages, not math.isinf(ctx.eps)
+        runs = range(nu) if collisions else [nu - 1]  # without collisions no flux is formed
+        feet = [[(l, (c[l] + k) * dt, w[k]) for l in runs] for k in range(len(w))]
+        feet += [
+            [
+                (m, (c[m] - c[l]) * dt, dt * a[m][l])
+                for m in range(l + 1, nu)
+                if collisions and a[m][l] != 0.0
+            ]
+            for l in range(nu - 1)
         ]
-        early = [[] for _ in range(nfields)]
-        is_early = set()  # (stage, field) of every early term
-        ready = [True] * nu  # every term of the stage seen so far is early
-        for field in range(nfields):
-            feet = [(l, tau, scale) for l in range(nu) for f, tau, scale in terms[l] if f == field]
-            ready_feet = [foot for foot in feet if ready[foot[0]]]
-            for group in transport.windows([tau for _, tau, _ in ready_feet]):
-                if len(group) > 1:
-                    group = [ready_feet[i] for i in group]
-                    early[field].append(
-                        (tuple(tau for _, tau, _ in group), tuple((l, s) for l, _, s in group))
-                    )
-                    is_early.update((l, field) for l, _, _ in group)
-            for l, _, _ in feet:
-                ready[l] = (l, field) in is_early
-        lazy = tuple(tuple(t for t in terms[l] if (l, t[0]) not in is_early) for l in range(nu))
-        # rows: the stages whose f^n term is early, in the order f^n's groups
-        # fill them, then one row the other stages share
-        held = [l for _, feet in early[0] for l, _ in feet]
-        row = tuple(held.index(l) if l in held else len(held) for l in range(nu))
-        sizes = [len(taus) for groups in early[1:] for taus, _ in groups]
-        sizes += [1 for l in range(nu) for field, _, _ in lazy[l] if field > 0]
-        last_read = [-1] * nfields  # the history states are the caller's
-        for l in range(nu):
-            for field, _, _ in lazy[l]:
-                if field >= len(w):
-                    last_read[field] = l
-        return cls(
-            early=tuple(tuple(groups) for groups in early),
-            lazy=lazy,
-            row=row,
-            scratch=max(sizes, default=0),
-            last_read=tuple(last_read),
-        )
-
-
-def _add_scaled(g, h, scale):
-    """g += scale*h in place, scaling h in place: h must be a scratch array."""
-    h *= scale
-    g += h
+        groups = [
+            [[terms[i] for i in group] for group in ctx.transport.windows([t for _, t, _ in terms])]
+            for terms in feet
+        ]
+        # the stages' rows, in the order f^n's groups fill them, follow the
+        # scratch rows; a later field is transported into the scratch rows
+        # and the rows of the stages done before it exists
+        layout = [l for group in groups[0] for l, _, _ in group]
+        scratch = 0
+        for field in range(1, len(groups)):
+            done = 0
+            while done < len(layout) and layout[done] <= field - len(w):
+                done += 1
+            scratch = max([scratch] + [len(group) - done for group in groups[field]])
+        sends, first = [], scratch
+        for field, field_groups in enumerate(groups):
+            sends.append([])
+            for group in field_groups:
+                n, taus = len(group), tuple(t for _, t, _ in group)
+                if field > 0:
+                    rows = slice(0, n) if n > 1 else 0
+                elif collisions:
+                    rows, first = (slice(first, first + n) if n > 1 else first), first + n
+                else:  # the last stage alone: its sum is the new field
+                    rows = None
+                to = tuple((l, scale) for l, _, scale in group)
+                sends[-1].append((taus if n > 1 else taus[0], rows, to))
+        return cls(sends=tuple(map(tuple, sends)), rows=first)
 
 
 def tableau_step(ctx: StepContext, history, dt, tab: Tableau):
@@ -290,66 +286,43 @@ def tableau_step(ctx: StepContext, history, dt, tab: Tableau):
     F_l and without dividing by eps (`StepContext.flux`); the last stage
     relaxes its sum into the new field.
 
-    The context's `schedule` says when each term is transported.  A field's
-    feet that share one WENO window are transported together as soon as the
-    field exists, f^n and the history at the start of the step and each flux
-    right after its stage, so the window is gathered, differenced and its
-    indicators formed once while it is in cache; each result is added at
-    once into its stage's sum, held from the start of the step in the
-    context's buffer 0 (one row per such stage), and a flux is released as
-    soon as no later stage transports it.  Every other term is transported
-    when its stage runs: the stage sum into the last row of buffer 0, each
-    further term into buffer 1, which also takes the early results of every
-    field after f^n.  The terms of each stage are added in one order either
-    way.  A stage allocates one field-sized array, its sum's Maxwellian,
-    which becomes its flux or, relaxed, the new field at the last stage.
+    Each field goes to all of its feet when it is formed (the context's
+    `schedule`): the history at the start of the step, each flux right after
+    its stage.  Feet that share one WENO window take one `shifted` call, one
+    gather, one set of differences and indicators, while the field is in
+    cache.  Each result is added at once into its stage's sum, and a flux is
+    released once it is sent.  The sums and the transported terms live in
+    the context's step buffer.  A stage allocates one field-sized array, its
+    sum's Maxwellian, which becomes its flux or, relaxed, the new field at the
+    last stage.  Without collisions no flux is formed: the last stage's sum,
+    a new array, is the new field, so a DIRK step is one transport of f^n.
     """
     w, a = tab.history, tab.a
     if len(history) < len(w):
         raise ConfigError(f"tableau reads {len(w)} history states, got {len(history)}")
-    nu, sched = tab.stages, ctx.schedule(tab, dt)
-    shape = np.shape(history[0])
-    sums = ctx.buffer(0, max(sched.row) + 1, shape)
-    scratch = ctx.buffer(1, sched.scratch, shape) if sched.scratch else None
-    fields = list(history[: len(w)]) + [None] * nu
+    sched = ctx.schedule(tab, dt)
+    buf = ctx.buffer(sched.rows, np.shape(history[0]))
+    sums = [None] * tab.stages
 
-    def send(field):
-        """Transport a new field to each window of its early feet and add the
-        results into their stages' sums."""
-        for taus, feet in sched.early[field]:
-            if field == 0:  # the first term of each stage: its row of the sums
-                first = sched.row[feet[0][0]]
-                out = ctx.transport.shifted(fields[0], taus, out=sums[first : first + len(taus)])
-                if w[0] != 1.0:
-                    out *= w[0]
-                continue
-            out = ctx.transport.shifted(fields[field], taus, out=scratch[: len(taus)])
-            for h, (l, scale) in zip(out, feet):
-                _add_scaled(sums[sched.row[l]], h, scale)
+    def send(field, value):
+        """Transport a new field to all of its feet and add the results into
+        their stages' sums."""
+        for tau, rows, feet in sched.sends[field]:
+            h = ctx.transport.shifted(value, tau, out=None if rows is None else buf[rows])
+            for term, (l, scale) in zip(h if isinstance(tau, tuple) else (h,), feet):
+                if scale != 1.0:
+                    term *= scale
+                if field == 0:  # the first term of stage l: its sum
+                    sums[l] = term
+                else:
+                    sums[l] += term
 
     for k in range(len(w)):
-        send(k)
-    for l in range(nu):
-        g = sums[sched.row[l]]
-        for field, tau, scale in sched.lazy[l]:
-            if field == 0:
-                ctx.transport.shifted(fields[0], tau, out=g)
-                if w[0] != 1.0:
-                    g *= w[0]
-            else:
-                _add_scaled(g, ctx.transport.shifted(fields[field], tau, out=scratch[0]), scale)
-            if sched.last_read[field] == l:
-                fields[field] = None
-        if l == nu - 1:
-            out = ctx.relax(g, a[l][l] * dt)
-            # with collisions off, relax returns the sum g itself
-            return g.copy() if out is g else out
-        flux = len(w) + l
-        if sched.early[flux] or sched.last_read[flux] >= 0:
-            fields[flux] = ctx.flux(g, a[l][l] * dt)
-            send(flux)
-            if sched.last_read[flux] < 0:
-                fields[flux] = None
+        send(k, history[k])
+    for l in range(tab.stages - 1):
+        if sched.sends[len(w) + l]:  # with collisions, where a later stage reads the flux
+            send(len(w) + l, ctx.flux(sums[l], a[l][l] * dt))
+    return ctx.relax(sums[-1], a[-1][-1] * dt)
 
 
 # --------------------------------------------------------------------------
@@ -360,19 +333,19 @@ class TimeStepper:
 
     Owns the running field, the history of earlier fields and one step
     context, whose transport takes node-aligned feet by exact gather for
-    every scheme and whose buffers every step transports its fields into.
+    every scheme and whose step buffer every step transports its fields into.
     Every step is `tableau_step` with the integrator's tableau (`TABLEAUS`);
     while the stepper holds fewer equally spaced states than the tableau has
     history weights, it takes the integrator's startup DIRK instead, and
     after each step it keeps the newest len(history) - 1 states.  A step of a
     new size, for any scheme, first drops the history (the history feet
-    assume equal spacing), the buffers, the step schedules and the
+    assume equal spacing), the step buffer, the step schedules and the
     transport's plans of the old size, so the step runs without them.  A
     counter exposes how many startup (predictor) steps were taken.
 
     `field0` is taken as it is (`np.asarray`), not copied.  Each step
-    allocates its new field; the buffers stay the context's and are never
-    returned.  The stepper never writes into a field it was given or has
+    allocates its new field; the step buffer stays the context's and is
+    never returned.  The stepper never writes into a field it was given or has
     returned, so a read-only field0 marches, `f` stays valid after the next
     step, and a history state is only read.
     """

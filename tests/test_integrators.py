@@ -135,26 +135,55 @@ def test_relax_without_collisions_is_identity():
     assert ctx.relax(g, 0.123) is g
 
 
-def test_flux_without_collisions_is_zero():
-    """eps = inf: a stage flux is exactly zero, a new array, and no moments
-    are formed, so the data may be arbitrary."""
-    ctx = _ctx(math.inf)
-    g = np.random.default_rng(31).normal(size=(1, GRID.nx + 1, GRID.v.size))
-    k = ctx.flux(g, 0.123)
-    assert k.shape == g.shape and not k.any() and not np.shares_memory(k, g)
+@pytest.mark.parametrize(
+    "tab",
+    [RK2_TABLEAU, RK3_TABLEAU, BDF2_TABLEAU, BDF3_TABLEAU],
+    ids=["RK2", "RK3", "BDF2", "BDF3"],
+)
+def test_collisionless_step_forms_no_flux_and_no_moments(monkeypatch, tab):
+    """eps = inf: every stage flux is zero, so a step forms none, and no
+    moments either, so the data may be arbitrary; it returns the weighted
+    transported history, bit for bit."""
+    ctx = _ctx(math.inf, kind=Interp.WENO35)
+    states = list(np.random.default_rng(31).normal(size=(3, 1, GRID.nx + 1, GRID.v.size)))
+
+    def refuse(*args):
+        raise AssertionError("a collisionless step formed a flux or moments")
+
+    monkeypatch.setattr(StepContext, "flux", refuse)
+    monkeypatch.setattr(StepContext, "_equilibrium", refuse)
+    dt, w = 0.03, tab.history
+    expect = ctx.transport.shifted(states[0], dt)
+    if w[0] != 1.0:
+        expect *= w[0]
+    for k in range(1, len(w)):
+        expect = expect + w[k] * ctx.transport.shifted(states[k], (1 + k) * dt)
+    assert np.array_equal(tableau_step(ctx, states, dt, tab), expect)
 
 
-def test_dirk_without_collisions_reduces_to_transport():
-    """With relaxation off every stage flux vanishes, so DIRK steps of any
-    order equal one transport over the full step."""
+@pytest.mark.parametrize(
+    "tab", [EULER_TABLEAU, RK2_TABLEAU, RK3_TABLEAU], ids=["Euler", "RK2", "RK3"]
+)
+@pytest.mark.parametrize("cfl", [0.8, 4.0, "lattice"])
+def test_dirk_without_collisions_reduces_to_transport(monkeypatch, cfl, tab):
+    """With relaxation off every stage flux vanishes, so a DIRK step of any
+    order is one transport over the full step, one `shifted` call, below
+    CFL 1, above it and at the lattice step."""
     ctx = _ctx(math.inf, kind=Interp.WENO35)
     rng = np.random.default_rng(32)
     f = rng.normal(size=(1, GRID.nx + 1, GRID.v.size))
-    dt = 0.07
+    dt = GRID.dt_from_cfl(cfl)
     pure = ctx.transport.shifted(f, dt)
-    assert np.array_equal(tableau_step(ctx, [f], dt, EULER_TABLEAU), pure)
-    assert np.array_equal(tableau_step(ctx, [f], dt, RK2_TABLEAU), pure)
-    assert np.array_equal(tableau_step(ctx, [f], dt, RK3_TABLEAU), pure)
+    calls = []
+    shifted = InterpolatedTransport.shifted
+
+    def counting(transport, field, tau, out=None):
+        calls.append(tau)
+        return shifted(transport, field, tau, out)
+
+    monkeypatch.setattr(InterpolatedTransport, "shifted", counting)
+    assert np.array_equal(tableau_step(ctx, [f], dt, tab), pure)
+    assert calls == [dt]
 
 
 def test_equilibrium_is_fixed_point_of_every_step():
@@ -212,15 +241,22 @@ def test_euler_tableau_is_foot_then_relaxation_bitwise(lattice):
     assert np.array_equal(tableau_step(ctx, [f], dt, EULER_TABLEAU), expect)
 
 
-@pytest.mark.parametrize("eps", [0.05, math.inf])
 @pytest.mark.parametrize(
-    "tab, shared, alone", [(RK2_TABLEAU, 2, 3), (RK3_TABLEAU, 3, 6)], ids=["RK2", "RK3"]
+    "tab, eps, shared, alone",
+    [
+        (RK2_TABLEAU, 0.05, 2, 3),
+        (RK3_TABLEAU, 0.05, 3, 6),
+        (RK2_TABLEAU, math.inf, 1, 1),
+        (RK3_TABLEAU, math.inf, 1, 1),
+    ],
+    ids=["RK2-0.05", "RK3-0.05", "RK2-inf", "RK3-inf"],
 )
-def test_shared_windows_keep_every_bit_of_the_step(monkeypatch, tab, shared, alone, eps):
+def test_shared_windows_keep_every_bit_of_the_step(monkeypatch, tab, eps, shared, alone):
     """Below CFL 1 all feet of one DIRK field read one WENO window, so a step
     applies WENO once per field that has feet (f^n and every flux but the
     last), and it returns, bit for bit, the step that transports each foot on
-    its own, with collisions or without."""
+    its own, with collisions or without.  Without collisions the step forms
+    no flux: it is one transport of f^n either way."""
     rng = np.random.default_rng(38)
     f = _maxwellian_field(1.1, 0.2, 0.9) * rng.uniform(0.9, 1.1, (1, GRID.n_space, GRID.n_vel))
     dt = 0.8 * GRID.dx / GRID.vmax
@@ -427,24 +463,24 @@ def test_read_only_start_field_marches_and_is_never_written(integrator, interp):
 
 @pytest.mark.parametrize("integrator", [Integrator.RK3, Integrator.BDF2, Integrator.BDF3])
 def test_collisionless_steps_never_return_a_step_buffer(integrator):
-    """With eps = inf the relaxation returns the stage sum itself, which
-    lives in a step buffer: the step returns a copy, so no returned field is
-    a buffer or is written by a later step."""
+    """With eps = inf the relaxation returns the last stage's sum itself,
+    which is a new array, not a step buffer, so no returned field is a buffer
+    or is written by a later step."""
     rng = np.random.default_rng(37)
     f = rng.normal(size=(1, GRID.n_space, GRID.n_vel))
     stepper = TimeStepper(f, GRID, SYSTEM, _scheme(integrator, eps=math.inf))
     returned = []
     for dt in [0.03] * 4 + [0.012]:
         stepper.step(dt)
-        buffers = stepper.ctx._buffers.values()
-        assert buffers and not any(np.shares_memory(stepper.f, b) for b in buffers)
+        buffer = stepper.ctx._buffer
+        assert buffer is not None and not np.shares_memory(stepper.f, buffer)
         returned.append((stepper.f, stepper.f.copy()))
     assert all(np.array_equal(field, copy) for field, copy in returned)
 
 
 def test_bdf2_step_allocates_only_its_new_field():
     """After the startup a BDF2 step at the lattice step and nx = 3200
-    transports into the step context's two buffers, so it peaks at most 1.25
+    transports into the step context's step buffer, so it peaks at most 1.25
     field-sizes of traced memory above the fields it holds: the relaxed field
     it returns and its row-sized moments (2.15 when every transport allocated
     its result)."""
@@ -620,23 +656,30 @@ def _march_peak(scenario, integrator, interp, cfl, nx, t_final=None):
 @pytest.mark.parametrize(
     "scenario, integrator, interp, cfl, nx, t_final, bound",
     [
-        # Measured 6.77 (6.74 before plans shared windows; 8.32 when every
+        # Measured 6.53 (6.77 when the step kept separate sum and scratch
+        # buffers; 6.74 before plans shared windows; 8.32 when every
         # plan kept a field-sized window index and every step allocated its
         # transported fields; 12.57 when the stepper also copied field0 and
         # kept the history and plans of the old dt through the shortened last
         # step)
         ("riemann", *LATTICE_RUNS["BDF2W23"], "lattice", 800, None, 7.05),
-        # Measured 8.93: the three stage sums and a two-row scratch buffer
-        # hold f^n's and K_0's shared-window results, and the six plans share
-        # one window index (9.03 when each flux was formed from its stage's
+        # Measured 7.93: the three stage sums hold f^n's shared-window
+        # results, a scratch row and the first stage's spent row take K_0's,
+        # and the six plans share one window index (8.93 with a separate
+        # two-row scratch buffer; 9.03 when each flux was formed from its stage's
         # relaxed value; 6.71 with no window shared; 9.33 with one index
         # per plan and one foot per transport; 9.67 when each DIRK flux was a
         # new array and lived through the last stage; 14.11 when the step also
         # held each stage's g and relaxed value through the next stage's
         # transports)
         ("riemann-chu", Integrator.RK3, Interp.WENO35, None, 100, 0.0251, 9.8),
+        # Measured 8.71: above CFL 1 no window is shared, and the step holds
+        # its three stage sums from its start, a done stage's row taking the
+        # next flux (9.15 when the stages shared one sum row and a scratch
+        # row, but the step held each flux until its last stage)
+        ("riemann-chu", Integrator.RK3, Interp.WENO35, 4.0, 100, 0.0251, 9.15),
     ],
-    ids=["BDF2-lattice", "RK3-weno35"],
+    ids=["BDF2-lattice", "RK3-weno35", "RK3-weno35-cfl4"],
 )
 def test_march_peak_holds_only_the_live_fields(
     scenario, integrator, interp, cfl, nx, t_final, bound
